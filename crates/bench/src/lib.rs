@@ -30,7 +30,7 @@ pub fn run_miner(miner: &dyn Miner, db: &TransactionDb, min_support: u64) -> Min
     miner.mine(db, min_support, &mut sink)
 }
 
-/// A small Quest dataset for Criterion microbenchmarks (fast to build).
+/// A small Quest dataset for quick runs and tests (fast to build).
 pub fn bench_quest(transactions: usize) -> TransactionDb {
     let cfg = cfp_data::quest::QuestConfig {
         num_transactions: transactions,

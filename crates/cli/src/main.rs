@@ -10,13 +10,13 @@
 //!
 //!   --algorithm NAME   cfp (default), fp, apriori, eclat, lcm,
 //!                      nonordfp, tiny, fparray
-//!   --threads N        parallel CFP-growth with N workers
-//!   --schedule S       parallel mine-phase scheduling: dynamic
-//!                      (default; work-stealing claims from a shared
-//!                      cost-sorted queue, deterministic output) or
-//!                      static (fixed round-robin deal)
-//!   --mem-budget B     cap the build-phase arena at B bytes (k/m/g
-//!                      suffixes allowed; cfp algorithms only)
+//!   --threads N        mine-phase workers for CFP-growth (default 1);
+//!                      output is byte-identical at every count
+//!   --schedule dynamic the mine-phase schedule (the only one: workers
+//!                      claim from a shared cost-sorted queue)
+//!   --mem-budget B     cap the whole run at B bytes — one budget pool
+//!                      shared by the initial tree and every conditional
+//!                      tree (k/m/g suffixes allowed; cfp only)
 //!   --skip-bad-lines   drop malformed input lines instead of failing
 //!   --output MODE      what the cfp engine mines: all (default; every
 //!                      frequent itemset), closed, maximal, or topk:N
@@ -65,16 +65,16 @@
 //!                      files (default: the system temp directory; a
 //!                      per-run subdirectory is created and removed on
 //!                      every exit path; requires --recover=spill)
-//!   --worker-timeout S watchdog: fail a parallel run when no worker
-//!                      makes progress for S seconds
+//!   --worker-timeout S watchdog: fail the run when no mine-phase worker
+//!                      makes progress for S seconds (at any --threads)
 //!   --checkpoint-dir P crash-safe checkpointing: periodically commit a
 //!                      cfp-ckpt/1 manifest into P recording an exact
 //!                      output watermark. The directory is guarded by a
 //!                      PID lockfile. Requires the cfp algorithm,
 //!                      streaming output (--output all, closed, or
-//!                      maximal; no --count, --top/topk, or --rules),
-//!                      the dynamic schedule, and --recover off or
-//!                      spill (condensed modes: --recover off only)
+//!                      maximal; no --count, --top/topk, or --rules), and
+//!                      --recover off or spill (condensed modes:
+//!                      --recover off only)
 //!   --checkpoint-every N  commit the manifest every N completed
 //!                      top-level items (default 32; spill partitions
 //!                      always commit per partition)
@@ -109,9 +109,9 @@
 //! completes the run.
 
 use cfp_core::{
-    CfpGrowthMiner, CollectSink, CountingSink, ItemsetSink, MineStats, Miner, MiningImage,
-    OutputMode, ParallelCfpGrowthMiner, RecoveryPolicy, RecoveryReport, Schedule, Supervisor,
-    TopKSink, TransactionDb,
+    CollectSink, CountingSink, ItemsetSink, MineStats, Miner, MiningImage, OutputMode,
+    ParallelCfpGrowthMiner, RecoveryPolicy, RecoveryReport, Schedule, Supervisor, TopKSink,
+    TransactionDb,
 };
 use cfp_data::{CfpError, ParsePolicy};
 use cfp_fault::EXIT_USAGE;
@@ -126,7 +126,6 @@ struct Options {
     support: SupportSpec,
     algorithm: String,
     threads: usize,
-    schedule: Schedule,
     mem_budget: Option<u64>,
     skip_bad_lines: bool,
     output: OutputMode,
@@ -163,7 +162,7 @@ enum SupportSpec {
 fn print_usage() {
     eprintln!("usage: cfp-mine <input.dat> --support <N | P%> [options]");
     eprintln!("  --algorithm cfp|fp|apriori|eclat|lcm|nonordfp|tiny|fparray");
-    eprintln!("  --threads N | --schedule static|dynamic | --mem-budget BYTES[k|m|g]");
+    eprintln!("  --threads N | --schedule dynamic | --mem-budget BYTES[k|m|g]");
     eprintln!("  --skip-bad-lines");
     eprintln!("  --output all|closed|maximal|topk:N");
     eprintln!("  --count | --top K | --closed | --maximal");
@@ -218,7 +217,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         support: SupportSpec::Absolute(0),
         algorithm: "cfp".into(),
         threads: 1,
-        schedule: Schedule::default(),
         mem_budget: None,
         skip_bad_lines: false,
         output: OutputMode::All,
@@ -277,7 +275,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--threads" => {
                 opts.threads = value(arg)?.parse().map_err(|_| "bad thread count".to_string())?;
             }
-            "--schedule" => opts.schedule = value(arg)?.parse()?,
+            "--schedule" => {
+                value(arg)?.parse::<Schedule>()?;
+            }
             "--mem-budget" => opts.mem_budget = Some(parse_bytes(&value(arg)?)?),
             "--skip-bad-lines" => opts.skip_bad_lines = true,
             "--output" => {
@@ -423,11 +423,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                  --output=topk, or --rules; baseline --closed/--maximal collect in memory)"
                 .to_string());
         }
-        if opts.schedule != Schedule::Dynamic {
-            return Err("--checkpoint-dir requires --schedule dynamic (static output order is \
-                 nondeterministic, so no byte watermark exists)"
-                .to_string());
-        }
         if !matches!(opts.recover, RecoveryPolicy::Off | RecoveryPolicy::Spill) {
             return Err("--checkpoint-dir requires --recover off or spill (the other rungs \
                  re-emit output without a resumable watermark)"
@@ -460,13 +455,10 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
-/// How the run executes: a plain miner, a sequential CFP miner with
-/// non-default [`cfp_core::MineOpts`] (an attribution pool from
-/// `--mem-report`, a cancel token from `--deadline`), or the recovery
-/// supervisor wrapping one (`--recover` other than `off`, cfp only).
+/// How the run executes: a plain miner, or the recovery supervisor
+/// wrapping the cfp one (`--recover` other than `off`).
 enum Runner {
     Plain(Box<dyn Miner>),
-    Seq(CfpGrowthMiner, cfp_core::MineOpts),
     Supervised(Supervisor),
 }
 
@@ -482,7 +474,6 @@ impl Runner {
     ) -> Result<MineStats, CfpError> {
         match self {
             Runner::Plain(m) => m.try_mine(db, min_support, sink),
-            Runner::Seq(m, mine_opts) => m.try_mine_with(db, min_support, sink, mine_opts),
             Runner::Supervised(s) => {
                 let (r, report) = s.mine(db, min_support, sink);
                 stash_blackbox_degradation(&report);
@@ -494,16 +485,11 @@ impl Runner {
 }
 
 /// Builds the attribution pool a `--mem-report` run charges. Admission
-/// must be byte-identical to a run without the flag: sequential runs get
-/// an unlimited pool (their `--mem-budget` stays a per-arena cap), while
-/// parallel runs get exactly the pool `ParallelCfpGrowthMiner` would
-/// have created from `--mem-budget` itself.
+/// must be byte-identical to a run without the flag, so it is exactly the
+/// pool the miner would have created from `--mem-budget` itself.
 fn attribution_pool(opts: &Options) -> cfp_memman::BudgetPool {
     use cfp_memman::BudgetPool;
-    match opts.mem_budget {
-        Some(b) if opts.algorithm == "cfp" && opts.threads > 1 => BudgetPool::new(b),
-        _ => BudgetPool::unlimited(),
-    }
+    opts.mem_budget.map_or_else(BudgetPool::unlimited, BudgetPool::new)
 }
 
 fn runner_by_name(
@@ -527,7 +513,6 @@ fn runner_by_name(
         }
         return Ok(Runner::Supervised(Supervisor {
             threads: opts.threads,
-            schedule: opts.schedule,
             single_path_opt: true,
             mem_budget: opts.mem_budget,
             policy: opts.recover,
@@ -538,8 +523,7 @@ fn runner_by_name(
         }));
     }
     Ok(Runner::Plain(match opts.algorithm.as_str() {
-        "cfp" if opts.threads > 1 => Box::new(ParallelCfpGrowthMiner {
-            schedule: opts.schedule,
+        "cfp" => Box::new(ParallelCfpGrowthMiner {
             mem_budget: opts.mem_budget,
             pool: pool.cloned(),
             worker_timeout: opts.worker_timeout,
@@ -547,21 +531,6 @@ fn runner_by_name(
             output: opts.output,
             ..ParallelCfpGrowthMiner::new(opts.threads)
         }),
-        "cfp" => {
-            let miner = CfpGrowthMiner { single_path_opt: true, mem_budget: opts.mem_budget };
-            if pool.is_some() || cancel.is_some() || opts.output != OutputMode::All {
-                return Ok(Runner::Seq(
-                    miner,
-                    cfp_core::MineOpts {
-                        pool: pool.cloned(),
-                        cancel: cancel.cloned(),
-                        output: opts.output,
-                        ..Default::default()
-                    },
-                ));
-            }
-            Box::new(miner)
-        }
         "fp" => {
             budget_ignored("fp");
             Box::new(cfp_fptree::FpGrowthMiner::new())
@@ -1024,7 +993,6 @@ fn run_checkpointed(
         // skipped deliberately.
         let supervisor = Supervisor {
             threads: opts.threads,
-            schedule: opts.schedule,
             single_path_opt: true,
             mem_budget: opts.mem_budget,
             policy: RecoveryPolicy::Spill,
@@ -1038,9 +1006,8 @@ fn run_checkpointed(
         stash_blackbox_degradation(&report);
         *degradation = Some(report);
         r
-    } else if opts.threads > 1 {
+    } else {
         ParallelCfpGrowthMiner {
-            schedule: opts.schedule,
             mem_budget: opts.mem_budget,
             worker_timeout: opts.worker_timeout,
             cancel: cancel.cloned(),
@@ -1049,18 +1016,6 @@ fn run_checkpointed(
             ..ParallelCfpGrowthMiner::new(opts.threads)
         }
         .try_mine(db, min_support, &mut sink)
-    } else {
-        CfpGrowthMiner { single_path_opt: true, mem_budget: opts.mem_budget }.try_mine_with(
-            db,
-            min_support,
-            &mut sink,
-            &cfp_core::MineOpts {
-                cancel: cancel.cloned(),
-                resume_skip,
-                output: opts.output,
-                ..Default::default()
-            },
-        )
     };
 
     match result {
@@ -1446,8 +1401,8 @@ fn main() {
             wall_nanos,
             samples,
         );
-        if opts.algorithm == "cfp" && opts.threads > 1 {
-            report = report.with_schedule(opts.schedule.name());
+        if opts.algorithm == "cfp" {
+            report = report.with_schedule(Schedule::Dynamic.name());
         }
         // A supervised run that needed its ladder records what happened;
         // healthy runs keep the section absent so the schema stays
@@ -1527,15 +1482,12 @@ mod tests {
 
     #[test]
     fn parse_args_schedule() {
-        let o = parse_args(&args(&["in.dat", "--support", "2"])).unwrap();
-        assert_eq!(o.schedule, Schedule::Dynamic);
-        let o = parse_args(&args(&["in.dat", "--support", "2", "--schedule", "static"])).unwrap();
-        assert_eq!(o.schedule, Schedule::Static);
-        let o = parse_args(&args(&["in.dat", "--support", "2", "--schedule=dynamic"])).unwrap();
-        assert_eq!(o.schedule, Schedule::Dynamic);
-        assert!(parse_args(&args(&["in.dat", "--support", "2", "--schedule", "fifo"]))
-            .unwrap_err()
-            .contains("unknown schedule"));
+        assert!(parse_args(&args(&["in.dat", "--support", "2", "--schedule=dynamic"])).is_ok());
+        for gone in ["static", "fifo"] {
+            assert!(parse_args(&args(&["in.dat", "--support", "2", "--schedule", gone]))
+                .unwrap_err()
+                .contains("unknown schedule"));
+        }
     }
 
     #[test]

@@ -6,11 +6,21 @@ fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_cfp-mine")
 }
 
+/// Writes a dataset several tests share: through a temporary file and a
+/// rename, so a test reading the file while another rewrites it always
+/// sees a complete copy.
+fn write_shared(path: &std::path::Path, text: &str) {
+    let unique = format!("{}-{:?}.tmp", std::process::id(), std::thread::current().id());
+    let tmp = path.with_extension(unique);
+    std::fs::write(&tmp, text).unwrap();
+    std::fs::rename(&tmp, path).unwrap();
+}
+
 fn write_sample() -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("cfp_cli_tests");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("sample.dat");
-    std::fs::write(&path, "1 2 5\n2 4\n2 3\n1 2 4\n1 3\n2 3\n1 3\n1 2 3 5\n1 2 3\n").unwrap();
+    write_shared(&path, "1 2 5\n2 4\n2 3\n1 2 4\n1 3\n2 3\n1 3\n1 2 3 5\n1 2 3\n");
     path
 }
 
@@ -60,8 +70,7 @@ fn algorithms_agree() {
 
 /// The dynamic schedule's determinism contract, end to end: a parallel
 /// run must print byte-for-byte what the sequential run prints, with no
-/// sorting anywhere. The static schedule only promises the same multiset
-/// of lines.
+/// sorting anywhere.
 #[test]
 fn dynamic_schedule_output_is_byte_identical_to_sequential() {
     let path = write_sample();
@@ -86,31 +95,57 @@ fn dynamic_schedule_output_is_byte_identical_to_sequential() {
         assert!(parallel.status.success(), "{}", String::from_utf8_lossy(&parallel.stderr));
         assert_eq!(parallel.stdout, sequential.stdout, "--threads {threads} diverged");
     }
-    // Static still yields the same itemsets, just in worker-race order.
-    let stat = Command::new(bin())
-        .args([path.to_str().unwrap(), "--support", "2", "--threads", "4", "--schedule=static"])
-        .output()
-        .unwrap();
-    assert!(stat.status.success(), "{}", String::from_utf8_lossy(&stat.stderr));
-    let sorted = |bytes: &[u8]| {
-        let mut lines: Vec<String> =
-            String::from_utf8_lossy(bytes).lines().map(str::to_string).collect();
-        lines.sort();
-        lines
-    };
-    assert_eq!(sorted(&stat.stdout), sorted(&sequential.stdout));
 }
 
+/// Every unknown schedule is a usage error — including `static`, whose
+/// round-robin deal is gone.
 #[test]
 fn bad_schedule_exits_2_with_usage_text() {
-    let out = Command::new(bin())
-        .args(["sample.dat", "--support", "2", "--schedule", "fifo"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown schedule"), "{stderr}");
-    assert!(stderr.contains("usage:"), "{stderr}");
+    for schedule in ["fifo", "static"] {
+        let out = Command::new(bin())
+            .args(["sample.dat", "--support", "2", "--schedule", schedule])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{schedule}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown schedule"), "{stderr}");
+        assert!(stderr.contains("usage:"), "{stderr}");
+    }
+}
+
+/// One driver runs every thread count, so a profile's pipeline phases
+/// mean the same thing at any `--threads`: read, count, build and
+/// convert are each entered once with non-zero time, and the mine phase
+/// once per worker.
+#[test]
+fn profile_phases_mean_the_same_at_any_thread_count() {
+    use cfp_trace::{json, Json};
+
+    let path = write_sample();
+    let dir = std::env::temp_dir().join("cfp_cli_tests");
+    for threads in [1u64, 2] {
+        let report_path = dir.join(format!("phases-{threads}.json"));
+        let out = Command::new(bin())
+            .args([path.to_str().unwrap(), "--support", "2", "--count"])
+            .args(["--threads", &threads.to_string(), "--profile", report_path.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let doc = json::parse(&std::fs::read_to_string(&report_path).unwrap()).unwrap();
+        let phases = doc.get("phases").and_then(Json::as_arr).expect("phases");
+        for name in ["read", "count", "build", "convert", "mine"] {
+            let phase = phases
+                .iter()
+                .find(|p| p.get("name").and_then(Json::as_str) == Some(name))
+                .unwrap_or_else(|| panic!("phase {name} missing"));
+            let expected = if name == "mine" { threads } else { 1 };
+            let count = phase.get("count").and_then(Json::as_u64);
+            assert_eq!(count, Some(expected), "--threads {threads} {name}: {phase:?}");
+            let nanos = phase.get("nanos").and_then(Json::as_u64).unwrap();
+            assert!(nanos > 0, "--threads {threads} {name} recorded no time: {phase:?}");
+        }
+        std::fs::remove_file(&report_path).ok();
+    }
 }
 
 #[test]
@@ -162,10 +197,7 @@ fn bad_output_mode_exits_2_with_usage_text() {
 
 /// The engine's condensed modes agree with the post-hoc baseline path
 /// end to end, the legacy flags alias onto the engine (byte-identical
-/// commands), and each mode is byte-identical across the dynamic
-/// schedule's thread counts and set-identical under the static
-/// schedule. Top-k output is byte-identical everywhere (it drains in
-/// one deterministic sorted order).
+/// commands), and each mode is byte-identical across thread counts.
 #[test]
 fn output_modes_are_deterministic_across_schedules_and_threads() {
     let path = write_skewed();
@@ -205,12 +237,6 @@ fn output_modes_are_deterministic_across_schedules_and_threads() {
         for threads in ["2", "4"] {
             let par = run(&[&output, "--threads", threads, "--schedule=dynamic"]);
             assert_eq!(par, seq, "{mode} dynamic x{threads} is not byte-identical");
-        }
-        let stat = run(&[&output, "--threads", "4", "--schedule=static"]);
-        if mode == "topk:25" {
-            assert_eq!(stat, seq, "top-k static must drain in the same order");
-        } else {
-            assert_eq!(sorted(&stat), sorted(&seq), "{mode} static x4 set diverged");
         }
     }
 
@@ -466,7 +492,7 @@ fn write_skewed() -> std::path::PathBuf {
             text.push('\n');
         }
     }
-    std::fs::write(&path, text).unwrap();
+    write_shared(&path, &text);
     path
 }
 

@@ -1,7 +1,8 @@
-//! The CFP-growth mining algorithm.
+//! The CFP-growth mining algorithm: the conditional recursion and the
+//! one-worker miner.
 //!
 //! CFP-growth is FP-growth with both phases running on compressed
-//! structures. One invocation:
+//! structures. One invocation (one pass of the crate's mining driver):
 //!
 //! 1. **Scan** — count item supports, recode frequent items densely in
 //!    descending support order ([`cfp_data::ItemRecoder`]).
@@ -19,16 +20,17 @@
 //! Conditional trees keep the global support order of items (see the
 //! discussion in `cfp_fptree::growth`), and a conditional structure that
 //! degenerates into a single path short-circuits into direct subset
-//! enumeration.
+//! enumeration. This module owns the recursion below a first-level item;
+//! the driver owns everything above it.
 
+use crate::driver::Plan;
 use crate::spill::CondSpill;
 use cfp_array::{convert, CfpArray};
 use cfp_data::{
     CfpError, Item, ItemRecoder, ItemsetSink, MineStats, Miner, OutputMode, TransactionDb,
 };
-use cfp_memman::{Arena, ArenaOptions, BudgetPool, Component, MemoryBudget, StatsReset};
-use cfp_metrics::{HeapSize, MemGauge, Stopwatch};
-use cfp_trace::{span, Phase};
+use cfp_memman::{Arena, ArenaOptions, BudgetPool, Component, StatsReset};
+use cfp_metrics::{HeapSize, MemGauge};
 use cfp_tree::{CfpTree, CfpTreeConfig};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -55,10 +57,11 @@ pub struct MineOpts {
     /// memory. Armed by the supervisor's spill rung; `None` keeps every
     /// conditional structure in RAM (classic behaviour).
     pub cond_spill: Option<CondSpill>,
-    /// Cooperative cancellation, polled between top-level items (and at
-    /// scheduler task boundaries in the parallel driver). When it fires,
-    /// mining stops at the next boundary with [`CfpError::Interrupted`];
-    /// everything emitted so far sits at an exact item watermark.
+    /// Cooperative cancellation, polled by the workers at task boundaries
+    /// and by the ordered emitter between first-level items. When it
+    /// fires, mining stops at the next boundary with
+    /// [`CfpError::Interrupted`]; everything emitted so far sits at an
+    /// exact item watermark.
     pub cancel: Option<cfp_fault::CancelToken>,
     /// Resume support: the first `resume_skip` top-level items (in the
     /// descending mining order, i.e. items `n-1 … n-resume_skip`) were
@@ -79,12 +82,12 @@ pub struct MineOpts {
 }
 
 impl MineOpts {
-    fn arena_options(&self, budget: Option<u64>, component: Component) -> ArenaOptions {
+    pub(crate) fn arena_options(&self, component: Component) -> ArenaOptions {
         ArenaOptions {
-            budget: budget.map(MemoryBudget::new),
             pool: self.pool.clone(),
             compact_on_pressure: self.compact_on_pressure,
             component,
+            ..Default::default()
         }
     }
 }
@@ -204,9 +207,9 @@ impl TopKState {
     }
 }
 
-/// Per-run (or, in the parallel driver, per-task) runtime state of the
-/// active [`OutputMode`]. The closed/maximal indexes grow as itemsets
-/// are accepted; the top-k state is shared across all workers of a run.
+/// Per-task runtime state of the active [`OutputMode`]. The
+/// closed/maximal indexes grow as a task's itemsets are accepted; the
+/// top-k state is shared across all workers of a run.
 #[derive(Debug)]
 pub(crate) enum ModeCtx {
     /// Report every frequent itemset.
@@ -228,23 +231,17 @@ enum ModeKind {
 }
 
 impl ModeCtx {
-    /// Fresh per-run state for `output`.
-    pub(crate) fn new(output: OutputMode) -> Self {
+    /// Fresh per-task state for `output`. Top-k joins the run's shared
+    /// heap `topk` — how the workers of a run cooperate on one global
+    /// heap — or starts its own when there is none.
+    pub(crate) fn new(output: OutputMode, topk: &Option<Arc<TopKState>>) -> Self {
         match output {
             OutputMode::All => ModeCtx::All,
             OutputMode::Closed => ModeCtx::Closed(SubsumeIndex::default()),
             OutputMode::Maximal => ModeCtx::Maximal(SubsumeIndex::default()),
-            OutputMode::TopK(k) => ModeCtx::TopK(Arc::new(TopKState::new(k))),
-        }
-    }
-
-    /// Like [`new`](Self::new), but top-k joins an existing shared
-    /// state — how parallel workers and spill partitions cooperate on
-    /// one global heap.
-    pub(crate) fn new_shared(output: OutputMode, topk: &Option<Arc<TopKState>>) -> Self {
-        match (output, topk) {
-            (OutputMode::TopK(_), Some(state)) => ModeCtx::TopK(Arc::clone(state)),
-            _ => ModeCtx::new(output),
+            OutputMode::TopK(k) => {
+                ModeCtx::TopK(topk.clone().unwrap_or_else(|| Arc::new(TopKState::new(k))))
+            }
         }
     }
 
@@ -260,11 +257,7 @@ impl ModeCtx {
 
 /// Emits a finished top-k run's retained itemsets into `sink` (highest
 /// support first, ties lexicographic) and returns how many there were.
-/// No-op for every other mode.
-pub(crate) fn drain_topk(mode: &ModeCtx, sink: &mut dyn ItemsetSink) -> u64 {
-    let ModeCtx::TopK(state) = mode else {
-        return 0;
-    };
+pub(crate) fn drain_topk(state: &TopKState, sink: &mut dyn ItemsetSink) -> u64 {
     let winners = state.drain_sorted();
     let n = winners.len() as u64;
     for (set, support) in winners {
@@ -348,12 +341,15 @@ pub(crate) struct Scratch {
     /// The recycled arena (lazily captured from the first conditional
     /// tree built while recycling is on).
     pub arena: Option<Arena>,
+    /// The worker's live conditional-structure bytes: its peak and its
+    /// checkpoint samples feed the run's `peak_bytes` and `avg_bytes`.
+    pub gauge: MemGauge,
 }
 
 impl Scratch {
     /// Scratch state with arena recycling armed.
     pub fn recycling() -> Self {
-        Scratch { recycle: true, arena: None }
+        Scratch { recycle: true, ..Default::default() }
     }
 
     /// Takes the recycled arena, if recycling is armed and one is stashed.
@@ -378,16 +374,18 @@ fn mine_phase(e: CfpError) -> CfpError {
     }
 }
 
-/// The CFP-growth miner.
+/// The CFP-growth miner: the mining driver (count, build, convert, mine)
+/// with one mine-phase worker — [`ParallelCfpGrowthMiner`](crate::ParallelCfpGrowthMiner)
+/// runs the same driver with more.
 #[derive(Clone, Debug)]
 pub struct CfpGrowthMiner {
     /// Enumerate single-path structures directly instead of recursing.
     pub single_path_opt: bool,
-    /// Byte cap on the initial tree's arena. When set, exceeding it
-    /// surfaces as [`CfpError::MemoryExhausted`] from
-    /// [`Miner::try_mine`] (or a panic from the infallible
-    /// [`Miner::mine`]). The build phase dominates the peak, so the cap
-    /// governs it only; conditional trees during mining stay uncapped.
+    /// Byte cap on the whole run, enforced by one [`BudgetPool`] charged by
+    /// the initial tree's arena and every conditional tree's (unless
+    /// [`MineOpts::pool`] brings its own). Exceeding it surfaces as
+    /// [`CfpError::MemoryExhausted`] from [`Miner::try_mine`] (or a panic
+    /// from the infallible [`Miner::mine`]).
     pub mem_budget: Option<u64>,
 }
 
@@ -402,6 +400,12 @@ impl CfpGrowthMiner {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// How the driver's back half runs for this miner: one worker, no
+    /// watchdog.
+    pub(crate) fn plan(&self) -> Plan {
+        Plan { threads: 1, single_path_opt: self.single_path_opt, worker_timeout: None }
+    }
 }
 
 /// Runs the scan and build phases: returns the recoder and the initial
@@ -410,8 +414,8 @@ pub fn build_tree(db: &TransactionDb, min_support: u64) -> (ItemRecoder, CfpTree
     try_build_tree(db, min_support, None).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Fallible [`build_tree`]: the tree arena is capped at `budget` bytes
-/// when given, and exhaustion comes back as
+/// Fallible [`build_tree`]: the tree arena charges a [`BudgetPool`] of
+/// `budget` bytes when given, and exhaustion comes back as
 /// [`CfpError::MemoryExhausted`] with the phase set to `"build"`.
 pub fn try_build_tree(
     db: &TransactionDb,
@@ -422,7 +426,7 @@ pub fn try_build_tree(
         db,
         min_support,
         ArenaOptions {
-            budget: budget.map(MemoryBudget::new),
+            pool: budget.map(BudgetPool::new),
             component: Component::BuildTree,
             ..Default::default()
         },
@@ -443,24 +447,40 @@ pub fn try_build_tree_with(
 
 struct Ctx<'a> {
     sink: &'a mut dyn ItemsetSink,
-    gauge: MemGauge,
     min_support: u64,
     single_path_opt: bool,
-    opts: MineOpts,
+    opts: &'a MineOpts,
     scratch: &'a mut Scratch,
     mode: &'a mut ModeCtx,
-    /// Suppress sink emission (and itemset counting) while re-mining
-    /// items a resumed condensed run already reported — the subsumption
-    /// index still fills, so later checks see exactly the state an
-    /// uninterrupted run would have.
-    quiet: bool,
     suffix: Vec<Item>,
     emit_buf: Vec<Item>,
     path_buf: Vec<u32>,
     itemsets: u64,
 }
 
-impl Ctx<'_> {
+impl<'a> Ctx<'a> {
+    fn new(
+        sink: &'a mut dyn ItemsetSink,
+        min_support: u64,
+        single_path_opt: bool,
+        opts: &'a MineOpts,
+        scratch: &'a mut Scratch,
+        mode: &'a mut ModeCtx,
+    ) -> Self {
+        Ctx {
+            sink,
+            min_support,
+            single_path_opt,
+            opts,
+            scratch,
+            mode,
+            suffix: Vec::new(),
+            emit_buf: Vec::new(),
+            path_buf: Vec::new(),
+            itemsets: 0,
+        }
+    }
+
     /// Sorts the current suffix into `emit_buf` — the candidate itemset
     /// in emission form.
     fn build_candidate(&mut self) {
@@ -481,12 +501,8 @@ impl Ctx<'_> {
         self.emit_candidate(support);
     }
 
-    /// Forwards the already-built candidate in `emit_buf` to the sink,
-    /// unless this subtree is being silently re-mined after a resume.
+    /// Forwards the already-built candidate in `emit_buf` to the sink.
     fn emit_candidate(&mut self, support: u64) {
-        if self.quiet {
-            return;
-        }
         self.sink.emit(&self.emit_buf, support);
         self.itemsets += 1;
         if cfp_trace::enabled() {
@@ -542,9 +558,9 @@ impl Miner for CfpGrowthMiner {
 
 impl CfpGrowthMiner {
     /// [`Miner::try_mine`] with explicit [`MineOpts`]: a shared budget
-    /// pool covering the initial *and* every conditional tree, and
-    /// compact-on-pressure retry. `try_mine` delegates here with the
-    /// defaults, so its behaviour is unchanged.
+    /// pool covering the initial *and* every conditional tree,
+    /// compact-on-pressure retry, cancellation, resume, and the output
+    /// mode. `try_mine` delegates here with the defaults.
     pub fn try_mine_with(
         &self,
         db: &TransactionDb,
@@ -552,178 +568,40 @@ impl CfpGrowthMiner {
         sink: &mut dyn ItemsetSink,
         opts: &MineOpts,
     ) -> Result<MineStats, CfpError> {
-        let mut stats = MineStats::default();
-        let gauge = MemGauge::new();
-        let mut sw = Stopwatch::start();
-
-        let recoder = {
-            let _s = span(Phase::Count);
-            ItemRecoder::scan(db, min_support)
+        let opts = MineOpts {
+            pool: opts.pool.clone().or_else(|| self.mem_budget.map(BudgetPool::new)),
+            ..opts.clone()
         };
-        stats.scan_time = sw.lap();
-
-        let tree = {
-            let _s = span(Phase::Build);
-            CfpTree::try_from_db_with(
-                db,
-                &recoder,
-                opts.arena_options(self.mem_budget, Component::BuildTree),
-            )?
-        };
-        stats.build_time = sw.lap();
-
-        self.convert_and_mine(&recoder, tree, min_support, sink, stats, gauge, sw, opts)
-    }
-    /// The common back half of a run: conversion, recursive mining, and
-    /// bookkeeping. Shared by [`Miner::mine`] and the streaming
-    /// [`mine_file`](crate::io::mine_file) pipeline.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn convert_and_mine(
-        &self,
-        recoder: &ItemRecoder,
-        tree: CfpTree,
-        min_support: u64,
-        sink: &mut dyn ItemsetSink,
-        mut stats: MineStats,
-        gauge: MemGauge,
-        mut sw: Stopwatch,
-        opts: &MineOpts,
-    ) -> Result<MineStats, CfpError> {
-        gauge.alloc(tree.heap_bytes());
-        gauge.checkpoint();
-        stats.tree_nodes = tree.num_nodes();
-
-        // Tree and array coexist during conversion: that is the build-phase
-        // memory peak of CFP-growth (§3.5).
-        let array = {
-            let _s = span(Phase::Convert);
-            convert(&tree)
-        };
-        gauge.alloc(array.heap_bytes());
-        let _array_charge = ArrayCharge::new(opts.pool.clone(), array.heap_bytes());
-        gauge.checkpoint();
-        gauge.free(tree.heap_bytes());
-        drop(tree);
-        stats.convert_time = sw.lap();
-
-        let globals: Vec<Item> =
-            (0..recoder.num_items() as u32).map(|i| recoder.original(i)).collect();
-        if cfp_trace::enabled() {
-            cfp_trace::counters::CORE_FIRST_LEVEL_ITEMS.record(globals.len() as u64);
-        }
-        let mut scratch = Scratch::default();
-        let mut mode = ModeCtx::new(opts.output);
-        let itemsets = {
-            let mut ctx = Ctx {
-                sink,
-                gauge: gauge.clone(),
-                min_support,
-                single_path_opt: self.single_path_opt,
-                opts: opts.clone(),
-                scratch: &mut scratch,
-                mode: &mut mode,
-                quiet: false,
-                suffix: Vec::new(),
-                emit_buf: Vec::new(),
-                path_buf: Vec::new(),
-                itemsets: 0,
-            };
-            let _s = span(Phase::Mine);
-            mine_array(&array, &globals, &mut ctx)?;
-            ctx.itemsets
-        };
-        // A top-k run emits nothing while mining; the retained winners
-        // reach the sink here, sorted, once the bound is final.
-        let itemsets = itemsets + drain_topk(&mode, sink);
-        stats.mine_time = sw.lap();
-
-        gauge.free(array.heap_bytes());
-        stats.itemsets = itemsets;
-        stats.peak_bytes = gauge.peak();
-        stats.avg_bytes = gauge.average();
-        Ok(stats)
+        crate::driver::run(db, min_support, sink, self.plan(), &opts)
     }
 }
 
-/// If the whole `array` is one single path, enumerates it directly into
-/// `sink` exactly as the sequential miner's shortcut would, returning
-/// the itemset count; returns `None` when the array branches. The
-/// parallel driver checks this before decomposing per item, because the
-/// per-item decomposition groups output by first-level item while the
-/// sequential shortcut groups by path depth — without this check the
-/// two orders diverge on degenerate (single-path) inputs.
-pub(crate) fn mine_single_path_root(
-    array: &CfpArray,
+/// Enumerates a first-level array that is one single `path` (see
+/// [`single_path`]) into `sink` and returns the itemset count — the
+/// driver's root shortcut, taken instead of decomposing the array into
+/// per-item tasks, whose output would be grouped by item rather than by
+/// path depth.
+pub(crate) fn mine_single_path(
+    path: &[(u32, u64)],
     globals: &[Item],
-    min_support: u64,
     sink: &mut dyn ItemsetSink,
     opts: &MineOpts,
     mode: &mut ModeCtx,
-) -> Option<u64> {
-    let path = single_path(array)?;
+) -> u64 {
     if cfp_trace::enabled() {
         cfp_trace::span::single_path();
     }
     let mut scratch = Scratch::default();
-    let mut ctx = Ctx {
-        sink,
-        gauge: MemGauge::new(),
-        min_support,
-        single_path_opt: true,
-        opts: opts.clone(),
-        scratch: &mut scratch,
-        mode,
-        quiet: false,
-        suffix: Vec::new(),
-        emit_buf: Vec::new(),
-        path_buf: Vec::new(),
-        itemsets: 0,
-    };
-    enumerate_single_path(&path, globals, &mut ctx);
-    Some(ctx.itemsets)
-}
-
-/// Sequentially mines a pre-built top-level CFP-array — the spill rung's
-/// entry point for arrays loaded back from disk, where no tree or
-/// database exists anymore. Behaves exactly like the mine phase of
-/// [`CfpGrowthMiner::try_mine_with`] on the same array and returns the
-/// number of itemsets emitted.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn mine_loaded(
-    array: &CfpArray,
-    globals: &[Item],
-    min_support: u64,
-    single_path_opt: bool,
-    sink: &mut dyn ItemsetSink,
-    opts: &MineOpts,
-    mode: &mut ModeCtx,
-) -> Result<u64, CfpError> {
-    let _s = span(Phase::Mine);
-    let mut scratch = Scratch::default();
-    let mut ctx = Ctx {
-        sink,
-        gauge: MemGauge::new(),
-        min_support,
-        single_path_opt,
-        opts: opts.clone(),
-        scratch: &mut scratch,
-        mode,
-        quiet: false,
-        suffix: Vec::new(),
-        emit_buf: Vec::new(),
-        path_buf: Vec::new(),
-        itemsets: 0,
-    };
-    mine_array(array, globals, &mut ctx)?;
-    Ok(ctx.itemsets)
+    let mut ctx = Ctx::new(sink, 0, true, opts, &mut scratch, mode);
+    enumerate_single_path(path, globals, &mut ctx);
+    ctx.itemsets
 }
 
 /// Mines the complete subtree of one first-level item: emits `{item}`
-/// and recurses through its conditional structures. Returns the number of
-/// itemsets emitted and the peak bytes of the conditional structures.
-/// This is the unit of work the parallel driver distributes (each
-/// first-level item is independent of the others). `scratch` carries the
-/// worker's recycled arena between calls.
+/// and recurses through its conditional structures. This is the unit of
+/// work the driver's workers claim
+/// (each first-level item is independent of the others). `scratch`
+/// carries the worker's recycled arena and memory gauge between calls.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn mine_one_item(
     array: &CfpArray,
@@ -735,22 +613,8 @@ pub(crate) fn mine_one_item(
     opts: &MineOpts,
     scratch: &mut Scratch,
     mode: &mut ModeCtx,
-) -> Result<(u64, u64), CfpError> {
-    let gauge = MemGauge::new();
-    let mut ctx = Ctx {
-        sink,
-        gauge: gauge.clone(),
-        min_support,
-        single_path_opt,
-        opts: opts.clone(),
-        scratch,
-        mode,
-        quiet: false,
-        suffix: Vec::new(),
-        emit_buf: Vec::new(),
-        path_buf: Vec::new(),
-        itemsets: 0,
-    };
+) -> Result<(), CfpError> {
+    let mut ctx = Ctx::new(sink, min_support, single_path_opt, opts, scratch, mode);
     let task_t0 = cfp_trace::hist::maybe_now();
     ctx.suffix.push(globals[item as usize]);
     mine_node(array, item, globals, array.item_support(item), &mut ctx)?;
@@ -759,11 +623,11 @@ pub(crate) fn mine_one_item(
     if cfp_trace::enabled() {
         cfp_trace::counters::CORE_ITEMS_MINED.inc();
     }
-    Ok((ctx.itemsets, gauge.peak()))
+    Ok(())
 }
 
-/// Mines every frequent itemset of `array` combined with the suffix in
-/// `ctx`; `globals` maps local ids to original items.
+/// Mines every frequent itemset of the conditional `array` combined with
+/// the suffix in `ctx`; `globals` maps local ids to original items.
 fn mine_array(array: &CfpArray, globals: &[Item], ctx: &mut Ctx<'_>) -> Result<(), CfpError> {
     if ctx.single_path_opt {
         if let Some(path) = single_path(array) {
@@ -774,58 +638,15 @@ fn mine_array(array: &CfpArray, globals: &[Item], ctx: &mut Ctx<'_>) -> Result<(
             return Ok(());
         }
     }
-    let n = array.num_items() as u32;
-    // Only the outermost loop (empty suffix) walks first-level items —
-    // those are the resumable units: cancellation is polled, completed
-    // prefixes from a previous run are skipped, and progress is reported
-    // per completed item. Recursive calls arrive with a non-empty suffix
-    // and none of that applies.
-    let top = ctx.suffix.is_empty();
-    for item in (0..n).rev() {
-        let mut quiet_item = false;
-        if top {
-            if (item as u64) + ctx.opts.resume_skip >= n as u64 {
-                // Emitted by the run being resumed. The condensed modes
-                // re-mine it silently, because the subsumption index
-                // must hold its accepted itemsets for later checks;
-                // everything else skips outright.
-                if !ctx.opts.output.is_condensed() {
-                    continue;
-                }
-                quiet_item = true;
-            }
-            if let Some(cancel) = &ctx.opts.cancel {
-                if cancel.is_cancelled() {
-                    return Err(CfpError::Interrupted);
-                }
-            }
-        }
+    for item in (0..array.num_items() as u32).rev() {
         let support = array.item_support(item);
         if support < ctx.min_support {
             continue;
         }
-        let was_quiet = ctx.quiet;
-        ctx.quiet = ctx.quiet || quiet_item;
-        let task_t0 = if top { cfp_trace::hist::maybe_now() } else { None };
         ctx.suffix.push(globals[item as usize]);
         let node = mine_node(array, item, globals, support, ctx);
         ctx.suffix.pop();
-        ctx.quiet = was_quiet;
         node?;
-        cfp_trace::hist::record_since(&cfp_trace::hist::CORE_MINE_TASK_NANOS, task_t0);
-        if top && !quiet_item {
-            if cfp_trace::enabled() {
-                cfp_trace::counters::CORE_ITEMS_MINED.inc();
-            }
-            // Every itemset of items n-1 … item is now in the sink; the
-            // output sits at an exact watermark of n-item completed
-            // top-level items (counting ones skipped on resume).
-            let emit_t0 = cfp_trace::hist::maybe_now();
-            let emitted =
-                ctx.sink.progress(cfp_data::MineProgress::Items { done: (n - item) as u64 });
-            cfp_trace::hist::record_since(&cfp_trace::hist::CORE_EMIT_NANOS, emit_t0);
-            emitted?;
-        }
     }
     Ok(())
 }
@@ -940,11 +761,11 @@ fn mine_node(
 
 /// Charges, mines, and releases a conditional structure.
 fn recurse_into(cond: Cond, ctx: &mut Ctx<'_>) -> Result<(), CfpError> {
-    ctx.gauge.alloc(cond.array.heap_bytes());
+    ctx.scratch.gauge.alloc(cond.array.heap_bytes());
     let _charges = charge_cond_array(&ctx.opts.pool, &cond.array);
-    ctx.gauge.checkpoint();
+    ctx.scratch.gauge.checkpoint();
     mine_array(&cond.array, &cond.globals, ctx)?;
-    ctx.gauge.free(cond.array.heap_bytes());
+    ctx.scratch.gauge.free(cond.array.heap_bytes());
     Ok(())
 }
 
@@ -1030,7 +851,7 @@ fn conditional(
         None => CfpTree::try_with_options(
             cond_globals.len(),
             CfpTreeConfig::default(),
-            ctx.opts.arena_options(None, Component::CondTrees),
+            ctx.opts.arena_options(Component::CondTrees),
         ),
     }
     .map_err(mine_phase)?;
@@ -1054,9 +875,9 @@ fn conditional(
     if cfp_trace::enabled() {
         cfp_trace::counters::CORE_COND_TREE_BYTES.record_log2(cond_tree.arena_used());
     }
-    ctx.gauge.alloc(cond_tree.heap_bytes());
+    ctx.scratch.gauge.alloc(cond_tree.heap_bytes());
     let cond_array = convert(&cond_tree);
-    ctx.gauge.free(cond_tree.heap_bytes());
+    ctx.scratch.gauge.free(cond_tree.heap_bytes());
     if ctx.scratch.recycle {
         let mut arena = cond_tree.into_arena();
         // ClearPeaks: each task gets a fresh per-instance high-water
@@ -1081,7 +902,7 @@ fn conditional(
 /// If the array represents a single downward path (every item has exactly
 /// one node, chained by parent links), returns its `(item, count)` pairs
 /// from the top.
-fn single_path(array: &CfpArray) -> Option<Vec<(u32, u64)>> {
+pub(crate) fn single_path(array: &CfpArray) -> Option<Vec<(u32, u64)>> {
     let n = array.num_items() as u32;
     let mut path = Vec::with_capacity(n as usize);
     let mut expected_parent: Option<u32> = None;
@@ -1506,5 +1327,37 @@ mod tests {
         let got = mine_collect(&db, 10, true);
         assert_eq!(got, fp_collect(&db, 10));
         assert!(!got.is_empty());
+    }
+
+    #[test]
+    fn every_thread_count_emits_in_the_order_of_one_recursion() {
+        // The reference is one recursion over the whole first-level
+        // array, items descending. On this dense block the least
+        // frequent item's subtree alone spans several emitter chunks.
+        use cfp_data::rng::{Rng, StdRng};
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut db = TransactionDb::new();
+        for _ in 0..60 {
+            let t: Vec<Item> = (0..14).filter(|_| rng.gen_bool(0.8)).collect();
+            db.push(&t);
+        }
+        let (recoder, tree) = try_build_tree(&db, 8, None).unwrap();
+        let array = convert(&tree);
+        drop(tree);
+        let globals: Vec<Item> =
+            (0..recoder.num_items() as u32).map(|i| recoder.original(i)).collect();
+        let mut reference = CollectSink::new();
+        let (opts, mut scratch, mut mode) = (MineOpts::default(), Scratch::default(), ModeCtx::All);
+        let mut ctx = Ctx::new(&mut reference, 8, true, &opts, &mut scratch, &mut mode);
+        mine_array(&array, &globals, &mut ctx).unwrap();
+        let last = recoder.original(recoder.num_items() as u32 - 1);
+        let in_last = reference.itemsets.iter().filter(|(set, _)| set.contains(&last)).count();
+        assert!(in_last > 2 * 1024, "the last item's subtree must span chunks: {in_last}");
+
+        for threads in [1, 2, 8] {
+            let mut got = CollectSink::new();
+            crate::ParallelCfpGrowthMiner::new(threads).mine(&db, 8, &mut got);
+            assert!(got.itemsets == reference.itemsets, "{threads} thread(s) reordered the output");
+        }
     }
 }

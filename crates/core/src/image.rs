@@ -9,14 +9,15 @@
 //! data, mine many times with different sinks or support levels (any
 //! support ≥ the build support is valid: items below it are simply absent).
 
-use crate::growth::{mine_one_item, CfpGrowthMiner};
+use crate::growth::{CfpGrowthMiner, MineOpts};
 use cfp_array::{convert, CfpArray};
 use cfp_data::{Item, ItemRecoder, ItemsetSink, MineStats, TransactionDb};
 use cfp_encoding::varint;
-use cfp_metrics::{HeapSize, Stopwatch};
+use cfp_metrics::{HeapSize, MemGauge, Stopwatch};
 use cfp_tree::CfpTree;
 use std::io::{self, Read, Write};
 use std::path::Path;
+use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"CFPI";
 const VERSION: u8 = 1;
@@ -24,9 +25,10 @@ const VERSION: u8 = 1;
 /// A converted, ready-to-mine CFP-array with its item mapping.
 #[derive(Clone, Debug)]
 pub struct MiningImage {
-    array: CfpArray,
+    /// Shared with the mine-phase workers while the image is mined.
+    array: Arc<CfpArray>,
     /// Recoded id -> original item id.
-    globals: Vec<Item>,
+    globals: Arc<[Item]>,
     /// Minimum support the image was built with.
     min_support: u64,
 }
@@ -38,7 +40,7 @@ impl MiningImage {
         let tree = CfpTree::from_db(db, &recoder);
         let array = convert(&tree);
         let globals = (0..recoder.num_items() as u32).map(|i| recoder.original(i)).collect();
-        MiningImage { array, globals, min_support }
+        MiningImage { array: Arc::new(array), globals, min_support }
     }
 
     /// The compressed array.
@@ -66,34 +68,19 @@ impl MiningImage {
         );
         let mut stats = MineStats::default();
         let mut sw = Stopwatch::start();
-        let opt = CfpGrowthMiner::new().single_path_opt;
-        let mut peak = 0u64;
-        // One recycled arena across all first-level items: image mining is
-        // sequential, so the same recycling the dynamic scheduler's
-        // workers use applies directly.
-        let mut scratch = crate::growth::Scratch::recycling();
-        let mut mode = crate::growth::ModeCtx::All;
-        for item in (0..self.globals.len() as u32).rev() {
-            if self.array.item_support(item) < min_support {
-                continue;
-            }
-            let (n, p) = mine_one_item(
-                &self.array,
-                item,
-                &self.globals,
-                min_support,
-                opt,
-                sink,
-                &crate::growth::MineOpts::default(),
-                &mut scratch,
-                &mut mode,
-            )
-            .unwrap_or_else(|e| panic!("{e}"));
-            stats.itemsets += n;
-            peak = peak.max(p);
-        }
+        let array_gauge = MemGauge::new();
+        array_gauge.alloc(self.array.heap_bytes());
+        let mined = crate::driver::mine(
+            Arc::clone(&self.array),
+            Arc::clone(&self.globals),
+            min_support,
+            sink,
+            CfpGrowthMiner::new().plan(),
+            &MineOpts::default(),
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
         stats.mine_time = sw.lap();
-        stats.peak_bytes = self.array.heap_bytes() + peak;
+        mined.record(&mut stats, &array_gauge);
         stats.tree_nodes = self.array.num_nodes();
         stats
     }
@@ -108,7 +95,7 @@ impl MiningImage {
         w.write_all(&buf[..n])?;
         let n = varint::write_u64_into(&mut buf, self.globals.len() as u64);
         w.write_all(&buf[..n])?;
-        for &g in &self.globals {
+        for &g in self.globals.iter() {
             let n = varint::write_u64_into(&mut buf, g as u64);
             w.write_all(&buf[..n])?;
         }
@@ -129,7 +116,7 @@ impl MiningImage {
         }
         let min_support = read_varint(&mut r)?;
         let n = read_varint(&mut r)? as usize;
-        let mut globals = Vec::with_capacity(n);
+        let mut globals: Vec<Item> = Vec::with_capacity(n);
         for _ in 0..n {
             globals.push(
                 u32::try_from(read_varint(&mut r)?).map_err(|_| {
@@ -144,7 +131,7 @@ impl MiningImage {
                 "item mapping disagrees with array",
             ));
         }
-        Ok(MiningImage { array, globals, min_support })
+        Ok(MiningImage { array: Arc::new(array), globals: globals.into(), min_support })
     }
 
     /// Convenience: save to a file.

@@ -9,16 +9,17 @@
 //! 2. **pass 2** over the file, recoding each transaction and inserting
 //!    it into the CFP-tree,
 //!
-//! then hands off to the in-memory conversion and mine phases. Peak memory
+//! then hands off to the conversion and mine phases every other run shares
+//! (the mining driver's, with the miner's single worker). Peak memory
 //! therefore contains the compressed structures plus two fixed-size input
 //! buffers — never the raw data, which is how the paper can process 26 GB
 //! inputs on a 6 GB machine.
 
-use crate::growth::CfpGrowthMiner;
+use crate::growth::{CfpGrowthMiner, MineOpts};
 use cfp_data::count::count_transaction;
 use cfp_data::double_buffer::DoubleBufferedReader;
 use cfp_data::{ItemRecoder, ItemsetSink, MineStats};
-use cfp_metrics::{MemGauge, Stopwatch};
+use cfp_metrics::Stopwatch;
 use cfp_tree::CfpTree;
 use std::fs::File;
 use std::io;
@@ -33,7 +34,6 @@ pub fn mine_file(
 ) -> io::Result<MineStats> {
     let path = path.as_ref();
     let mut stats = MineStats::default();
-    let gauge = MemGauge::new();
     let mut sw = Stopwatch::start();
 
     // Pass 1: stream the file through the double-buffered reader and
@@ -55,18 +55,18 @@ pub fn mine_file(
     })?;
     stats.build_time = sw.lap();
 
-    miner
-        .convert_and_mine(
-            &recoder,
-            tree,
-            min_support,
-            sink,
-            stats,
-            gauge,
-            sw,
-            &crate::growth::MineOpts::default(),
-        )
-        .map_err(io::Error::from)
+    let opts = MineOpts::default();
+    crate::driver::convert_and_mine(
+        &recoder,
+        tree,
+        min_support,
+        sink,
+        stats,
+        sw,
+        miner.plan(),
+        &opts,
+    )
+    .map_err(io::Error::from)
 }
 
 #[cfg(test)]

@@ -38,6 +38,7 @@
 #![warn(missing_docs)]
 
 pub mod ckpt;
+mod driver;
 pub mod growth;
 pub mod image;
 pub mod io;

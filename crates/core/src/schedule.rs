@@ -1,36 +1,35 @@
-//! Mine-phase scheduling for the parallel miner.
+//! Mine-phase scheduling: how first-level item tasks reach the workers.
 //!
 //! The mine phase decomposes into one independent task per first-level
 //! item, but task costs are wildly skewed: a few high-support items own
 //! most of the CFP-array and dominate the conditional recursion, exactly
-//! the imbalance FIMI datasets exhibit. Static round-robin dealing fixes
-//! each worker's item set up front, so whichever worker drew the heavy
-//! items finishes last while the rest idle.
+//! the imbalance FIMI datasets exhibit. A fixed round-robin deal would
+//! leave whichever worker drew the heavy items finishing last while the
+//! rest idle.
 //!
-//! [`TaskQueue`] replaces the static deal with dynamic claiming: items are
+//! [`TaskQueue`] hands out tasks by dynamic claiming instead: items are
 //! sorted heaviest-first by an O(1) cost estimate (the encoded byte length
 //! of each item's subarray, straight from [`cfp_array::CfpArray::starts`])
 //! and workers pull from a shared cursor. Heavy items are claimed one at a
 //! time — the longest-processing-time-first greedy rule, which keeps the
 //! completion-time spread within one task of optimal — while the cheap
 //! tail is claimed in chunks so the cursor is not hammered once per
-//! trivial item.
+//! trivial item. A lone worker has nothing to balance: its queue runs in
+//! emission order, so every task it mines is the one the ordered emitter
+//! is waiting for.
 
 use cfp_array::CfpArray;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// How first-level items are distributed to mine-phase workers.
+/// How first-level items are distributed to mine-phase workers. There is
+/// one schedule; the type remains so callers and the CLI can name it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Schedule {
-    /// Deal items round-robin up front (the pre-scheduler behaviour).
-    /// Workers stream result batches, so output order is
-    /// nondeterministic.
-    Static,
     /// Workers claim cost-sorted items from a shared queue and recycle
-    /// one arena across conditional trees. Results are buffered per item
-    /// and emitted in descending item order — byte-for-byte identical to
-    /// sequential mining.
+    /// one arena across conditional trees. Results are emitted in
+    /// descending item order — byte-for-byte identical at every thread
+    /// count.
     #[default]
     Dynamic,
 }
@@ -39,7 +38,6 @@ impl Schedule {
     /// The flag spelling of this schedule.
     pub fn name(&self) -> &'static str {
         match self {
-            Schedule::Static => "static",
             Schedule::Dynamic => "dynamic",
         }
     }
@@ -50,9 +48,8 @@ impl FromStr for Schedule {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
-            "static" => Ok(Schedule::Static),
             "dynamic" => Ok(Schedule::Dynamic),
-            other => Err(format!("unknown schedule '{other}' (expected static|dynamic)")),
+            other => Err(format!("unknown schedule '{other}' (expected dynamic)")),
         }
     }
 }
@@ -62,15 +59,14 @@ impl FromStr for Schedule {
 const CHUNK: usize = 8;
 
 /// A shared, lock-free queue of first-level item tasks, sorted
-/// heaviest-first.
+/// heaviest-first (or in emission order for a lone worker).
 ///
 /// The queue is a sorted vector plus an atomic cursor: claiming is a
 /// compare-and-swap advancing the cursor by one (heavy task) or up to
 /// [`CHUNK`] (cheap tail). Nothing is ever pushed back, so ABA problems
 /// cannot arise and no locks are needed.
 pub(crate) struct TaskQueue {
-    /// First-level items, heaviest first (ties broken by descending item
-    /// id so the order is deterministic).
+    /// First-level items in claim order.
     order: Vec<u32>,
     /// Estimated cost of `order[i]`: the item's encoded subarray bytes.
     costs: Vec<u64>,
@@ -103,6 +99,20 @@ impl TaskQueue {
         let total: u64 = costs.iter().sum();
         let heavy_threshold = if costs.is_empty() { 0 } else { total / costs.len() as u64 };
         TaskQueue { order, costs, cursor: AtomicUsize::new(0), heavy_threshold }
+    }
+
+    /// The queue `workers` workers claim items `0 .. max_item` from:
+    /// heaviest first ([`with_limit`](Self::with_limit)) to balance
+    /// several workers; in emission order (descending item id) for one,
+    /// which has nothing to balance and so streams every task straight
+    /// through the ordered emitter instead of buffering it.
+    pub fn for_workers(array: &CfpArray, max_item: u32, workers: usize) -> Self {
+        let mut queue = Self::with_limit(array, max_item);
+        if workers == 1 {
+            queue.order.sort_unstable_by(|a, b| b.cmp(a));
+            queue.costs = queue.order.iter().map(|&item| array.subarray_bytes(item)).collect();
+        }
+        queue
     }
 
     /// Number of item tasks in the queue.
@@ -163,13 +173,26 @@ mod tests {
 
     #[test]
     fn schedule_parses_and_round_trips() {
-        assert_eq!("static".parse::<Schedule>().unwrap(), Schedule::Static);
         assert_eq!("dynamic".parse::<Schedule>().unwrap(), Schedule::Dynamic);
+        assert!("static".parse::<Schedule>().is_err(), "the static schedule is gone");
         assert!("fifo".parse::<Schedule>().is_err());
         assert_eq!(Schedule::default(), Schedule::Dynamic);
-        for s in [Schedule::Static, Schedule::Dynamic] {
-            assert_eq!(s.name().parse::<Schedule>().unwrap(), s);
+        assert_eq!(Schedule::Dynamic.name().parse::<Schedule>().unwrap(), Schedule::Dynamic);
+    }
+
+    #[test]
+    fn a_lone_worker_claims_in_emission_order() {
+        let rows = [vec![1, 2, 3, 4], vec![1, 2, 3], vec![1, 2], vec![1], vec![2, 3, 4], vec![3]];
+        let (_, tree) =
+            crate::growth::try_build_tree(&TransactionDb::from_rows(&rows), 1, None).unwrap();
+        let array = cfp_array::convert(&tree);
+        let q = TaskQueue::for_workers(&array, 4, 1);
+        assert_eq!(q.order, [3, 2, 1, 0], "descending item id is the emission order");
+        for (slot, &item) in q.order.iter().enumerate() {
+            assert_eq!(q.cost(slot), array.subarray_bytes(item));
         }
+        let balanced = TaskQueue::for_workers(&array, 4, 2);
+        assert_eq!(balanced.order, TaskQueue::with_limit(&array, 4).order);
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //! 1. **retry** — run again with the budget enforced by one shared
 //!    [`BudgetPool`] and compact-on-pressure armed, so a denied
 //!    allocation first reclaims the arena's trailing free chunks.
-//! 2. **degrade** — downshift from parallel to sequential mining (one
-//!    conditional tree live instead of `threads`), same pool and
-//!    compaction.
+//! 2. **degrade** — downshift to one mine-phase worker (one conditional
+//!    tree live instead of `threads`), same pool and compaction.
 //! 3. **partition** — split the database into `k` item-range projections
 //!    ([`cfp_data::partition`]), mine each sequentially under the
 //!    budget, and merge the per-range results into the exact global
@@ -36,11 +35,9 @@
 //! preserves the itemset's full global support, and a
 //! max-item filter keeps each itemset in exactly one range's output.
 
-use crate::growth::{
-    mine_loaded, ArrayCharge, CfpGrowthMiner, MineOpts, ModeCtx, SubsumeIndex, TopKState,
-};
+use crate::driver::{self, Plan};
+use crate::growth::{ArrayCharge, MineOpts, SubsumeIndex, TopKState};
 use crate::parallel::ParallelCfpGrowthMiner;
-use crate::schedule::Schedule;
 use crate::spill::{load_spill_array, write_spill_array, CondSpill};
 use cfp_array::convert;
 use cfp_data::miner::CollectSink;
@@ -52,7 +49,6 @@ use cfp_data::{
 use cfp_memman::{BudgetPool, Component};
 use cfp_trace::{span, Phase};
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -64,7 +60,7 @@ pub enum RecoveryPolicy {
     Off,
     /// Rung 1 only: compact-and-retry under a shared pool.
     Retry,
-    /// Rungs 1–2: retry, then downshift to sequential mining.
+    /// Rungs 1–2: retry, then downshift to one mine-phase worker.
     Degrade,
     /// Rungs 1–3: retry, degrade, then partitioned fallback mining.
     Partition,
@@ -149,12 +145,9 @@ pub struct Supervisor {
     pub mem_budget: Option<u64>,
     /// The escalation policy.
     pub policy: RecoveryPolicy,
-    /// Watchdog limit for parallel attempts (see
+    /// Watchdog limit for every attempt (see
     /// [`ParallelCfpGrowthMiner::worker_timeout`]).
     pub worker_timeout: Option<Duration>,
-    /// Mine-phase schedule for the first attempt and the retry rung
-    /// (the degrade and partition rungs are sequential by design).
-    pub schedule: Schedule,
     /// Parent directory for the spill rung's scratch files; the system
     /// temp directory when unset. A uniquely-named subdirectory is
     /// created per run and removed on every exit path.
@@ -182,7 +175,6 @@ impl Supervisor {
             mem_budget: None,
             policy,
             worker_timeout: None,
-            schedule: Schedule::default(),
             spill_dir: None,
             cancel: None,
             output: OutputMode::default(),
@@ -192,6 +184,16 @@ impl Supervisor {
     /// Whether the run's cancel token (if any) has fired.
     fn cancelled(&self) -> bool {
         self.cancel.as_ref().is_some_and(|c| c.is_cancelled())
+    }
+
+    /// The partitioned rungs mine each range on one worker, under the
+    /// run's watchdog.
+    fn plan(&self) -> Plan {
+        Plan {
+            threads: 1,
+            single_path_opt: self.single_path_opt,
+            worker_timeout: self.worker_timeout,
+        }
     }
 
     /// Mines `db`, escalating through the recovery ladder on failure.
@@ -210,20 +212,7 @@ impl Supervisor {
             RecoveryReport { policy: self.policy.name().to_string(), ..Default::default() };
 
         // First attempt: the classic run, output buffered.
-        let mut buf = CollectSink::new();
-        let first = ParallelCfpGrowthMiner {
-            threads: self.threads,
-            single_path_opt: self.single_path_opt,
-            mem_budget: self.mem_budget,
-            pool: None,
-            worker_timeout: self.worker_timeout,
-            compact_on_pressure: false,
-            schedule: self.schedule,
-            cancel: self.cancel.clone(),
-            resume_skip: 0,
-            output: self.output,
-        }
-        .try_mine(db, min_support, &mut buf);
+        let (first, buf, _) = self.attempt(db, min_support, self.threads, false);
         let mut last_err = match first {
             Ok(stats) => {
                 flush(buf, sink);
@@ -231,114 +220,45 @@ impl Supervisor {
             }
             Err(e) => e,
         };
-        if self.policy == RecoveryPolicy::Off {
-            return (Err(last_err), report);
-        }
-        if self.cancelled() || matches!(last_err, CfpError::Interrupted) {
-            return (Err(CfpError::Interrupted), report);
-        }
-
-        // Rung 1: retry with compaction armed and the budget enforced by
-        // one shared pool across every arena of the run.
-        {
-            let _s = span(Phase::Recover);
-            rung_started(cfp_trace::Rung::Retry);
-            let pool = self.mem_budget.map(BudgetPool::new);
-            let mut buf = CollectSink::new();
-            let r = ParallelCfpGrowthMiner {
-                threads: self.threads,
-                single_path_opt: self.single_path_opt,
-                mem_budget: None,
-                pool: pool.clone(),
-                worker_timeout: self.worker_timeout,
-                compact_on_pressure: true,
-                schedule: self.schedule,
-                cancel: self.cancel.clone(),
-                resume_skip: 0,
-                output: self.output,
+        // Rung 1 retries with compaction armed and the budget enforced by
+        // one shared pool across every arena of the run; rung 2 downshifts
+        // to one worker — one conditional tree live at a time instead of
+        // `threads` — and is skipped when the run had one worker already
+        // (it would repeat rung 1 exactly).
+        let in_memory = [
+            (RecoveryPolicy::Retry, cfp_trace::Rung::Retry, "retry", self.threads),
+            (RecoveryPolicy::Degrade, cfp_trace::Rung::Degrade, "degrade", 1),
+        ];
+        for (policy, trace_rung, rung, threads) in in_memory {
+            if self.policy < policy {
+                return (Err(last_err), report);
             }
-            .try_mine(db, min_support, &mut buf);
-            let reclaimed = pool.map(|p| p.compact_reclaimed()).unwrap_or(0);
+            if self.cancelled() || matches!(last_err, CfpError::Interrupted) {
+                return (Err(CfpError::Interrupted), report);
+            }
+            if policy == RecoveryPolicy::Degrade && self.threads <= 1 {
+                continue;
+            }
+            let _s = span(Phase::Recover);
+            rung_started(trace_rung);
+            let (r, buf, reclaimed) = self.attempt(db, min_support, threads, true);
+            report.rungs.push(RungReport {
+                rung,
+                succeeded: r.is_ok(),
+                reclaimed_bytes: reclaimed,
+                partitions: 0,
+                error: r.as_ref().err().map(|e| e.to_string()),
+            });
             match r {
                 Ok(stats) => {
-                    report.rungs.push(RungReport {
-                        rung: "retry",
-                        succeeded: true,
-                        reclaimed_bytes: reclaimed,
-                        partitions: 0,
-                        error: None,
-                    });
                     report.recovered = true;
                     flush(buf, sink);
                     return (Ok(stats), report);
                 }
-                Err(e) => {
-                    report.rungs.push(RungReport {
-                        rung: "retry",
-                        succeeded: false,
-                        reclaimed_bytes: reclaimed,
-                        partitions: 0,
-                        error: Some(e.to_string()),
-                    });
-                    last_err = e;
-                }
+                Err(e) => last_err = e,
             }
         }
-        if self.policy == RecoveryPolicy::Retry {
-            return (Err(last_err), report);
-        }
-        if self.cancelled() || matches!(last_err, CfpError::Interrupted) {
-            return (Err(CfpError::Interrupted), report);
-        }
-
-        // Rung 2: downshift to sequential mining — one conditional tree
-        // live at a time instead of `threads`. Skipped when the run was
-        // sequential already (it would repeat rung 1 exactly).
-        if self.threads > 1 {
-            let _s = span(Phase::Recover);
-            rung_started(cfp_trace::Rung::Degrade);
-            let pool = self.mem_budget.map(BudgetPool::new);
-            let mut buf = CollectSink::new();
-            let r = CfpGrowthMiner { single_path_opt: self.single_path_opt, mem_budget: None }
-                .try_mine_with(
-                    db,
-                    min_support,
-                    &mut buf,
-                    &MineOpts {
-                        pool: pool.clone(),
-                        compact_on_pressure: true,
-                        cancel: self.cancel.clone(),
-                        output: self.output,
-                        ..Default::default()
-                    },
-                );
-            let reclaimed = pool.map(|p| p.compact_reclaimed()).unwrap_or(0);
-            match r {
-                Ok(stats) => {
-                    report.rungs.push(RungReport {
-                        rung: "degrade",
-                        succeeded: true,
-                        reclaimed_bytes: reclaimed,
-                        partitions: 0,
-                        error: None,
-                    });
-                    report.recovered = true;
-                    flush(buf, sink);
-                    return (Ok(stats), report);
-                }
-                Err(e) => {
-                    report.rungs.push(RungReport {
-                        rung: "degrade",
-                        succeeded: false,
-                        reclaimed_bytes: reclaimed,
-                        partitions: 0,
-                        error: Some(e.to_string()),
-                    });
-                    last_err = e;
-                }
-            }
-        }
-        if self.policy == RecoveryPolicy::Degrade {
+        if self.policy < RecoveryPolicy::Partition {
             return (Err(last_err), report);
         }
         if self.cancelled() || matches!(last_err, CfpError::Interrupted) {
@@ -381,6 +301,31 @@ impl Supervisor {
                 (Err(e), report)
             }
         }
+    }
+
+    /// One in-memory attempt: the whole run on `threads` workers, its
+    /// output buffered, under a fresh pool of the run's budget. Returns
+    /// the result, the buffer, and the bytes compaction reclaimed.
+    fn attempt(
+        &self,
+        db: &TransactionDb,
+        min_support: u64,
+        threads: usize,
+        compact_on_pressure: bool,
+    ) -> (Result<MineStats, CfpError>, CollectSink, u64) {
+        let pool = self.mem_budget.map(BudgetPool::new);
+        let mut buf = CollectSink::new();
+        let r = ParallelCfpGrowthMiner {
+            single_path_opt: self.single_path_opt,
+            pool: pool.clone(),
+            worker_timeout: self.worker_timeout,
+            compact_on_pressure,
+            cancel: self.cancel.clone(),
+            output: self.output,
+            ..ParallelCfpGrowthMiner::new(threads)
+        }
+        .try_mine(db, min_support, &mut buf);
+        (r, buf, pool.map_or(0, |p| p.compact_reclaimed()))
     }
 
     /// The partition rung: project, mine each range under the budget,
@@ -432,7 +377,6 @@ impl Supervisor {
         let mut peaks: Vec<u64> = Vec::new();
         let mut reclaimed = 0u64;
         let mut mined = 0u64;
-        let miner = CfpGrowthMiner { single_path_opt: self.single_path_opt, mem_budget: None };
         while let Some((lo, hi)) = queue.pop_front() {
             if self.cancelled() {
                 return Err((CfpError::Interrupted, mined, reclaimed));
@@ -447,7 +391,7 @@ impl Supervisor {
                 ..Default::default()
             };
             let mut fsink = RangeFilterSink { inner: &mut buf, recoder: &recoder, lo, hi };
-            let r = miner.try_mine_with(&proj, min_support, &mut fsink, &opts);
+            let r = driver::run(&proj, min_support, &mut fsink, self.plan(), &opts);
             if let Some(p) = &pool {
                 reclaimed += p.compact_reclaimed();
             }
@@ -715,10 +659,10 @@ impl Supervisor {
                     &proj,
                     min_support,
                     cfp_memman::ArenaOptions {
-                        budget: None,
                         pool: pool.clone(),
                         compact_on_pressure: true,
                         component: Component::BuildTree,
+                        ..Default::default()
                     },
                 );
                 if let Some(p) = &pool {
@@ -729,7 +673,7 @@ impl Supervisor {
                         stats.tree_nodes += tree.num_nodes();
                         let array = convert(&tree);
                         drop(tree);
-                        let globals: Vec<Item> = (0..proj_recoder.num_items() as u32)
+                        let globals: Arc<[Item]> = (0..proj_recoder.num_items() as u32)
                             .map(|i| proj_recoder.original(i))
                             .collect();
                         cfp_trace::hist::record_since(
@@ -790,11 +734,7 @@ impl Supervisor {
                 };
                 let mut part_buf = CollectSink::new();
                 let mine_t0 = cfp_trace::hist::maybe_now();
-                let r = catch_unwind(AssertUnwindSafe(|| {
-                    if cfp_fault::should_fail("core.worker") {
-                        panic!("injected worker fault (failpoint core.worker)");
-                    }
-                    let (array, loaded_bytes) = load_spill_array(&path)?;
+                let r = load_spill_array(&path).and_then(|(array, loaded_bytes)| {
                     let _spill_charge =
                         ArrayCharge::with_component(pool.clone(), Component::Spill, loaded_bytes);
                     let mut fsink = RangeFilterSink {
@@ -803,27 +743,24 @@ impl Supervisor {
                         lo: *lo,
                         hi: *hi,
                     };
-                    // A fresh local mode per partition: condensed
-                    // subsumption inside the partition is exact (the
-                    // projection preserves global supports), and cross-
+                    // Condensed subsumption inside the partition is exact
+                    // (the projection preserves global supports); cross-
                     // partition false accepts are reconciled below.
-                    let mut mode = ModeCtx::new(proj_output);
-                    mine_loaded(
-                        &array,
-                        globals,
+                    driver::mine(
+                        Arc::new(array),
+                        Arc::clone(globals),
                         min_support,
-                        self.single_path_opt,
                         &mut fsink,
+                        self.plan(),
                         &opts,
-                        &mut mode,
                     )
-                }));
+                });
                 cfp_trace::hist::record_since(&cfp_trace::hist::CORE_SPILL_MINE_NANOS, mine_t0);
                 if let Some(p) = &pool {
                     reclaimed += p.compact_reclaimed();
                 }
                 match r {
-                    Ok(Ok(_)) => {
+                    Ok(_) => {
                         dir.remove(name);
                         mined += 1;
                         if cfp_trace::enabled() {
@@ -878,7 +815,7 @@ impl Supervisor {
                             None => buf.itemsets.append(&mut part_buf.itemsets),
                         }
                     }
-                    Ok(Err(CfpError::MemoryExhausted { .. })) if hi - lo > 1 => {
+                    Err(CfpError::MemoryExhausted { .. }) if hi - lo > 1 => {
                         // Conditional structures still too big: drop the
                         // partial output with its buffer, drop the file,
                         // and send both halves back through the spill
@@ -888,20 +825,7 @@ impl Supervisor {
                         ranges.push_back((*lo, mid));
                         ranges.push_back((mid, *hi));
                     }
-                    Ok(Err(e)) => return Err((e, mined, reclaimed)),
-                    Err(payload) => {
-                        if cfp_trace::enabled() {
-                            cfp_trace::counters::CORE_WORKER_PANICS.inc();
-                        }
-                        return Err((
-                            CfpError::WorkerPanic {
-                                worker: 0,
-                                message: crate::parallel::panic_message(&*payload),
-                            },
-                            mined,
-                            reclaimed,
-                        ));
-                    }
+                    Err(e) => return Err((e, mined, reclaimed)),
                 }
             }
             if ranges.is_empty() {
@@ -940,7 +864,7 @@ struct SpillEntry {
     hi: u32,
     /// The projection's local-id → original-item map, captured at build
     /// time (the database is not consulted again during the mine phase).
-    globals: Vec<Item>,
+    globals: Arc<[Item]>,
     /// On-disk byte size (recorded for reporting; the mine phase charges
     /// the actual loaded size).
     #[allow(dead_code)]
@@ -1028,6 +952,7 @@ impl ItemsetSink for RangeFilterSink<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CfpGrowthMiner;
     use cfp_data::miner::CollectSink;
 
     fn textbook() -> TransactionDb {

@@ -278,16 +278,15 @@ pub struct MineStats {
     pub avg_bytes: u64,
     /// Logical nodes of the initial prefix tree (0 for tree-less miners).
     pub tree_nodes: u64,
-    /// Per-worker peak bytes of conditional structures (empty for
-    /// sequential miners; one entry per worker thread otherwise).
+    /// Per-worker peak bytes of conditional structures: one entry per
+    /// mine-phase worker thread (empty for miners without workers, and
+    /// for a CFP-growth run that took the root single-path shortcut).
     pub worker_peaks: Vec<u64>,
-    /// First-level item tasks each worker processed (empty for
-    /// sequential miners). Under a static schedule the counts are fixed
-    /// by the round-robin deal; under a dynamic schedule they reflect
-    /// what each worker actually claimed.
+    /// First-level item tasks each worker claimed (entries as for
+    /// `worker_peaks`).
     pub worker_tasks: Vec<u64>,
     /// Summed estimated cost (encoded subarray bytes) of the tasks each
-    /// worker processed (empty for sequential miners). The max/min ratio
+    /// worker claimed (entries as for `worker_peaks`). The max/min ratio
     /// across workers is the load-imbalance measure the skew benchmark
     /// reports.
     pub worker_costs: Vec<u64>,

@@ -114,6 +114,12 @@ impl MemGauge {
         self.inner.sample_sum.get().checked_div(self.inner.sample_count.get()).unwrap_or(0)
     }
 
+    /// The sum and the number of checkpointed samples, so averages of
+    /// several gauges (one per thread) can be merged exactly.
+    pub fn samples(&self) -> (u64, u64) {
+        (self.inner.sample_sum.get(), self.inner.sample_count.get())
+    }
+
     /// Clears every counter.
     pub fn reset(&self) {
         if cfp_trace::enabled() {
@@ -173,6 +179,7 @@ mod tests {
         g.alloc(30);
         g.checkpoint();
         assert_eq!(g.average(), 25);
+        assert_eq!(g.samples(), (50, 2));
     }
 
     #[test]

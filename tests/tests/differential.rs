@@ -4,10 +4,10 @@
 //! density, Zipf item-popularity skew, and degenerate edge shapes (empty
 //! database, single-item transactions, all-identical rows). On every
 //! seed, every configuration of the CFP-growth pipeline — sequential,
-//! and parallel under both the static and the dynamic schedule at 1, 2,
-//! and 8 threads — must produce exactly the itemsets the apriori and
-//! eclat oracles produce. The dynamic schedule must additionally match
-//! the sequential miner's raw emission order, not just the same set.
+//! and parallel at 1, 2, and 8 threads — must produce exactly the
+//! itemsets the apriori and eclat oracles produce. The parallel runs must
+//! additionally match the sequential miner's raw emission order, not
+//! just the same set.
 //!
 //! Failures are collected across the whole seed range and reported with
 //! the smallest failing seed and a diff summary, so a regression
@@ -225,20 +225,21 @@ fn check_seed(seed: u64) -> Result<(), String> {
     let seq_raw = mine_raw(&CfpGrowthMiner::new(), &case.db, case.minsup);
     problems.extend(diff_summary("cfp-sequential", &oracle, &sorted(seq_raw.clone())));
 
-    for schedule in [Schedule::Static, Schedule::Dynamic] {
-        for threads in [1usize, 2, 8] {
-            let miner = ParallelCfpGrowthMiner { schedule, ..ParallelCfpGrowthMiner::new(threads) };
-            let raw = mine_raw(&miner, &case.db, case.minsup);
-            let name = format!("cfp-parallel/{}x{threads}", schedule.name());
-            if schedule == Schedule::Dynamic && raw != seq_raw {
-                problems.push(format!(
-                    "{name}: emission order diverged from sequential ({} vs {} itemsets)",
-                    raw.len(),
-                    seq_raw.len()
-                ));
-            }
-            problems.extend(diff_summary(&name, &oracle, &sorted(raw)));
+    for threads in [1usize, 2, 8] {
+        let miner = ParallelCfpGrowthMiner {
+            schedule: Schedule::Dynamic,
+            ..ParallelCfpGrowthMiner::new(threads)
+        };
+        let raw = mine_raw(&miner, &case.db, case.minsup);
+        let name = format!("cfp-parallel/dynamicx{threads}");
+        if raw != seq_raw {
+            problems.push(format!(
+                "{name}: emission order diverged from sequential ({} vs {} itemsets)",
+                raw.len(),
+                seq_raw.len()
+            ));
         }
+        problems.extend(diff_summary(&name, &oracle, &sorted(raw)));
     }
 
     // Interrupt at a seed-derived watermark, then resume: the
@@ -341,9 +342,8 @@ fn mine_seq_mode(
 /// Runs the condensed-output matrix on one seed: for each of closed,
 /// maximal, and a seed-derived topk:N, the sequential engine must match
 /// the post-hoc oracle (`cfp_rules::condensed` over the apriori full
-/// set), the parallel dynamic schedule must reproduce the sequential
-/// emission byte for byte at 1, 2, and 8 threads, and the static
-/// schedule must produce the same set.
+/// set), and the parallel dynamic schedule must reproduce the sequential
+/// emission byte for byte at 1, 2, and 8 threads.
 fn check_seed_condensed(seed: u64) -> Result<(), String> {
     use cfp_core::OutputMode;
     let case = generate(seed);
@@ -392,14 +392,6 @@ fn check_seed_condensed(seed: u64) -> Result<(), String> {
                 ));
             }
         }
-        let miner = ParallelCfpGrowthMiner {
-            schedule: Schedule::Static,
-            output: *output,
-            ..ParallelCfpGrowthMiner::new(4)
-        };
-        let raw = mine_raw(&miner, &case.db, case.minsup);
-        let raw_cmp = if matches!(output, OutputMode::TopK(_)) { raw } else { sorted(raw) };
-        problems.extend(diff_summary(&name("staticx4"), oracle, &raw_cmp));
 
         // Interrupt + resume keeps the condensed stream exact: the
         // resumed run silently re-derives the reconcile state for the

@@ -256,35 +256,41 @@ fn persistent_alloc_fault_climbs_each_rung_exactly_once() {
 /// Class 7 — a wedged worker ("core.worker.stall"): the watchdog detects
 /// the missing heartbeat, cancels the siblings, and reports a structured
 /// timeout naming the worker — promptly, not at some OS-level deadline.
+/// A one-worker run has the same watchdog as a four-worker one.
 #[test]
 fn stalled_worker_trips_the_watchdog_and_cancels_siblings() {
     let _g = armed();
     let db = textbook_db();
-    let miner = ParallelCfpGrowthMiner {
-        worker_timeout: Some(Duration::from_millis(250)),
-        ..ParallelCfpGrowthMiner::new(4)
-    };
+    for threads in [1, 4] {
+        let miner = ParallelCfpGrowthMiner {
+            worker_timeout: Some(Duration::from_millis(250)),
+            ..ParallelCfpGrowthMiner::new(threads)
+        };
 
-    configure("core.worker.stall", FaultMode::Nth(1));
-    let mut sink = CountingSink::new();
-    let start = Instant::now();
-    let err = miner.try_mine(&db, 2, &mut sink).expect_err("stall must trip the watchdog");
-    let elapsed = start.elapsed();
-    match &err {
-        CfpError::WorkerTimeout { worker, waited_ms } => {
-            assert!(*worker < 4, "worker index {worker} out of range");
-            assert!(*waited_ms > 0, "waited_ms must report the stall window");
+        configure("core.worker.stall", FaultMode::Nth(1));
+        let mut sink = CountingSink::new();
+        let start = Instant::now();
+        let err = miner.try_mine(&db, 2, &mut sink).expect_err("stall must trip the watchdog");
+        let elapsed = start.elapsed();
+        match &err {
+            CfpError::WorkerTimeout { worker, waited_ms } => {
+                assert!(*worker < threads, "worker index {worker} out of range");
+                assert!(*waited_ms > 0, "waited_ms must report the stall window");
+            }
+            other => panic!("expected WorkerTimeout at {threads} worker(s), got {other:?}"),
         }
-        other => panic!("expected WorkerTimeout, got {other:?}"),
-    }
-    assert_eq!(err.exit_code(), 6);
-    assert!(elapsed < Duration::from_secs(10), "siblings must be cancelled promptly: {elapsed:?}");
+        assert_eq!(err.exit_code(), 6);
+        assert!(
+            elapsed < Duration::from_secs(10),
+            "siblings must be cancelled promptly: {elapsed:?}"
+        );
 
-    // Disarmed, the same watchdog-equipped miner completes healthily.
-    clear_all();
-    let mut sink = CountingSink::new();
-    miner.try_mine(&db, 2, &mut sink).expect("disarmed retry");
-    assert_eq!(sink.count, 13);
+        // Disarmed, the same watchdog-equipped miner completes healthily.
+        clear_all();
+        let mut sink = CountingSink::new();
+        miner.try_mine(&db, 2, &mut sink).expect("disarmed retry");
+        assert_eq!(sink.count, 13);
+    }
 }
 
 /// A unique spill parent directory for one test, plus the supervisor
