@@ -30,6 +30,16 @@
 //! every triple directly to its final location, with per-subarray
 //! sequential access patterns.
 //!
+//! A dense array also gets an **item-pair table** from the first DFS, in
+//! the manner of Grahne & Zhu's FPgrowth* counting array: row `j` holds,
+//! for every `k < j`, the summed count of item-`j` nodes that have `k` on
+//! their prefix path ([`CfpArray::pair_row`]). That row is exactly the
+//! conditional item frequencies of `j`'s pattern base, so the mine phase
+//! reads it instead of walking the base. The table is built only when it
+//! needs at most 3 bytes per node — the smallest an encoded triple can
+//! be — so it never outweighs the data block. It lives only in memory:
+//! the `CFPA` format does not carry it.
+//!
 //! ```
 //! use cfp_array::convert;
 //! use cfp_tree::CfpTree;
@@ -107,6 +117,29 @@ pub struct CfpArray {
     /// Per-item support (sum of counts in the subarray).
     supports: Vec<u64>,
     num_nodes: u64,
+    /// The item-pair table of a dense array: the rows of
+    /// [`pair_row`](CfpArray::pair_row) back to back, row `j` starting at
+    /// `j(j-1)/2`.
+    pairs: Option<Vec<u64>>,
+}
+
+/// The most bytes per node a pair table may take: one byte for each of
+/// an encoded triple's three varints, the smallest a triple can be.
+const PAIR_TABLE_BYTES_PER_NODE: u64 = 3;
+
+/// Whether [`convert`] gives an array of `num_items` items and
+/// `num_nodes` nodes a pair table: when it has a pair to count (two
+/// items or more) and the table's `num_items(num_items-1)/2` `u64`
+/// entries take at most [`PAIR_TABLE_BYTES_PER_NODE`] bytes per node.
+fn wants_pair_table(num_items: usize, num_nodes: u64) -> bool {
+    let n = num_items as u128;
+    n >= 2 && n * (n - 1) / 2 * 8 <= PAIR_TABLE_BYTES_PER_NODE as u128 * num_nodes as u128
+}
+
+/// Offset of row `item` in a pair table.
+#[inline]
+fn pair_row_start(item: usize) -> usize {
+    item * item.saturating_sub(1) / 2
 }
 
 impl CfpArray {
@@ -163,7 +196,8 @@ impl CfpArray {
     }
 
     /// Reassembles an array from its serialized parts (see
-    /// [`serialize`]); invariants are the writer's responsibility.
+    /// [`serialize`]); invariants are the writer's responsibility. The
+    /// format carries no pair table, so the array has none.
     pub(crate) fn from_parts(
         data: Bytes,
         starts: Vec<u64>,
@@ -172,7 +206,38 @@ impl CfpArray {
     ) -> Self {
         debug_assert_eq!(starts.len(), supports.len() + 1);
         debug_assert_eq!(*starts.last().unwrap_or(&0), data.as_slice().len() as u64);
-        CfpArray { data, starts, supports, num_nodes }
+        CfpArray { data, starts, supports, num_nodes, pairs: None }
+    }
+
+    /// Row `item` of the pair table, when the array has one: entry `k`
+    /// is the summed count of `item`'s nodes that have item `k` on their
+    /// prefix path — the conditional item frequencies of `item`'s pattern
+    /// base, without walking it. `None` for arrays without a table: those
+    /// of fewer than two items, those whose table would take more than 3
+    /// bytes per node, and every array read from `CFPA` bytes.
+    pub fn pair_row(&self, item: u32) -> Option<&[u64]> {
+        let j = item as usize;
+        self.pairs.as_deref().map(|t| &t[pair_row_start(j)..pair_row_start(j + 1)])
+    }
+
+    /// Heap bytes of the pair table (0 without one).
+    pub(crate) fn pair_table_bytes(&self) -> u64 {
+        self.pairs.as_ref().map_or(0, |t| t.heap_bytes())
+    }
+
+    /// Moves `source`'s pair table onto this array, which must hold the
+    /// same nodes — as the shared view read back from the owned
+    /// original's `CFPA` bytes does.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the two arrays' subarray boundaries differ.
+    pub fn keep_pair_table(&mut self, source: CfpArray) {
+        assert!(
+            self.starts == source.starts && self.num_nodes == source.num_nodes,
+            "a pair table only fits the array it was counted for"
+        );
+        self.pairs = source.pairs;
     }
 
     /// Number of nodes of one item's subarray (counted by scanning).
@@ -224,14 +289,27 @@ impl CfpArray {
     /// node, excluding the node itself).
     pub fn prefix_path(&self, item: u32, node: &NodeView, out: &mut Vec<u32>) {
         out.clear();
-        let mut cur_item = item;
-        let mut cur = *node;
-        while let Some((pi, pl)) = self.parent_of(cur_item, &cur) {
-            out.push(pi);
-            cur = self.node_at(pi, pl);
-            cur_item = pi;
+        self.append_prefix_path(item, node, out);
+    }
+
+    /// [`prefix_path`](Self::prefix_path) appended to `out`: the walk up
+    /// decodes only each parent's `Δitem` and `Δpos`, never its count.
+    pub fn append_prefix_path(&self, item: u32, node: &NodeView, out: &mut Vec<u32>) {
+        let start = out.len();
+        let data = self.data.as_slice();
+        let (mut item, mut ditem, mut local, mut dpos) = (item, node.ditem, node.local, node.dpos);
+        while ditem != item + 1 {
+            debug_assert!(ditem >= 1 && ditem <= item);
+            item -= ditem;
+            local = (local as i64 - dpos) as u64;
+            out.push(item);
+            let at = (self.starts[item as usize] + local) as usize;
+            let (d, n1) = varint::read_u64_unchecked(&data[at..]);
+            let (zz, _) = varint::read_u64_unchecked(&data[at + n1..]);
+            ditem = d as u32;
+            dpos = zigzag::decode(zz);
         }
-        out.reverse();
+        out[start..].reverse();
     }
 }
 
@@ -244,7 +322,7 @@ impl HeapSize for CfpArray {
             Bytes::Owned(v) => v.heap_bytes(),
             Bytes::Shared { .. } => 0,
         };
-        data + self.starts.heap_bytes() + self.supports.heap_bytes()
+        data + self.starts.heap_bytes() + self.supports.heap_bytes() + self.pair_table_bytes()
     }
 }
 
@@ -288,20 +366,41 @@ struct Frame {
     parent_local: u64,
 }
 
-/// Converts a CFP-tree into a CFP-array (two DFS passes, §3.5).
+/// One logical node as a DFS pass leaves it, with its count known.
+struct Visit {
+    item: u32,
+    local: u64,
+    ditem: u32,
+    dpos: i64,
+    count: u64,
+    /// Encoded triple bytes.
+    size: usize,
+}
+
+/// Converts a CFP-tree into a CFP-array (two DFS passes, §3.5). The first
+/// pass also counts the item-pair table of a dense tree (see
+/// [`CfpArray::pair_row`]).
 pub fn convert(tree: &CfpTree) -> CfpArray {
     let traced = cfp_trace::enabled();
     let started = traced.then(std::time::Instant::now);
     let n = tree.num_items();
-    // Pass 1: per-item sizes, node counts and supports.
+    // Pass 1: per-item sizes, node counts and supports, and the pair
+    // counts of a dense tree: each node's count goes to its item's row,
+    // once per ancestor.
     let mut sizes = vec![0u64; n];
     let mut supports = vec![0u64; n];
     let mut num_nodes = 0u64;
-    walk(tree, |item, _local, ditem, dpos, count, size| {
-        sizes[item as usize] += size as u64;
-        supports[item as usize] += count;
+    let mut pairs = wants_pair_table(n, tree.num_nodes()).then(|| vec![0u64; pair_row_start(n)]);
+    walk(tree, |v, ancestors| {
+        sizes[v.item as usize] += v.size as u64;
+        supports[v.item as usize] += v.count;
         num_nodes += 1;
-        let _ = (ditem, dpos);
+        if let Some(pairs) = &mut pairs {
+            let row = &mut pairs[pair_row_start(v.item as usize)..];
+            for a in ancestors {
+                row[a.item as usize] += v.count;
+            }
+        }
     });
 
     let mut starts = Vec::with_capacity(n + 1);
@@ -314,11 +413,11 @@ pub fn convert(tree: &CfpTree) -> CfpArray {
 
     // Pass 2: write each triple to its final position.
     let mut data = vec![0u8; acc as usize];
-    walk(tree, |item, local, ditem, dpos, count, _size| {
-        let mut at = (starts[item as usize] + local) as usize;
-        at += varint::write_u64_into(&mut data[at..], ditem as u64);
-        at += varint::write_u64_into(&mut data[at..], zigzag::encode(dpos));
-        varint::write_u64_into(&mut data[at..], count);
+    walk(tree, |v, _| {
+        let mut at = (starts[v.item as usize] + v.local) as usize;
+        at += varint::write_u64_into(&mut data[at..], v.ditem as u64);
+        at += varint::write_u64_into(&mut data[at..], zigzag::encode(v.dpos));
+        varint::write_u64_into(&mut data[at..], v.count);
     });
 
     if let Some(started) = started {
@@ -326,16 +425,20 @@ pub fn convert(tree: &CfpTree) -> CfpArray {
         tc::ARRAY_CONVERSIONS.inc();
         tc::ARRAY_NODES_CONVERTED.add(num_nodes);
         tc::ARRAY_BYTES_WRITTEN.add(data.len() as u64);
+        if pairs.is_some() {
+            tc::ARRAY_PAIR_TABLES.inc();
+        }
         tc::ARRAY_CONVERT_NANOS.add(started.elapsed().as_nanos() as u64);
     }
-    CfpArray { data: Bytes::Owned(data), starts, supports, num_nodes }
+    CfpArray { data: Bytes::Owned(data), starts, supports, num_nodes, pairs }
 }
 
-/// Drives one DFS pass, invoking `f(item, local, ditem, dpos, count, size)`
-/// for every logical node at its post-order position (when its count is
-/// known). Local positions are assigned pre-order and are identical across
-/// passes because the traversal is deterministic.
-fn walk(tree: &CfpTree, mut f: impl FnMut(u32, u64, u32, i64, u64, usize)) {
+/// Drives one DFS pass, invoking `f(visit, ancestors)` for every logical
+/// node at its post-order position (when its count is known), with the
+/// node's open ancestors, root child first. Local positions are assigned
+/// pre-order and are identical across passes because the traversal is
+/// deterministic.
+fn walk(tree: &CfpTree, mut f: impl FnMut(&Visit, &[Frame])) {
     let n = tree.num_items();
     let mut counters = vec![0u64; n];
     let mut stack: Vec<Frame> = Vec::new();
@@ -367,7 +470,15 @@ fn walk(tree: &CfpTree, mut f: impl FnMut(u32, u64, u32, i64, u64, usize)) {
                 let size = varint::encoded_len(fr.ditem as u64)
                     + varint::encoded_len(zigzag::encode(dpos))
                     + varint::encoded_len(fr.acc);
-                f(fr.item as u32, fr.local, fr.ditem, dpos, fr.acc, size);
+                let visit = Visit {
+                    item: fr.item as u32,
+                    local: fr.local,
+                    ditem: fr.ditem,
+                    dpos,
+                    count: fr.acc,
+                    size,
+                };
+                f(&visit, &stack);
                 counters[fr.item as usize] += size as u64;
             }
         }
@@ -544,6 +655,90 @@ mod tests {
                 assert_eq!(ours, theirs, "trial {trial} item {item}");
             }
         }
+    }
+
+    /// `item`'s conditional item frequencies, summed from the prefix
+    /// paths of its nodes.
+    fn walked_row(a: &CfpArray, item: u32) -> Vec<u64> {
+        let mut row = vec![0u64; item as usize];
+        let mut path = Vec::new();
+        for n in a.subarray(item) {
+            a.prefix_path(item, &n, &mut path);
+            for &k in &path {
+                row[k as usize] += n.count;
+            }
+        }
+        row
+    }
+
+    #[test]
+    fn stress_pair_rows_against_prefix_paths() {
+        use cfp_data::rng::{Rng, StdRng};
+        let mut rng = StdRng::seed_from_u64(0xFA1125);
+        let mut tables = 0;
+        for trial in 0..40 {
+            let n_items = rng.gen_range(2..12usize);
+            // Alternate dense trees, which carry tables, with sparse ones.
+            let density = if trial % 2 == 0 { 0.8 } else { 0.3 };
+            let mut tree = CfpTree::new(n_items);
+            for _ in 0..rng.gen_range(1..300) {
+                let txn: Vec<u32> = (0..n_items as u32).filter(|_| rng.gen_bool(density)).collect();
+                if !txn.is_empty() {
+                    tree.insert(&txn, rng.gen_range(1..4u32));
+                }
+            }
+            let a = convert(&tree);
+            let has_table = wants_pair_table(n_items, a.num_nodes());
+            for item in 0..n_items as u32 {
+                match a.pair_row(item) {
+                    Some(row) => assert_eq!(row, walked_row(&a, item), "trial {trial} item {item}"),
+                    None => assert!(!has_table, "trial {trial} item {item}: table missing"),
+                }
+            }
+            assert_eq!(a.pair_row(0).is_some(), has_table, "trial {trial}");
+            tables += has_table as usize;
+        }
+        assert!((10..40).contains(&tables), "both regimes must occur: {tables} tables");
+    }
+
+    /// A 5-item tree holding every non-empty subset except the first
+    /// `dropped` that end in item 4 — leaves, so each one dropped is one
+    /// node fewer than the full 31.
+    fn five_item_tree(dropped: usize) -> CfpTree {
+        let mut tree = CfpTree::new(5);
+        let mut left = dropped;
+        for mask in 1..32u32 {
+            let set: Vec<u32> = (0..5).filter(|i| mask >> i & 1 == 1).collect();
+            if left > 0 && set.last() == Some(&4) {
+                left -= 1;
+                continue;
+            }
+            tree.insert(&set, 1);
+        }
+        tree
+    }
+
+    #[test]
+    fn pair_table_exists_exactly_when_it_fits_three_bytes_per_node() {
+        // Five items have 10 pairs, 80 table bytes: 27 nodes give 81
+        // bytes of room, 26 give 78.
+        for (dropped, nodes, table) in [(4, 27, true), (5, 26, false)] {
+            let a = convert(&five_item_tree(dropped));
+            assert_eq!(a.num_nodes(), nodes);
+            assert_eq!(wants_pair_table(5, nodes), table);
+            assert_eq!(a.pair_row(4).is_some(), table, "{nodes} nodes");
+        }
+        // Fewer than two items have no pair to count.
+        assert!(!wants_pair_table(1, u64::MAX) && !wants_pair_table(0, 0));
+        assert!(convert(&CfpTree::new(3)).pair_row(2).is_none());
+    }
+
+    #[test]
+    fn heap_bytes_include_the_pair_table() {
+        let a = convert(&five_item_tree(0));
+        assert_eq!(a.pair_table_bytes(), 8 * 10);
+        let index = 8 * (a.starts().len() + a.num_items()) as u64;
+        assert_eq!(a.heap_bytes(), a.data_bytes() + index + a.pair_table_bytes());
     }
 
     #[test]

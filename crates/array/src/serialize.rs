@@ -307,6 +307,30 @@ mod tests {
     }
 
     #[test]
+    fn pair_tables_stay_out_of_the_format() {
+        // Two items, three nodes: an 8-byte table fits 3 bytes per node.
+        let mut t = CfpTree::new(2);
+        t.insert(&[0, 1], 3);
+        t.insert(&[1], 2);
+        let a = crate::convert(&t);
+        assert_eq!(a.pair_row(1), Some(&[3u64][..]));
+        let mut with = Vec::new();
+        a.write_to(&mut with).unwrap();
+        let mut without = Vec::new();
+        CfpArray { pairs: None, ..a.clone() }.write_to(&mut without).unwrap();
+        assert_eq!(with, without, "the table must not change the CFPA bytes");
+
+        let read = CfpArray::read_from(with.as_slice()).unwrap();
+        let mut view = CfpArray::from_bytes(with.into()).unwrap();
+        for b in [&read, &view] {
+            assert_eq!(b.pair_row(1), None);
+            assert_eq!(b.pair_table_bytes(), 0);
+        }
+        view.keep_pair_table(a.clone());
+        assert_eq!(view.pair_row(1), a.pair_row(1));
+    }
+
+    #[test]
     fn empty_array_round_trips() {
         let t = CfpTree::new(3);
         let a = crate::convert(&t);

@@ -65,7 +65,10 @@ pub struct CfpArrayReport {
     /// Index bytes: the per-item subarray offsets and support table
     /// around the data buffer.
     pub index_bytes: u64,
-    /// Total heap bytes (`data_bytes + index_bytes`).
+    /// Item-pair table bytes (0 for an array without one, see
+    /// [`CfpArray::pair_row`]).
+    pub pair_table_bytes: u64,
+    /// Total heap bytes (`data_bytes + index_bytes + pair_table_bytes`).
     pub total_bytes: u64,
     /// Bytes saved by delta+varint coding vs naive `3 × u32` triples:
     /// `NAIVE_TRIPLE_BYTES × num_nodes − data_bytes`.
@@ -87,12 +90,14 @@ impl CfpArrayReport {
 pub fn array_report(array: &CfpArray) -> CfpArrayReport {
     let fields = field_bytes(array);
     let data_bytes = array.data_bytes();
+    let pair_table_bytes = array.pair_table_bytes();
     let total_bytes = array.heap_bytes();
     CfpArrayReport {
         num_nodes: array.num_nodes(),
         fields,
         data_bytes,
-        index_bytes: total_bytes - data_bytes,
+        index_bytes: total_bytes - data_bytes - pair_table_bytes,
+        pair_table_bytes,
         total_bytes,
         varint_saved: (NAIVE_TRIPLE_BYTES * array.num_nodes()).saturating_sub(data_bytes),
     }
@@ -123,6 +128,19 @@ mod tests {
         let a = convert(&t);
         let (d, p, c) = field_bytes(&a).per_node(a.num_nodes());
         assert!(d >= 1.0 && p >= 1.0 && c >= 1.0);
+    }
+
+    #[test]
+    fn report_separates_the_pair_table_from_the_index() {
+        // Two items, three nodes: an 8-byte table fits 3 bytes per node.
+        let mut t = CfpTree::new(2);
+        t.insert(&[0, 1], 3);
+        t.insert(&[1], 2);
+        let a = convert(&t);
+        let r = array_report(&a);
+        assert_eq!(r.pair_table_bytes, 8);
+        assert_eq!(r.total_bytes, r.data_bytes + r.index_bytes + r.pair_table_bytes);
+        assert_eq!(r.bytes_per_node(), a.avg_node_bytes(), "per-node bytes count data only");
     }
 
     #[test]

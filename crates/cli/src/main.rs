@@ -117,7 +117,7 @@ use cfp_data::{CfpError, ParsePolicy};
 use cfp_fault::EXIT_USAGE;
 use cfp_rules::{closed_itemsets, maximal_itemsets, RuleMiner};
 use std::io::{self, Write};
-use std::process::exit;
+use std::sync::Mutex;
 use std::time::Duration;
 
 #[derive(Debug)]
@@ -872,6 +872,32 @@ fn dump_blackbox(error: &str, code: i32) {
     }
 }
 
+/// The state-directory locks this run holds. `std::process::exit` runs
+/// no destructors, so [`exit`] releases them first; a return or unwind
+/// out of `main` releases them through [`ReleaseDirLocks`].
+static DIR_LOCKS: Mutex<Vec<cfp_data::DirLock>> = Mutex::new(Vec::new());
+
+/// Removes the lock files of every held state directory.
+fn release_dir_locks() {
+    DIR_LOCKS.lock().unwrap_or_else(|e| e.into_inner()).clear();
+}
+
+/// Releases the state-directory locks when dropped.
+struct ReleaseDirLocks;
+
+impl Drop for ReleaseDirLocks {
+    fn drop(&mut self) {
+        release_dir_locks();
+    }
+}
+
+/// Exits the process with `code` after releasing the state-directory
+/// locks, so no exit path leaves a `cfp.lock` behind.
+fn exit(code: i32) -> ! {
+    release_dir_locks();
+    std::process::exit(code)
+}
+
 /// Reports a pipeline failure and exits with its documented code. The
 /// diagnostic names the failing phase (the `Display` of
 /// `CfpError::MemoryExhausted` includes it). When `--blackbox` is armed
@@ -1070,17 +1096,17 @@ fn main() {
     // Shared state directories are single-owner: claim their PID locks
     // before any work, failing fast with exit 10 when another live run
     // already holds one. Stale locks from crashed runs are reclaimed.
+    // Every exit path from here on releases them.
+    let _release = ReleaseDirLocks;
     let mut state_dirs: Vec<&String> = Vec::new();
     state_dirs.extend(opts.checkpoint_dir.as_ref());
     state_dirs.extend(opts.spill_dir.as_ref());
     state_dirs.dedup();
-    let _dir_locks: Vec<cfp_data::DirLock> = state_dirs
-        .into_iter()
-        .map(|dir| {
-            cfp_data::DirLock::acquire(std::path::Path::new(dir))
-                .unwrap_or_else(|e| exit_for_mine_error(e))
-        })
-        .collect();
+    for dir in state_dirs {
+        let lock = cfp_data::DirLock::acquire(std::path::Path::new(dir))
+            .unwrap_or_else(|e| exit_for_mine_error(e));
+        DIR_LOCKS.lock().unwrap_or_else(|e| e.into_inner()).push(lock);
+    }
     let profiling = opts.profile.is_some();
     let tracing = opts.trace_out.is_some() || opts.flame_out.is_some();
     // --mem-report needs the counter registry live for its distribution

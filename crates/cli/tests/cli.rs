@@ -1514,6 +1514,42 @@ fn locked_checkpoint_dir_exits_10_and_stale_locks_are_reclaimed() {
     let _ = std::fs::remove_dir_all(&scratch);
 }
 
+/// A structured failure exits through `std::process::exit`, which runs
+/// no destructors: the state-directory locks must still be released, or
+/// every failed run would leave `cfp.lock` behind.
+#[test]
+fn structured_exits_release_state_dir_locks() {
+    let path = write_sample();
+    let scratch = ckpt_scratch("exit-lock");
+    let (ck, sp) = (scratch.join("ck"), scratch.join("sp"));
+    let ck_arg = ck.to_str().unwrap();
+
+    // Exit 4: the budget cannot hold the tree.
+    let out = Command::new(bin())
+        .args([path.to_str().unwrap(), "--support", "2", "--mem-budget", "64"])
+        .args(["--checkpoint-dir", ck_arg])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(4), "{stderr}");
+    assert!(!ck.join("cfp.lock").exists(), "exit 4 left the checkpoint dir locked");
+
+    // Exit 10 on the spill dir, after the checkpoint dir was claimed:
+    // the claimed lock goes, the live owner's stays.
+    std::fs::create_dir_all(&sp).unwrap();
+    std::fs::write(sp.join("cfp.lock"), "1\n").unwrap();
+    let out = Command::new(bin())
+        .args([path.to_str().unwrap(), "--support", "2", "--recover", "spill"])
+        .args(["--checkpoint-dir", ck_arg, "--spill-dir", sp.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(10), "{stderr}");
+    assert!(!ck.join("cfp.lock").exists(), "exit 10 left the checkpoint dir locked");
+    assert_eq!(std::fs::read_to_string(sp.join("cfp.lock")).unwrap(), "1\n");
+    let _ = std::fs::remove_dir_all(&scratch);
+}
+
 /// The `core.ckpt.write` failpoint: a permanently failing manifest
 /// commit aborts the run with the structured checkpoint error (exit 9)
 /// instead of mining on with silently absent crash safety. Skipped

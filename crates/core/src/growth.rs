@@ -13,9 +13,15 @@
 //!    the paper describes, then the tree is dropped and its memory
 //!    recycled.
 //! 4. **Mine** — for each item, least frequent first: emit the itemset,
-//!    gather the conditional pattern base by scanning the item's subarray
-//!    and walking parent chains, build a *conditional* CFP-tree from the
-//!    weighted filtered paths, convert it, recurse.
+//!    count the conditional item frequencies of its pattern base, build a
+//!    *conditional* CFP-tree from the weighted filtered prefix paths,
+//!    convert it, recurse. The base is walked — by scanning the item's
+//!    subarray and following parent chains — at most once. A dense array
+//!    carries an item-pair table from its conversion, whose row for the
+//!    item already holds the frequencies, so the base is walked only when
+//!    some conditional item stays frequent. Any other array's one walk
+//!    counts the frequencies and is recorded, and the tree build replays
+//!    the recording.
 //!
 //! Conditional trees keep the global support order of items (see the
 //! discussion in `cfp_fptree::growth`), and a conditional structure that
@@ -269,7 +275,8 @@ pub(crate) fn drain_topk(state: &TopKState, sink: &mut dyn ItemsetSink) -> u64 {
     n
 }
 
-/// RAII attribution of a flat CFP-array buffer to the run's budget pool.
+/// RAII attribution of a flat buffer — a CFP-array, or a recorded
+/// pattern base — to the run's budget pool.
 ///
 /// The charge is *unmetered* ([`BudgetPool::charge_external`]): it feeds
 /// the per-component gauges of the memstat report but never affects
@@ -333,7 +340,8 @@ fn charge_cond_array(
 /// worker touching thousands of first-level items performs one heap
 /// allocation ramp-up instead of one per item. Only one conditional tree
 /// is ever alive per worker (`conditional` drops it before the recursion
-/// continues), so a single slot suffices.
+/// continues), so a single slot suffices. The same holds for the
+/// recorded pattern base, whose buffers every conditional reuses.
 #[derive(Default)]
 pub(crate) struct Scratch {
     /// Recycle one long-lived arena across conditional trees.
@@ -341,9 +349,93 @@ pub(crate) struct Scratch {
     /// The recycled arena (lazily captured from the first conditional
     /// tree built while recycling is on).
     pub arena: Option<Arena>,
+    /// The pattern base the current conditional tree is built from.
+    base: RecordedBase,
     /// The worker's live conditional-structure bytes: its peak and its
     /// checkpoint samples feed the run's `peak_bytes` and `avg_bytes`.
     pub gauge: MemGauge,
+}
+
+/// One walk of a conditional pattern base, recorded so that the tree
+/// build replays it instead of walking the base again: every node's
+/// prefix path, ascending, back to back, and per node the path's length
+/// and the node's count.
+///
+/// It never outgrows the database rows that contain the base's suffix,
+/// which the caller already holds: each node stands for at least one
+/// such row, its path holds only items of that row besides the suffix,
+/// and a node's 12 bytes of length and count are no more than the row's
+/// offset and suffix item.
+#[derive(Default)]
+struct RecordedBase {
+    items: Vec<u32>,
+    lens: Vec<u32>,
+    counts: Vec<u64>,
+}
+
+impl RecordedBase {
+    /// Walks `item`'s pattern base in `array` once and records it in
+    /// place of the previous one. With `freq`, each node's count is also
+    /// added to the frequency of every item on its path.
+    fn record(&mut self, array: &CfpArray, item: u32, mut freq: Option<&mut [u64]>) {
+        self.items.clear();
+        self.lens.clear();
+        self.counts.clear();
+        for node in array.subarray(item) {
+            let start = self.items.len();
+            array.append_prefix_path(item, &node, &mut self.items);
+            if let Some(freq) = freq.as_deref_mut() {
+                for &it in &self.items[start..] {
+                    freq[it as usize] += node.count;
+                }
+            }
+            self.lens.push((self.items.len() - start) as u32);
+            self.counts.push(node.count);
+        }
+    }
+
+    /// Nodes in the recorded base.
+    fn nodes(&self) -> usize {
+        self.lens.len()
+    }
+
+    /// Bytes of the recorded walk.
+    fn bytes(&self) -> u64 {
+        (4 * self.items.len() + 4 * self.lens.len() + 8 * self.counts.len()) as u64
+    }
+
+    /// The recorded `(prefix path, count)` pairs, in subarray order.
+    fn paths(&self) -> impl Iterator<Item = (&[u32], u64)> + '_ {
+        let mut start = 0;
+        self.lens.iter().zip(&self.counts).map(move |(&len, &count)| {
+            let path = &self.items[start..start + len as usize];
+            start += len as usize;
+            (path, count)
+        })
+    }
+}
+
+/// A recorded base's bytes, held against the worker's gauge and, as an
+/// unmetered [`Component::Scratch`] charge, the run's pool until dropped.
+struct HeldBase {
+    gauge: MemGauge,
+    bytes: u64,
+    _charge: ArrayCharge,
+}
+
+impl HeldBase {
+    fn new(ctx: &Ctx<'_>) -> Self {
+        let bytes = ctx.scratch.base.bytes();
+        ctx.scratch.gauge.alloc(bytes);
+        let charge = ArrayCharge::with_component(ctx.opts.pool.clone(), Component::Scratch, bytes);
+        HeldBase { gauge: ctx.scratch.gauge.clone(), bytes, _charge: charge }
+    }
+}
+
+impl Drop for HeldBase {
+    fn drop(&mut self) {
+        self.gauge.free(self.bytes);
+    }
 }
 
 impl Scratch {
@@ -792,7 +884,8 @@ struct Cond {
 /// Builds the conditional CFP-array of `item`: conditional pattern base →
 /// conditional CFP-tree → conversion. Returns `None` when no conditional
 /// item stays frequent. `support` is the candidate's support (the item's
-/// support within `array`), used only for the closed-mode verdict.
+/// support within `array`), used only for the closed-mode verdict. The
+/// base's parent chains are walked at most once.
 fn conditional(
     array: &CfpArray,
     item: u32,
@@ -800,19 +893,30 @@ fn conditional(
     support: u64,
     ctx: &mut Ctx<'_>,
 ) -> Result<Option<Cond>, CfpError> {
-    // Pass A: conditional frequencies along all prefix paths.
-    let mut freq = vec![0u64; item as usize];
-    let mut path = std::mem::take(&mut ctx.path_buf);
-    let mut pattern_base = 0usize;
-    for node in array.subarray(item) {
-        pattern_base += 1;
-        array.prefix_path(item, &node, &mut path);
-        for &it in &path {
-            freq[it as usize] += node.count;
+    let traced = cfp_trace::enabled();
+    // Pass A: conditional frequencies along all prefix paths. A dense
+    // array's pair-table row holds them already; otherwise the one walk
+    // counts them and is recorded for pass B.
+    let mut walked: Vec<u64>;
+    let (freq, held) = match array.pair_row(item) {
+        Some(row) => {
+            if traced {
+                cfp_trace::counters::CORE_PAIR_ROWS.inc();
+            }
+            (row, None)
         }
-    }
+        None => {
+            walked = vec![0u64; item as usize];
+            ctx.scratch.base.record(array, item, Some(&mut walked));
+            (&walked[..], Some(HeldBase::new(ctx)))
+        }
+    };
     let support_preserved = freq.contains(&support);
-    if cfp_trace::enabled() {
+    if traced {
+        let pattern_base = match held {
+            Some(_) => ctx.scratch.base.nodes(),
+            None => array.subarray_len(item),
+        };
         // Depth = suffix length: how many conditional levels we are down.
         cfp_trace::span::conditional_tree(ctx.suffix.len(), pattern_base);
         if cfp_trace::events::capturing() {
@@ -837,11 +941,12 @@ fn conditional(
         }
     }
     if cond_globals.is_empty() {
-        ctx.path_buf = path;
         return Ok(None);
     }
 
-    // Pass B: insert the filtered weighted paths into a conditional tree.
+    // Pass B: insert the filtered weighted paths into a conditional tree,
+    // replaying the recorded walk — or, when a pair-table row gave the
+    // frequencies, walking the base for the first and only time.
     // Conditional arenas share the run's budget pool (when one is set) and
     // may compact-and-retry; exhaustion surfaces with the "mine" phase.
     // A worker with recycling armed rebuilds inside its long-lived arena
@@ -856,26 +961,34 @@ fn conditional(
     }
     .map_err(mine_phase)?;
     let mut filtered: Vec<u32> = Vec::new();
-    for node in array.subarray(item) {
-        array.prefix_path(item, &node, &mut path);
+    let mut insert = |path: &[u32], count: u64| -> Result<(), CfpError> {
         filtered.clear();
         filtered.extend(
             path.iter().filter(|&&it| remap[it as usize] != u32::MAX).map(|&it| remap[it as usize]),
         );
-        if !filtered.is_empty() {
-            let weight = u32::try_from(node.count).expect("count exceeds u32");
-            if let Err(e) = cond_tree.try_insert(&filtered, weight) {
-                ctx.path_buf = path;
-                return Err(mine_phase(CfpError::from(e)));
-            }
+        if filtered.is_empty() {
+            return Ok(());
+        }
+        let weight = u32::try_from(count).expect("count exceeds u32");
+        cond_tree.try_insert(&filtered, weight).map_err(|e| mine_phase(CfpError::from(e)))
+    };
+    if held.is_some() {
+        for (path, count) in ctx.scratch.base.paths() {
+            insert(path, count)?;
+        }
+    } else {
+        let path = &mut ctx.path_buf;
+        for node in array.subarray(item) {
+            array.prefix_path(item, &node, path);
+            insert(path, node.count)?;
         }
     }
-    ctx.path_buf = path;
 
-    if cfp_trace::enabled() {
+    if traced {
         cfp_trace::counters::CORE_COND_TREE_BYTES.record_log2(cond_tree.arena_used());
     }
     ctx.scratch.gauge.alloc(cond_tree.heap_bytes());
+    drop(held);
     let cond_array = convert(&cond_tree);
     ctx.scratch.gauge.free(cond_tree.heap_bytes());
     if ctx.scratch.recycle {
@@ -891,9 +1004,9 @@ fn conditional(
     // through a spill file and comes back as a shared view, so its data
     // block leaves pool-metered memory. The checksum on the file proves
     // the round trip intact; mining a view is byte-identical to mining
-    // the owned original.
+    // the owned original, whose pair table the view keeps.
     let cond_array = match &ctx.opts.cond_spill {
-        Some(cs) if cond_array.data_bytes() >= cs.threshold() => cs.round_trip(&cond_array)?,
+        Some(cs) if cond_array.data_bytes() >= cs.threshold() => cs.round_trip(cond_array)?,
         _ => cond_array,
     };
     Ok(Some(Cond { array: cond_array, globals: cond_globals, support_preserved }))
@@ -1047,9 +1160,8 @@ mod tests {
         drop(tree);
         let parent = std::env::temp_dir().join(format!("cfp-growth-spill-{}", std::process::id()));
         let dir = std::sync::Arc::new(SpillDir::create(&parent).unwrap());
-        let view = crate::spill::CondSpill::new(std::sync::Arc::clone(&dir), 1)
-            .round_trip(&array)
-            .unwrap();
+        let view =
+            crate::spill::CondSpill::new(std::sync::Arc::clone(&dir), 1).round_trip(array).unwrap();
         assert!(view.is_shared());
 
         let pool = BudgetPool::new(1 << 20);

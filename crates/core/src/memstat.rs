@@ -179,6 +179,7 @@ pub fn collect_memstat(
             detail: vec![
                 ("data_bytes".into(), ar.data_bytes),
                 ("index_bytes".into(), ar.index_bytes),
+                ("pair_table_bytes".into(), ar.pair_table_bytes),
                 ("ditem_bytes".into(), ar.fields.ditem),
                 ("dpos_bytes".into(), ar.fields.dpos),
                 ("count_bytes".into(), ar.fields.count),

@@ -71,16 +71,18 @@ impl CondSpill {
     }
 
     /// Round-trips `array` through a uniquely-named spill file and
-    /// returns the shared-buffer view. The file is removed as soon as
+    /// returns the shared-buffer view, which keeps `array`'s pair table
+    /// (the file format carries none). The file is removed as soon as
     /// the view holds the bytes — conditional spills are scratch state,
     /// and the checksum has already proven the round trip intact.
-    pub(crate) fn round_trip(&self, array: &CfpArray) -> Result<CfpArray, CfpError> {
+    pub(crate) fn round_trip(&self, array: CfpArray) -> Result<CfpArray, CfpError> {
         let name = format!("cond-{}.cfpa", self.seq.fetch_add(1, Ordering::Relaxed));
         let path = self.dir.file(&name);
-        write_spill_array(&path, array)?;
+        write_spill_array(&path, &array)?;
         let loaded = load_spill_array(&path);
         self.dir.remove(&name);
-        let (view, _) = loaded?;
+        let (mut view, _) = loaded?;
+        view.keep_pair_table(array);
         Ok(view)
     }
 }
@@ -163,7 +165,7 @@ mod tests {
         let dir = Arc::new(SpillDir::create(&parent).unwrap());
         let cs = CondSpill::new(Arc::clone(&dir), 1);
         let array = sample_array();
-        let view = cs.round_trip(&array).unwrap();
+        let view = cs.round_trip(array.clone()).unwrap();
         assert!(view.is_shared());
         assert_eq!(view.data(), array.data());
         assert_eq!(
@@ -173,6 +175,23 @@ mod tests {
         );
         drop(view);
         drop(cs);
+        drop(dir);
+        let _ = std::fs::remove_dir_all(&parent);
+    }
+
+    #[test]
+    fn cond_spill_round_trip_keeps_the_pair_table() {
+        let parent = std::env::temp_dir().join(format!("cfp-core-spill-t-{}", std::process::id()));
+        let dir = Arc::new(SpillDir::create(&parent).unwrap());
+        // Two items, three nodes: dense enough for a pair table.
+        let mut tree = cfp_tree::CfpTree::new(2);
+        tree.insert(&[0, 1], 3);
+        tree.insert(&[1], 2);
+        let array = cfp_array::convert(&tree);
+        assert_eq!(array.pair_row(1), Some(&[3u64][..]));
+        let view = CondSpill::new(Arc::clone(&dir), 1).round_trip(array).unwrap();
+        assert!(view.is_shared());
+        assert_eq!(view.pair_row(1), Some(&[3u64][..]), "the view must keep the table");
         drop(dir);
         let _ = std::fs::remove_dir_all(&parent);
     }

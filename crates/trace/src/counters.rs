@@ -251,6 +251,9 @@ pub static ARRAY_NODES_CONVERTED: Counter = Counter::new("array.nodes_converted"
 pub static ARRAY_BYTES_WRITTEN: Counter = Counter::new("array.bytes_written");
 /// `cfp-array`: wall nanoseconds spent converting.
 pub static ARRAY_CONVERT_NANOS: Counter = Counter::new("array.convert_nanos");
+/// `cfp-array`: conversions that counted an item-pair table (dense
+/// arrays, see `cfp_array::CfpArray::pair_row`).
+pub static ARRAY_PAIR_TABLES: Counter = Counter::new("array.pair_tables");
 
 /// `cfp-core`: conditional trees built during the mine phase.
 pub static CORE_CONDITIONAL_TREES: Counter = Counter::new("core.conditional_trees");
@@ -258,6 +261,9 @@ pub static CORE_CONDITIONAL_TREES: Counter = Counter::new("core.conditional_tree
 pub static CORE_SINGLE_PATH_SHORTCUTS: Counter = Counter::new("core.single_path_shortcuts");
 /// `cfp-core`: frequent itemsets emitted.
 pub static CORE_PATTERNS: Counter = Counter::new("core.patterns_emitted");
+/// `cfp-core`: conditional pattern bases whose item frequencies came from
+/// a pair-table row instead of a walk.
+pub static CORE_PAIR_ROWS: Counter = Counter::new("core.pair_rows");
 /// `cfp-core`: worker threads used by the parallel miner (0 = sequential).
 pub static CORE_WORKERS: MaxGauge = MaxGauge::new("core.workers");
 /// `cfp-core`: deepest conditional-tree recursion reached.
@@ -348,9 +354,11 @@ static COUNTERS: &[&Counter] = &[
     &ARRAY_NODES_CONVERTED,
     &ARRAY_BYTES_WRITTEN,
     &ARRAY_CONVERT_NANOS,
+    &ARRAY_PAIR_TABLES,
     &CORE_CONDITIONAL_TREES,
     &CORE_SINGLE_PATH_SHORTCUTS,
     &CORE_PATTERNS,
+    &CORE_PAIR_ROWS,
     &CORE_WORKER_PANICS,
     &CORE_WORKER_HEARTBEATS,
     &CORE_WORKER_STALLS,
