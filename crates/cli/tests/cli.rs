@@ -1311,7 +1311,7 @@ fn sigterm_mid_mine_exits_8_with_a_committed_valid_manifest() {
     use std::process::Stdio;
 
     // A dataset heavy enough that the run is reliably still mining when
-    // the signal arrives ~150 ms in (mining takes several seconds).
+    // the signal arrives (mining takes several seconds).
     let dir = std::env::temp_dir().join("cfp_cli_tests");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("sigterm_heavy.dat");
@@ -1352,7 +1352,14 @@ fn sigterm_mid_mine_exits_8_with_a_committed_valid_manifest() {
         .stderr(Stdio::piped())
         .spawn()
         .unwrap();
-    std::thread::sleep(std::time::Duration::from_millis(150));
+    // Signal once the first periodic manifest is committed, so the run is
+    // mining with progress behind it however loaded the machine is (a
+    // fixed delay could land in the build phase, before any watermark).
+    let first_commit = std::time::Instant::now();
+    while !cfp_core::ckpt::manifest_path(&ck).exists() {
+        assert!(first_commit.elapsed().as_secs() < 60, "no checkpoint committed within 60 s");
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
     let term = Command::new("kill").args(["-TERM", &child.id().to_string()]).status().unwrap();
     assert!(term.success(), "kill -TERM failed");
     let out = child.wait_with_output().unwrap();

@@ -375,19 +375,17 @@ struct RecordedBase {
 
 impl RecordedBase {
     /// Walks `item`'s pattern base in `array` once and records it in
-    /// place of the previous one. With `freq`, each node's count is also
-    /// added to the frequency of every item on its path.
-    fn record(&mut self, array: &CfpArray, item: u32, mut freq: Option<&mut [u64]>) {
+    /// place of the previous one, adding each node's count to the
+    /// frequency of every item on its path.
+    fn record(&mut self, array: &CfpArray, item: u32, freq: &mut [u64]) {
         self.items.clear();
         self.lens.clear();
         self.counts.clear();
         for node in array.subarray(item) {
             let start = self.items.len();
             array.append_prefix_path(item, &node, &mut self.items);
-            if let Some(freq) = freq.as_deref_mut() {
-                for &it in &self.items[start..] {
-                    freq[it as usize] += node.count;
-                }
+            for &it in &self.items[start..] {
+                freq[it as usize] += node.count;
             }
             self.lens.push((self.items.len() - start) as u32);
             self.counts.push(node.count);
@@ -907,7 +905,7 @@ fn conditional(
         }
         None => {
             walked = vec![0u64; item as usize];
-            ctx.scratch.base.record(array, item, Some(&mut walked));
+            ctx.scratch.base.record(array, item, &mut walked);
             (&walked[..], Some(HeldBase::new(ctx)))
         }
     };
@@ -946,7 +944,9 @@ fn conditional(
 
     // Pass B: insert the filtered weighted paths into a conditional tree,
     // replaying the recorded walk — or, when a pair-table row gave the
-    // frequencies, walking the base for the first and only time.
+    // frequencies, walking the base for the first and only time. That
+    // walk streams rather than records: a dense base kept in memory
+    // would cost megabytes (3.9 MB on connect-like at 80%).
     // Conditional arenas share the run's budget pool (when one is set) and
     // may compact-and-retry; exhaustion surfaces with the "mine" phase.
     // A worker with recycling armed rebuilds inside its long-lived arena

@@ -371,21 +371,26 @@ mod tests {
         assert_eq!(db.len(), 250);
         cfp_trace::events::set_capture(false);
         let tracks = cfp_trace::events::drain();
-        let reader = tracks
+        // Readers of tests running alongside this one record onto tracks
+        // of the same name while capture is on, so look for this
+        // reader's swaps on any of them.
+        let swaps: Vec<Vec<u32>> = tracks
             .iter()
-            .find(|t| t.name == "cfp-data-reader")
-            .expect("reader thread must have a named track");
-        let swaps: Vec<u32> = reader
-            .events
-            .iter()
-            .filter_map(|e| match e.kind {
-                cfp_trace::EventKind::BufferSwap { rows } => Some(rows),
-                _ => None,
+            .filter(|t| t.name == "cfp-data-reader")
+            .map(|t| {
+                t.events
+                    .iter()
+                    .filter_map(|e| match e.kind {
+                        cfp_trace::EventKind::BufferSwap { rows } => Some(rows),
+                        _ => None,
+                    })
+                    .collect()
             })
             .collect();
+        assert!(!swaps.is_empty(), "reader thread must have a named track");
         // 250 rows in chunks of 100: two full buffers plus the final
         // partial one at end of input.
-        assert_eq!(swaps, vec![100, 100, 50]);
+        assert!(swaps.contains(&vec![100, 100, 50]), "{swaps:?}");
     }
 
     #[test]

@@ -118,7 +118,8 @@ pub enum Component {
     /// Transaction-id lists (vertical-format baselines, out-of-core
     /// spill candidates).
     TidLists,
-    /// Scratch buffers (recycled arenas between tasks, emit buffers).
+    /// Scratch buffers (recycled arenas between tasks, emit buffers,
+    /// recorded conditional pattern bases).
     Scratch,
     /// Out-of-core spill buffers: partition arrays loaded back from disk
     /// by the spill rung, charged externally so reports can attribute the
