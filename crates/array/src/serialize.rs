@@ -33,6 +33,7 @@
 
 use crate::{Bytes, CfpArray};
 use cfp_encoding::varint;
+use cfp_trace::fnv::{fnv1a, FNV_OFFSET};
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 
@@ -45,13 +46,6 @@ const MAX_ITEMS: u64 = u32::MAX as u64;
 /// Chunk size for reading untrusted payloads: allocation grows with bytes
 /// actually read, never with a length field alone.
 const READ_CHUNK: usize = 64 * 1024;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(hash, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
-}
 
 /// Computes FNV-1a over everything it reads, so the checksum check costs
 /// no second pass over the payload.

@@ -471,16 +471,21 @@ fn profile_report_is_valid_and_complete() {
 /// imbalance across first-level items is what makes the dynamic scheduler
 /// steal, so the timeline tests below can demand steal events.
 fn write_skewed() -> std::path::PathBuf {
+    write_skewed_rows("skewed.dat", 2000)
+}
+
+/// `rows` rows of the [`write_skewed`] shape, in `cfp_cli_tests/<name>`.
+fn write_skewed_rows(name: &str, rows: usize) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("cfp_cli_tests");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("skewed.dat");
+    let path = dir.join(name);
     let mut state: u64 = 0x243F_6A88_85A3_08D3;
     let mut next = move || {
         state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
         (state >> 33) as f64 / (1u64 << 31) as f64
     };
     let mut text = String::new();
-    for _ in 0..2000 {
+    for _ in 0..rows {
         let mut row = Vec::new();
         for i in 0..48u32 {
             if next() < 0.9 / (i as f64 + 1.0) {
@@ -1092,6 +1097,55 @@ fn checkpointed_run_matches_plain_output_and_clears_its_manifest() {
         let name = entry.unwrap().file_name().into_string().unwrap();
         assert!(!name.ends_with(".tmp"), "stray temp file {name}");
     }
+    let _ = std::fs::remove_dir_all(&scratch);
+}
+
+/// An out-of-core run reports its work like an in-memory one: every
+/// partition goes through the mining driver, so the profile carries
+/// `count`, `build` and `convert` spans and `--stats` sums real phase
+/// times. A `--checkpoint-dir` run takes the direct out-of-core path.
+#[test]
+fn out_of_core_runs_report_their_work() {
+    use cfp_trace::{json, Json};
+
+    let path = write_skewed_rows("skewed-20k.dat", 20_000);
+    let scratch = ckpt_scratch("ooc-report");
+    let (ck, sp, report) = (scratch.join("ck"), scratch.join("sp"), scratch.join("run.json"));
+    let out = Command::new(bin())
+        .args([path.to_str().unwrap(), "--support", "200", "--recover=spill"])
+        .args(["--mem-budget", "64000", "--spill-dir", sp.to_str().unwrap()])
+        .args(["--checkpoint-dir", ck.to_str().unwrap(), "--stats"])
+        .args(["--profile", report.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+
+    let doc = json::parse(&std::fs::read_to_string(&report).unwrap()).unwrap();
+    let deg = doc.get("degradation").expect("degradation section");
+    assert_eq!(deg.get("policy").and_then(Json::as_str), Some("spill"));
+    let partitions = deg.get("final_partitions").and_then(Json::as_u64).unwrap();
+    assert!(partitions >= 2, "expected a real split, got {partitions}");
+    let phases = doc.get("phases").and_then(Json::as_arr).expect("phases");
+    for name in ["count", "build", "convert"] {
+        let phase = phases
+            .iter()
+            .find(|p| p.get("name").and_then(Json::as_str) == Some(name))
+            .unwrap_or_else(|| panic!("phase {name} missing"));
+        let count = phase.get("count").and_then(Json::as_u64).unwrap();
+        assert!(count >= 1, "out-of-core run recorded no {name} span: {phase:?}");
+    }
+
+    let line = stderr.lines().find(|l| l.starts_with("itemsets ")).expect("--stats line");
+    let build: f64 = line
+        .split("  build ")
+        .nth(1)
+        .and_then(|rest| rest.split('s').next())
+        .and_then(|secs| secs.parse().ok())
+        .unwrap_or_else(|| panic!("no build time in {line:?}"));
+    assert!(build > 0.0, "--stats summed no build time: {line}");
+    let leftovers = std::fs::read_dir(&sp).map(|it| it.count()).unwrap_or(0);
+    assert_eq!(leftovers, 0, "the spill dir must be empty after the run");
     let _ = std::fs::remove_dir_all(&scratch);
 }
 

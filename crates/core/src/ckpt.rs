@@ -22,6 +22,7 @@
 
 use cfp_data::spill::write_atomic;
 use cfp_data::{CfpError, ItemRecoder};
+use cfp_trace::fnv::{fnv1a, FNV_OFFSET};
 use cfp_trace::json::{parse, Json};
 use std::path::{Path, PathBuf};
 
@@ -106,16 +107,6 @@ pub struct Manifest {
     pub itemsets: u64,
 }
 
-/// 64-bit FNV-1a over a byte slice.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Fingerprints a scan result: FNV-1a over the item count followed by
 /// every support in recoded order and its original item id. Two runs
 /// see the same fingerprint iff the frequent-item universe — and hence
@@ -127,7 +118,7 @@ pub fn counts_fingerprint(recoder: &ItemRecoder) -> String {
         bytes.extend_from_slice(&support.to_le_bytes());
         bytes.extend_from_slice(&recoder.original(new as u32).to_le_bytes());
     }
-    format!("fnv1a:{:016x}", fnv1a64(&bytes))
+    format!("fnv1a:{:016x}", fnv1a(FNV_OFFSET, &bytes))
 }
 
 fn ckpt_err(path: &Path, message: impl Into<String>) -> CfpError {
@@ -179,7 +170,7 @@ impl Manifest {
     /// The manifest as checksummed JSON text, ready to write.
     pub fn to_json_text(&self) -> String {
         let body = self.body();
-        let checksum = format!("fnv1a:{:016x}", fnv1a64(body.to_compact().as_bytes()));
+        let checksum = format!("fnv1a:{:016x}", fnv1a(FNV_OFFSET, body.to_compact().as_bytes()));
         let Json::Obj(mut members) = body else { unreachable!("body is an object") };
         members.push(("checksum".into(), Json::Str(checksum)));
         Json::Obj(members).to_pretty()
@@ -198,7 +189,7 @@ impl Manifest {
             .ok_or_else(|| err("missing checksum member"))?;
         let body =
             Json::Obj(members.iter().filter(|(k, _)| k != "checksum").cloned().collect::<Vec<_>>());
-        let computed = format!("fnv1a:{:016x}", fnv1a64(body.to_compact().as_bytes()));
+        let computed = format!("fnv1a:{:016x}", fnv1a(FNV_OFFSET, body.to_compact().as_bytes()));
         if stored != computed {
             return Err(err(&format!(
                 "checksum mismatch: stored {stored}, computed {computed} (torn or corrupted \

@@ -36,7 +36,7 @@
 //! after the build, after the conversion, and at each conditional array.
 
 use crate::growth::{
-    drain_topk, mine_one_item, mine_single_path, single_path, ArrayCharge, MineOpts, ModeCtx,
+    charge_cond_array, drain_topk, mine_one_item, mine_single_path, single_path, MineOpts, ModeCtx,
     Scratch, SubsumeIndex, TopKState,
 };
 use crate::schedule::TaskQueue;
@@ -110,10 +110,16 @@ pub(crate) fn convert_and_mine(
         convert(&tree)
     };
     gauge.alloc(array.heap_bytes());
-    let _array_charge = ArrayCharge::new(opts.pool.clone(), array.heap_bytes());
     gauge.checkpoint();
     gauge.free(tree.heap_bytes());
     drop(tree);
+    // Out of core: the array is mined from a zero-copy view of its spill
+    // file, which keeps the array's pair table.
+    let array = match &opts.cond_spill {
+        Some(cs) => cs.round_trip(array)?,
+        None => array,
+    };
+    let _array_charges = charge_cond_array(&opts.pool, &array);
     stats.convert_time = sw.lap();
 
     let globals: Arc<[Item]> =

@@ -58,10 +58,12 @@ pub struct MineOpts {
     pub pool: Option<BudgetPool>,
     /// Compact an arena and retry once before reporting exhaustion.
     pub compact_on_pressure: bool,
-    /// Round-trip oversized conditional CFP-arrays through spill files
-    /// ([`CondSpill`]), leaving their data bytes outside pool-metered
-    /// memory. Armed by the supervisor's spill rung; `None` keeps every
-    /// conditional structure in RAM (classic behaviour).
+    /// Mine out of core through spill files ([`CondSpill`]): the
+    /// first-level CFP-array and every conditional array at or above the
+    /// hook's threshold round-trip through a file and are mined from a
+    /// zero-copy view, leaving their data bytes outside pool-metered
+    /// memory. Armed by the supervisor's spill placement; `None` keeps
+    /// every structure in RAM (classic behaviour).
     pub cond_spill: Option<CondSpill>,
     /// Cooperative cancellation, polled by the workers at task boundaries
     /// and by the ordered emitter between first-level items. When it
@@ -93,7 +95,6 @@ impl MineOpts {
             pool: self.pool.clone(),
             compact_on_pressure: self.compact_on_pressure,
             component,
-            ..Default::default()
         }
     }
 }
@@ -294,8 +295,8 @@ impl ArrayCharge {
         Self::with_component(pool, Component::CondArrays, bytes)
     }
 
-    /// An external charge against an explicit component — the spill rung
-    /// attributes loaded spill buffers to [`Component::Spill`] this way.
+    /// An external charge against an explicit component — spilled array
+    /// data blocks go to [`Component::Spill`] this way.
     pub(crate) fn with_component(
         pool: Option<BudgetPool>,
         component: Component,
@@ -321,7 +322,7 @@ impl Drop for ArrayCharge {
 /// heap footprint; a spilled (shared-buffer) array additionally
 /// attributes its data block — which `heap_bytes` no longer counts — to
 /// [`Component::Spill`].
-fn charge_cond_array(
+pub(crate) fn charge_cond_array(
     pool: &Option<BudgetPool>,
     array: &CfpArray,
 ) -> (ArrayCharge, Option<ArrayCharge>) {

@@ -1,10 +1,13 @@
 //! Out-of-core glue: CFP-arrays on spill files.
 //!
-//! The supervisor's `spill` rung and the conditional-spill hook in
-//! [`crate::growth`] both move [`CfpArray`]s through disk using the
-//! crash-safe file discipline of [`cfp_data::spill`] and the checksummed
-//! on-disk layout of [`CfpArray::write_to`]. This module owns the
-//! translation between the two layers: raw [`std::io::Error`]s become
+//! [`CondSpill`] is the whole out-of-core placement. Armed through
+//! [`MineOpts::cond_spill`](crate::MineOpts::cond_spill), it sends the
+//! driver's first-level array and every oversized conditional array of
+//! the recursion through disk, using the crash-safe file discipline of
+//! [`cfp_data::spill`] and the checksummed on-disk layout of
+//! [`CfpArray::write_to`]. The supervisor's `spill` policy arms it for
+//! each partition of its range loop. This module owns the translation
+//! between the two layers: raw [`std::io::Error`]s become
 //! structured [`CfpError::Spill`] errors naming the failing operation
 //! (`"write"`, `"read"`, or `"map"`) and the file involved, so the CLI
 //! can map every injected or real I/O fault to one documented exit code.
@@ -30,9 +33,8 @@ pub(crate) fn write_spill_array(path: &Path, array: &CfpArray) -> Result<u64, Cf
 }
 
 /// Loads a spill file back as a zero-copy [`CfpArray`] view over one
-/// shared buffer, returning the array and the buffer's byte size (what
-/// the caller attributes to the budget pool as external spill memory).
-/// A failing read maps to `op: "read"`; a checksum or schema mismatch in
+/// shared buffer, returning the array and the buffer's byte size. A
+/// failing read maps to `op: "read"`; a checksum or schema mismatch in
 /// the loaded bytes — a torn or corrupt file — maps to `op: "map"`.
 pub(crate) fn load_spill_array(path: &Path) -> Result<(CfpArray, u64), CfpError> {
     let _t = cfp_trace::hist::timer(&cfp_trace::hist::DATA_SPILL_LOAD_NANOS);
@@ -42,15 +44,16 @@ pub(crate) fn load_spill_array(path: &Path) -> Result<(CfpArray, u64), CfpError>
     Ok((array, bytes))
 }
 
-/// Conditional-structure spilling, threaded through the mine phase via
+/// Out-of-core mining, threaded through the driver and the mine phase via
 /// [`MineOpts`](crate::growth::MineOpts).
 ///
-/// When set, any conditional CFP-array whose data block reaches
-/// `threshold` bytes is round-tripped through a spill file: written with
-/// the atomic protocol, read back, and replaced by a zero-copy shared
-/// view whose data bytes no longer live in pool-metered memory. The
-/// supervisor's spill rung arms this so oversized conditional structures
-/// follow the same out-of-core path as the partitions themselves.
+/// When set, the first-level CFP-array, and any conditional CFP-array
+/// whose data block reaches `threshold` bytes, is round-tripped through a
+/// spill file: written with the atomic protocol, read back, and replaced
+/// by a zero-copy shared view whose data bytes no longer live in
+/// pool-metered memory. The supervisor's spill policy arms this with a
+/// quarter of the budget as the threshold (no conditional array spills
+/// without a budget).
 #[derive(Clone, Debug)]
 pub struct CondSpill {
     dir: Arc<cfp_data::spill::SpillDir>,

@@ -10,16 +10,17 @@
 //!    allocation first reclaims the arena's trailing free chunks.
 //! 2. **degrade** — downshift to one mine-phase worker (one conditional
 //!    tree live instead of `threads`), same pool and compaction.
-//! 3. **partition** — split the database into `k` item-range projections
-//!    ([`cfp_data::partition`]), mine each sequentially under the
-//!    budget, and merge the per-range results into the exact global
-//!    result. A range that still exhausts the budget is split in two and
-//!    requeued; a single-item range that fails ends the run.
-//! 4. **spill** (replacing rung 3 under [`RecoveryPolicy::Spill`]) —
-//!    out-of-core partitioned mining: each projection's CFP-array is
-//!    written to a crash-safe spill file and mined back one at a time
-//!    through a zero-copy view, so the budget covers only one
-//!    partition's transient structures at a time.
+//! 3. **partition** or **spill** — partitioned mining: split the recoded
+//!    items into ranges ([`cfp_data::partition`]) and run each range's
+//!    projection through the mining driver under a fresh pool of the
+//!    budget, keeping each itemset in the range of its maximal item. A
+//!    range that still exhausts the budget is halved and requeued; a
+//!    single-item range that fails ends the run. Both policies run this
+//!    one range loop and differ only in where the arrays live: under
+//!    [`RecoveryPolicy::Spill`] every partition's CFP-array, and every
+//!    conditional array above a quarter of the budget, round-trips
+//!    through a crash-safe spill file ([`CondSpill`]) and is mined from a
+//!    zero-copy view.
 //!
 //! Output is buffered per attempt and flushed to the caller's sink only
 //! when an attempt succeeds, so the caller never sees a partial result
@@ -28,25 +29,27 @@
 //! collected [`RecoveryReport`] as the `degradation` section of the
 //! `cfp-profile/2` run report.
 //!
-//! Exactness of the partition rung follows Grahne & Zhu's range
-//! projection argument, spelled out in [`cfp_data::partition`]: every
-//! frequent itemset has exactly one maximal item under the global
-//! support-descending recode order, the projection for that item's range
-//! preserves the itemset's full global support, and a
-//! max-item filter keeps each itemset in exactly one range's output.
+//! Exactness of rung 3 follows Grahne & Zhu's range projection argument,
+//! spelled out in [`cfp_data::partition`]: every frequent itemset has
+//! exactly one maximal item under the global support-descending recode
+//! order, the projection for that item's range preserves the itemset's
+//! full global support, and a max-item filter keeps each itemset in
+//! exactly one range's output. The on-disk detour is a checksummed
+//! identity transformation of each array.
 
 use crate::driver::{self, Plan};
-use crate::growth::{ArrayCharge, MineOpts, SubsumeIndex, TopKState};
+use crate::growth::{MineOpts, SubsumeIndex, TopKState};
 use crate::parallel::ParallelCfpGrowthMiner;
-use crate::spill::{load_spill_array, write_spill_array, CondSpill};
-use cfp_array::convert;
+use crate::spill::CondSpill;
 use cfp_data::miner::CollectSink;
 use cfp_data::partition::{project, ranges_by_mass};
 use cfp_data::spill::SpillDir;
 use cfp_data::{
-    CfpError, Item, ItemRecoder, ItemsetSink, MineStats, Miner, OutputMode, TransactionDb,
+    CfpError, Item, ItemRecoder, ItemsetSink, MineProgress, MineStats, Miner, OutputMode,
+    TransactionDb,
 };
-use cfp_memman::{BudgetPool, Component};
+use cfp_memman::BudgetPool;
+use cfp_trace::hist::{maybe_now, record_since};
 use cfp_trace::{span, Phase};
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -62,12 +65,13 @@ pub enum RecoveryPolicy {
     Retry,
     /// Rungs 1–2: retry, then downshift to one mine-phase worker.
     Degrade,
-    /// Rungs 1–3: retry, degrade, then partitioned fallback mining.
+    /// Rungs 1–3: retry, degrade, then partitioned mining in RAM.
     Partition,
-    /// Rungs 1–2 then out-of-core: retry, degrade, then spill partition
-    /// arrays to disk and mine them back one at a time through zero-copy
-    /// views. The disk-backed sibling of [`RecoveryPolicy::Partition`]
-    /// for datasets whose projections still crowd the budget in RAM.
+    /// Rungs 1–3 with rung 3 out of core: the same partitioned mining,
+    /// but every partition's array (and every oversized conditional
+    /// array) goes through a spill file and is mined from a zero-copy
+    /// view. For datasets whose projections still crowd the budget in
+    /// RAM.
     Spill,
 }
 
@@ -110,7 +114,7 @@ pub struct RungReport {
     pub succeeded: bool,
     /// Bytes reclaimed by arena compaction during the rung.
     pub reclaimed_bytes: u64,
-    /// Number of partitions mined (partition rung only, else 0).
+    /// Number of partitions mined (rung 3 only, else 0).
     pub partitions: u64,
     /// The rung's failure, when it failed.
     pub error: Option<String>,
@@ -127,7 +131,7 @@ pub struct RecoveryReport {
     pub recovered: bool,
     /// Partitions in the final successful configuration (0 = monolithic).
     pub final_partitions: u64,
-    /// Per-partition pool peaks of the partition rung, in mining order.
+    /// Per-partition pool peaks of rung 3, in mining order.
     pub partition_peaks: Vec<u64>,
 }
 
@@ -148,7 +152,7 @@ pub struct Supervisor {
     /// Watchdog limit for every attempt (see
     /// [`ParallelCfpGrowthMiner::worker_timeout`]).
     pub worker_timeout: Option<Duration>,
-    /// Parent directory for the spill rung's scratch files; the system
+    /// Parent directory for the out-of-core rung's spill files; the system
     /// temp directory when unset. A uniquely-named subdirectory is
     /// created per run and removed on every exit path.
     pub spill_dir: Option<PathBuf>,
@@ -158,11 +162,11 @@ pub struct Supervisor {
     /// escalate past a cancellation, because the interruption is not a
     /// failure the ladder could repair.
     pub cancel: Option<cfp_fault::CancelToken>,
-    /// What every rung emits (all, closed, maximal, or top-k). The
-    /// partition and spill rungs stay exact in condensed modes by mining
-    /// ranges in descending item order and reconciling each partition's
-    /// locally-condensed output against a global subsumption index; for
-    /// top-k they mine everything and select the winners at the end.
+    /// What every rung emits (all, closed, maximal, or top-k). Rung 3
+    /// stays exact in condensed modes by mining ranges in descending item
+    /// order and reconciling each partition's locally-condensed output
+    /// against a global subsumption index; for top-k it mines everything
+    /// and selects the winners at the end.
     pub output: OutputMode,
 }
 
@@ -186,8 +190,7 @@ impl Supervisor {
         self.cancel.as_ref().is_some_and(|c| c.is_cancelled())
     }
 
-    /// The partitioned rungs mine each range on one worker, under the
-    /// run's watchdog.
+    /// Rung 3 mines each range on one worker, under the run's watchdog.
     fn plan(&self) -> Plan {
         Plan {
             threads: 1,
@@ -265,42 +268,22 @@ impl Supervisor {
             return (Err(CfpError::Interrupted), report);
         }
 
-        // Rung 3: partitioned fallback mining — in RAM for the
-        // `partition` policy, through disk for `spill`.
-        let _s = span(Phase::Recover);
-        let (rung, r) = if self.policy == RecoveryPolicy::Spill {
-            rung_started(cfp_trace::Rung::Spill);
-            ("spill", self.spill_rung(db, min_support, &last_err, None, None))
-        } else {
-            rung_started(cfp_trace::Rung::Partition);
-            ("partition", self.partition_rung(db, min_support, &last_err))
+        // Rung 3. The initial partition count comes from the failure
+        // itself: aim for projections of at most half the budget. Other
+        // causes start at 2.
+        let k0 = match last_err {
+            CfpError::MemoryExhausted { footprint, limit, .. } if limit > 0 => {
+                (2 * footprint).div_ceil(limit).max(2) as usize
+            }
+            _ => 2,
         };
-        match r {
-            Ok((stats, partitions, reclaimed, peaks, buf)) => {
-                report.rungs.push(RungReport {
-                    rung,
-                    succeeded: true,
-                    reclaimed_bytes: reclaimed,
-                    partitions,
-                    error: None,
-                });
-                report.recovered = true;
-                report.final_partitions = partitions;
-                report.partition_peaks = peaks;
-                flush(buf, sink);
-                (Ok(stats), report)
-            }
-            Err((e, partitions, reclaimed)) => {
-                report.rungs.push(RungReport {
-                    rung,
-                    succeeded: false,
-                    reclaimed_bytes: reclaimed,
-                    partitions,
-                    error: Some(e.to_string()),
-                });
-                (Err(e), report)
-            }
+        let on_disk = self.policy == RecoveryPolicy::Spill;
+        let mut buf = CollectSink::new();
+        let (r, report) = self.partitioned(db, min_support, k0, on_disk, &mut buf, None, report);
+        if r.is_ok() {
+            flush(buf, sink);
         }
+        (r, report)
     }
 
     /// One in-memory attempt: the whole run on `threads` workers, its
@@ -328,136 +311,31 @@ impl Supervisor {
         (r, buf, pool.map_or(0, |p| p.compact_reclaimed()))
     }
 
-    /// The partition rung: project, mine each range under the budget,
-    /// filter by maximal item, and concatenate. Returns the merged
-    /// stats, the number of partitions mined, compaction bytes, the
-    /// per-partition pool peaks, and the buffered output.
-    #[allow(clippy::type_complexity)]
-    fn partition_rung(
-        &self,
-        db: &TransactionDb,
-        min_support: u64,
-        cause: &CfpError,
-    ) -> Result<(MineStats, u64, u64, Vec<u64>, CollectSink), (CfpError, u64, u64)> {
-        let recoder = ItemRecoder::scan(db, min_support);
-        let n = recoder.num_items();
-        if n == 0 {
-            // Nothing frequent: the empty result is exact. (The original
-            // failure was necessarily transient — e.g. injected.)
-            return Ok((MineStats::default(), 0, 0, Vec::new(), CollectSink::new()));
-        }
-        // Initial partition count from the failure itself: aim for
-        // projections of at most half the budget. For non-memory causes
-        // start at 2.
-        let k0 = match *cause {
-            CfpError::MemoryExhausted { footprint, limit, .. } if limit > 0 => {
-                (2 * footprint).div_ceil(limit).max(2) as usize
-            }
-            _ => 2,
-        };
-        let condensed = self.output.is_condensed();
-        // Top-k needs the global view: mine every partition in full and
-        // select the winners at the end. Condensed modes mine condensed
-        // per partition and reconcile below.
-        let proj_output = match self.output {
-            OutputMode::TopK(_) => OutputMode::All,
-            other => other,
-        };
-        let mut queue: VecDeque<(u32, u32)> = ranges_by_mass(&recoder, k0.min(n)).into();
-        if condensed {
-            // Descending item ranges reproduce the sequential top-item
-            // order, so every cross-partition subsumer is buffered before
-            // the candidates it subsumes (a superset's maximal item is ≥
-            // the candidate's).
-            queue.make_contiguous().reverse();
-        }
-
-        let mut buf = CollectSink::new();
-        let mut stats = MineStats::default();
-        let mut peaks: Vec<u64> = Vec::new();
-        let mut reclaimed = 0u64;
-        let mut mined = 0u64;
-        while let Some((lo, hi)) = queue.pop_front() {
-            if self.cancelled() {
-                return Err((CfpError::Interrupted, mined, reclaimed));
-            }
-            let proj = project(db, &recoder, lo, hi);
-            let pool = self.mem_budget.map(BudgetPool::new);
-            let opts = MineOpts {
-                pool: pool.clone(),
-                compact_on_pressure: true,
-                cancel: self.cancel.clone(),
-                output: proj_output,
-                ..Default::default()
-            };
-            let mut fsink = RangeFilterSink { inner: &mut buf, recoder: &recoder, lo, hi };
-            let r = driver::run(&proj, min_support, &mut fsink, self.plan(), &opts);
-            if let Some(p) = &pool {
-                reclaimed += p.compact_reclaimed();
-            }
-            match r {
-                Ok(s) => {
-                    mined += 1;
-                    peaks.push(pool.map(|p| p.peak()).unwrap_or(s.peak_bytes));
-                    stats.itemsets += s.itemsets;
-                    stats.scan_time += s.scan_time;
-                    stats.build_time += s.build_time;
-                    stats.convert_time += s.convert_time;
-                    stats.mine_time += s.mine_time;
-                    stats.tree_nodes += s.tree_nodes;
-                    stats.peak_bytes = stats.peak_bytes.max(s.peak_bytes);
-                    stats.avg_bytes = stats.avg_bytes.max(s.avg_bytes);
-                }
-                Err(CfpError::MemoryExhausted { .. }) if hi - lo > 1 => {
-                    // Too big even projected: halve the range and requeue
-                    // both parts. The failed attempt may already have
-                    // buffered part of this range's output — retract it
-                    // so the halves re-mine without duplication.
-                    retract_range(&mut buf, &recoder, lo, hi);
-                    let mid = lo + (hi - lo) / 2;
-                    if condensed {
-                        // Keep the queue strictly descending.
-                        queue.push_front((lo, mid));
-                        queue.push_front((mid, hi));
-                    } else {
-                        queue.push_front((mid, hi));
-                        queue.push_front((lo, mid));
-                    }
-                }
-                Err(e) => return Err((e, mined, reclaimed)),
-            }
-        }
-        if cfp_trace::enabled() {
-            cfp_trace::counters::CORE_PARTITIONS.record(mined);
-        }
-        finalize_output(self.output, &mut buf);
-        // itemsets counted by the projection miners include filtered-out
-        // emissions; the buffered (kept) count is the real one.
-        stats.itemsets = buf.itemsets.len() as u64;
-        stats.worker_peaks = peaks.clone();
-        Ok((stats, mined, reclaimed, peaks, buf))
-    }
-
-    /// Runs the out-of-core spill rung directly, without first climbing
-    /// the in-memory rungs — for callers that already know the dataset
-    /// must go through disk (and for differential testing of the rung in
+    /// Runs the out-of-core rung directly, without first climbing the
+    /// in-memory rungs — for callers that already know the dataset must
+    /// go through disk (and for differential testing of the rung in
     /// isolation). Output, exactness, and reporting match a
     /// [`mine`](Supervisor::mine) run whose ladder ends in the spill
-    /// rung.
+    /// rung; the caller's sink receives the complete result or nothing.
     pub fn mine_out_of_core(
         &self,
         db: &TransactionDb,
         min_support: u64,
         sink: &mut dyn ItemsetSink,
     ) -> (Result<MineStats, CfpError>, RecoveryReport) {
-        self.out_of_core_impl(db, min_support, sink, false, None)
+        let mut buf = CollectSink::new();
+        let (r, report) = self.mine_out_of_core_resumable(db, min_support, &mut buf, None);
+        if r.is_ok() {
+            flush(buf, sink);
+        }
+        (r, report)
     }
 
-    /// The checkpointable spin on [`mine_out_of_core`]
-    /// (Supervisor::mine_out_of_core): output is **streamed** to `sink`
-    /// partition by partition instead of buffered for the whole run, and
-    /// after each completed partition the sink receives a
-    /// [`cfp_data::MineProgress::SpillParts`] notification carrying the
+    /// The checkpointable spin on
+    /// [`mine_out_of_core`](Supervisor::mine_out_of_core): output is
+    /// **streamed** to `sink` partition by partition instead of buffered
+    /// for the whole run, and after each completed partition the sink
+    /// receives a [`MineProgress::SpillParts`] notification carrying the
     /// global completed-partition count and the not-yet-mined `(lo, hi)`
     /// ranges in processing order — exactly the state a checkpoint
     /// manifest needs. A partition that fails and is halved never reaches
@@ -476,18 +354,6 @@ impl Supervisor {
         sink: &mut dyn ItemsetSink,
         resume: Option<(u64, Vec<(u32, u32)>)>,
     ) -> (Result<MineStats, CfpError>, RecoveryReport) {
-        self.out_of_core_impl(db, min_support, sink, true, resume)
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn out_of_core_impl(
-        &self,
-        db: &TransactionDb,
-        min_support: u64,
-        sink: &mut dyn ItemsetSink,
-        stream: bool,
-        resume: Option<(u64, Vec<(u32, u32)>)>,
-    ) -> (Result<MineStats, CfpError>, RecoveryReport) {
         // Resuming mid-run would start the reconcile index (or top-k
         // heap) without the already-emitted partitions' contributions;
         // the CLI restricts checkpointing of condensed/top-k runs to
@@ -497,378 +363,224 @@ impl Supervisor {
             "resumable out-of-core mining supports only OutputMode::All, not {}",
             self.output
         );
-        let mut report = RecoveryReport {
+        let report = RecoveryReport {
             policy: RecoveryPolicy::Spill.name().to_string(),
             ..Default::default()
         };
-        let _s = span(Phase::Recover);
-        rung_started(cfp_trace::Rung::Spill);
-        let cause = CfpError::MemoryExhausted {
-            phase: "build",
-            requested: 0,
-            footprint: 0,
-            limit: self.mem_budget.unwrap_or(0),
-        };
-        // Each branch consumes `sink` exactly once: streaming hands it to
-        // the rung, buffering flushes into it afterwards.
-        let r = if stream {
-            self.spill_rung(db, min_support, &cause, Some(sink), resume)
-        } else {
-            self.spill_rung(db, min_support, &cause, None, resume).map(
-                |(stats, partitions, reclaimed, peaks, buf)| {
-                    flush(buf, sink);
-                    (stats, partitions, reclaimed, peaks, CollectSink::new())
-                },
-            )
-        };
-        match r {
-            Ok((stats, partitions, reclaimed, peaks, _buf)) => {
-                report.rungs.push(RungReport {
-                    rung: "spill",
-                    succeeded: true,
-                    reclaimed_bytes: reclaimed,
-                    partitions,
-                    error: None,
-                });
-                report.recovered = true;
-                report.final_partitions = partitions;
-                report.partition_peaks = peaks;
-                (Ok(stats), report)
-            }
-            Err((e, partitions, reclaimed)) => {
-                report.rungs.push(RungReport {
-                    rung: "spill",
-                    succeeded: false,
-                    reclaimed_bytes: reclaimed,
-                    partitions,
-                    error: Some(e.to_string()),
-                });
-                (Err(e), report)
-            }
-        }
+        self.partitioned(db, min_support, 2, true, sink, resume, report)
     }
 
-    /// The spill rung: out-of-core partitioned mining.
-    ///
-    /// **Spill phase** — each queued item range is projected, its
-    /// CFP-tree built and converted under a fresh budget pool, and the
-    /// resulting array written to a crash-safe spill file
-    /// ([`cfp_data::spill::write_atomic`]); tree and array are dropped
-    /// before the next range, so at most one partition's structures are
-    /// in RAM. A range whose *tree* already busts the budget is halved
-    /// and requeued, exactly like the in-memory partition rung.
-    ///
-    /// **Mine phase** — each spill file is loaded back as one shared
-    /// buffer, charged to the pool as external [`Component::Spill`]
-    /// memory, and mined zero-copy through [`CfpArray::from_bytes`]
-    /// (cfp_array::CfpArray::from_bytes) with a max-item range filter.
-    /// Oversized conditional arrays round-trip through the same spill
-    /// directory ([`CondSpill`]). A partition whose *conditional*
-    /// structures bust the budget has its buffered output discarded, its
-    /// file deleted, and its halves sent back through the spill phase.
-    ///
-    /// Exactness is the partition rung's Grahne & Zhu argument
-    /// unchanged: the on-disk detour is a checksummed identity
-    /// transformation of each partition's array. All spill state lives
-    /// in one [`SpillDir`] removed on every exit path; a worker panic is
-    /// contained to a structured [`CfpError::WorkerPanic`].
-    #[allow(clippy::type_complexity)]
-    fn spill_rung(
+    /// Rung 3 (see the module docs), recorded into `report`: the range
+    /// loop, starting from `k0` ranges or from a `resume` point, with the
+    /// arrays on disk when `on_disk`.
+    #[allow(clippy::too_many_arguments)]
+    fn partitioned(
         &self,
         db: &TransactionDb,
         min_support: u64,
-        cause: &CfpError,
-        mut stream: Option<&mut dyn ItemsetSink>,
+        k0: usize,
+        on_disk: bool,
+        sink: &mut dyn ItemsetSink,
         resume: Option<(u64, Vec<(u32, u32)>)>,
-    ) -> Result<(MineStats, u64, u64, Vec<u64>, CollectSink), (CfpError, u64, u64)> {
+        mut report: RecoveryReport,
+    ) -> (Result<MineStats, CfpError>, RecoveryReport) {
+        let _s = span(Phase::Recover);
+        let (rung, trace_rung) = if on_disk {
+            ("spill", cfp_trace::Rung::Spill)
+        } else {
+            ("partition", cfp_trace::Rung::Partition)
+        };
+        rung_started(trace_rung);
+        let mut tally = Tally::default();
+        let r = self.range_loop(db, min_support, k0, on_disk, sink, resume, &mut tally);
+        report.rungs.push(RungReport {
+            rung,
+            succeeded: r.is_ok(),
+            reclaimed_bytes: tally.reclaimed,
+            partitions: tally.mined,
+            error: r.as_ref().err().map(|e| e.to_string()),
+        });
+        if r.is_ok() {
+            report.recovered = true;
+            report.final_partitions = tally.mined;
+            report.partition_peaks = tally.peaks;
+        }
+        (r, report)
+    }
+
+    /// The range loop. Each step pops a range, projects it, and runs the
+    /// projection through the driver into a buffer of its own, under a
+    /// fresh pool of the budget. A range that exhausts the pool drops its
+    /// buffer and goes back on the front of the queue as two halves, in
+    /// mining order. A completed partition is reconciled (condensed
+    /// output) or offered to the top-k heap, emitted to `sink`, and
+    /// followed by a [`MineProgress::SpillParts`] watermark.
+    ///
+    /// Condensed output mines the ranges in descending item order: the
+    /// order one recursion emits in, so every cross-partition subsumer is
+    /// indexed before the candidates it subsumes (a superset's maximal
+    /// item is ≥ the candidate's). Subsumption inside a partition is
+    /// already exact, since the projection preserves global supports.
+    /// Top-k mines every partition in full and drains the winners after
+    /// the last one.
+    #[allow(clippy::too_many_arguments)]
+    fn range_loop(
+        &self,
+        db: &TransactionDb,
+        min_support: u64,
+        k0: usize,
+        on_disk: bool,
+        sink: &mut dyn ItemsetSink,
+        resume: Option<(u64, Vec<(u32, u32)>)>,
+        tally: &mut Tally,
+    ) -> Result<MineStats, CfpError> {
         let recoder = ItemRecoder::scan(db, min_support);
         let n = recoder.num_items();
         if n == 0 {
-            return Ok((MineStats::default(), 0, 0, Vec::new(), CollectSink::new()));
+            // Nothing frequent: the empty result is exact. (A failure
+            // that led here was necessarily transient — e.g. injected.)
+            return Ok(MineStats::default());
         }
+        // The placement. On disk, one conditional-spill hook over the
+        // run's spill directory: the driver round-trips every partition's
+        // array through it, and the recursion every conditional array
+        // above a quarter of the budget (none without a budget). The
+        // directory goes with the last clone of the hook, on every exit
+        // path.
+        let cond_spill = if on_disk {
+            let parent = self.spill_dir.clone().unwrap_or_else(std::env::temp_dir);
+            let dir = SpillDir::create(&parent).map_err(|e| CfpError::Spill {
+                op: "write",
+                path: parent.display().to_string(),
+                message: e.to_string(),
+            })?;
+            let threshold = self.mem_budget.map_or(u64::MAX, |b| (b / 4).max(1));
+            Some(CondSpill::new(Arc::new(dir), threshold))
+        } else {
+            None
+        };
         let condensed = self.output.is_condensed();
-        let proj_output = match self.output {
-            OutputMode::TopK(_) => OutputMode::All,
-            other => other,
+        let (proj_output, topk) = match self.output {
+            OutputMode::TopK(k) => (OutputMode::All, Some(TopKState::new(k))),
+            other => (other, None),
         };
-        // Cross-partition reconciliation state: condensed candidates are
-        // checked (then inserted) in descending-range order, so every
-        // possible subsumer is already indexed; top-k offers accumulate
-        // into one global heap drained after the last partition.
-        let mut recon = condensed.then(SubsumeIndex::default);
-        let topk_state = match self.output {
-            OutputMode::TopK(k) => Some(TopKState::new(k)),
-            _ => None,
-        };
-        let k0 = match *cause {
-            CfpError::MemoryExhausted { footprint, limit, .. } if limit > 0 => {
-                (2 * footprint).div_ceil(limit).max(2) as usize
-            }
-            _ => 2,
-        };
-        let done0 = resume.as_ref().map(|(done, _)| *done).unwrap_or(0);
-        let parent = self.spill_dir.clone().unwrap_or_else(std::env::temp_dir);
-        let dir = match SpillDir::create(&parent) {
-            Ok(d) => Arc::new(d),
-            Err(e) => {
-                return Err((
-                    CfpError::Spill {
-                        op: "write",
-                        path: parent.display().to_string(),
-                        message: e.to_string(),
-                    },
-                    0,
-                    0,
-                ))
-            }
-        };
-        // Conditional arrays above a quarter of the budget follow the
-        // partitions to disk; without a budget nothing is oversized.
-        let cond_spill = self.mem_budget.map(|b| CondSpill::new(Arc::clone(&dir), (b / 4).max(1)));
-
-        let mut ranges: VecDeque<(u32, u32)> = match resume {
+        let mut index = condensed.then(SubsumeIndex::default);
+        let done0 = resume.as_ref().map_or(0, |(done, _)| *done);
+        let mut queue: VecDeque<(u32, u32)> = match resume {
             Some((_, remaining)) => remaining.into(),
             None => {
-                let mut r: VecDeque<(u32, u32)> = ranges_by_mass(&recoder, k0.min(n)).into();
+                let mut q: VecDeque<(u32, u32)> = ranges_by_mass(&recoder, k0.min(n)).into();
                 if condensed {
-                    // Highest ranges first: the sequential top-item order,
-                    // which makes the per-partition reconcile exact.
-                    r.make_contiguous().reverse();
+                    q.make_contiguous().reverse();
                 }
-                r
+                q
             }
         };
-        let mut entries: VecDeque<SpillEntry> = VecDeque::new();
-        let mut buf = CollectSink::new();
+
+        let traced = cfp_trace::enabled();
         let mut stats = MineStats::default();
-        let mut peaks: Vec<u64> = Vec::new();
-        let mut reclaimed = 0u64;
-        let mut mined = 0u64;
-        let mut emitted = 0u64;
-        let mut seq = 0u64;
-        loop {
-            // Spill phase: write every queued range's array to disk.
-            while let Some((lo, hi)) = ranges.pop_front() {
-                if self.cancelled() {
-                    return Err((CfpError::Interrupted, mined, reclaimed));
-                }
-                let proj_t0 = cfp_trace::hist::maybe_now();
-                let proj = project(db, &recoder, lo, hi);
-                let pool = self.mem_budget.map(BudgetPool::new);
-                let built = crate::growth::try_build_tree_with(
-                    &proj,
-                    min_support,
-                    cfp_memman::ArenaOptions {
-                        pool: pool.clone(),
-                        compact_on_pressure: true,
-                        component: Component::BuildTree,
-                        ..Default::default()
-                    },
-                );
-                if let Some(p) = &pool {
-                    reclaimed += p.compact_reclaimed();
-                }
-                match built {
-                    Ok((proj_recoder, tree)) => {
-                        stats.tree_nodes += tree.num_nodes();
-                        let array = convert(&tree);
-                        drop(tree);
-                        let globals: Arc<[Item]> = (0..proj_recoder.num_items() as u32)
-                            .map(|i| proj_recoder.original(i))
-                            .collect();
-                        cfp_trace::hist::record_since(
-                            &cfp_trace::hist::CORE_SPILL_PROJECT_NANOS,
-                            proj_t0,
-                        );
-                        let name = format!("p{seq}.cfpa");
-                        seq += 1;
-                        let bytes = write_spill_array(&dir.file(&name), &array)
-                            .map_err(|e| (e, mined, reclaimed))?;
-                        entries.push_back(SpillEntry { name, lo, hi, globals, bytes });
-                        if cfp_trace::enabled() {
-                            // Live denominator for the progress
-                            // heartbeat's `spill k/n` (grows when a
-                            // too-big partition is halved and respilled).
-                            cfp_trace::counters::CORE_SPILL_PARTITIONS.record(seq);
-                        }
-                    }
-                    Err(CfpError::MemoryExhausted { .. }) if hi - lo > 1 => {
-                        let mid = lo + (hi - lo) / 2;
-                        if condensed {
-                            ranges.push_front((lo, mid));
-                            ranges.push_front((mid, hi));
-                        } else {
-                            ranges.push_front((mid, hi));
-                            ranges.push_front((lo, mid));
-                        }
-                    }
-                    Err(e) => return Err((e, mined, reclaimed)),
-                }
+        while let Some((lo, hi)) = queue.pop_front() {
+            if self.cancelled() {
+                return Err(CfpError::Interrupted);
             }
-            if condensed {
-                // A mine-phase halving re-enters the spill phase and
-                // appends its halves behind pending entries; restore the
-                // strict descending-range mining order the reconcile
-                // relies on (already-mined partitions all sit above any
-                // requeued half, so the global order stays descending).
-                entries.make_contiguous().sort_by_key(|e| std::cmp::Reverse(e.lo));
+            if traced {
+                // The `n` of the heartbeat's `partition k/n`: grows when
+                // a range is halved.
+                cfp_trace::counters::CORE_SPILL_PARTITIONS
+                    .record(tally.mined + 1 + queue.len() as u64);
             }
-            // Mine phase: load each file back and mine it zero-copy.
-            // Output goes through a per-partition buffer so a halved
-            // failure simply drops its partial output, and a streaming
-            // caller only ever sees whole partitions.
-            while let Some(entry) = entries.pop_front() {
-                if self.cancelled() {
-                    return Err((CfpError::Interrupted, mined, reclaimed));
+            let t0 = maybe_now();
+            let proj = project(db, &recoder, lo, hi);
+            record_since(&cfp_trace::hist::CORE_SPILL_PROJECT_NANOS, t0);
+            let pool = self.mem_budget.map(BudgetPool::new);
+            let opts = MineOpts {
+                pool: pool.clone(),
+                compact_on_pressure: true,
+                cond_spill: cond_spill.clone(),
+                cancel: self.cancel.clone(),
+                output: proj_output,
+                ..Default::default()
+            };
+            let mut part = CollectSink::new();
+            let mut fsink = RangeFilterSink { inner: &mut part, recoder: &recoder, lo, hi };
+            let t0 = maybe_now();
+            let r = driver::run(&proj, min_support, &mut fsink, self.plan(), &opts);
+            record_since(&cfp_trace::hist::CORE_SPILL_MINE_NANOS, t0);
+            drop(proj);
+            tally.reclaimed += pool.as_ref().map_or(0, |p| p.compact_reclaimed());
+            let s = match r {
+                Ok(s) => s,
+                Err(CfpError::MemoryExhausted { .. }) if hi - lo > 1 => {
+                    let mid = lo + (hi - lo) / 2;
+                    let (first, second) =
+                        if condensed { ((mid, hi), (lo, mid)) } else { ((lo, mid), (mid, hi)) };
+                    queue.push_front(second);
+                    queue.push_front(first);
+                    continue;
                 }
-                let SpillEntry { name, lo, hi, globals, bytes: _ } = &entry;
-                let path = dir.file(name);
-                let pool = self.mem_budget.map(BudgetPool::new);
-                let opts = MineOpts {
-                    pool: pool.clone(),
-                    compact_on_pressure: true,
-                    cond_spill: cond_spill.clone(),
-                    cancel: self.cancel.clone(),
-                    output: proj_output,
-                    ..Default::default()
-                };
-                let mut part_buf = CollectSink::new();
-                let mine_t0 = cfp_trace::hist::maybe_now();
-                let r = load_spill_array(&path).and_then(|(array, loaded_bytes)| {
-                    let _spill_charge =
-                        ArrayCharge::with_component(pool.clone(), Component::Spill, loaded_bytes);
-                    let mut fsink = RangeFilterSink {
-                        inner: &mut part_buf,
-                        recoder: &recoder,
-                        lo: *lo,
-                        hi: *hi,
-                    };
-                    // Condensed subsumption inside the partition is exact
-                    // (the projection preserves global supports); cross-
-                    // partition false accepts are reconciled below.
-                    driver::mine(
-                        Arc::new(array),
-                        Arc::clone(globals),
-                        min_support,
-                        &mut fsink,
-                        self.plan(),
-                        &opts,
-                    )
+                Err(e) => return Err(e),
+            };
+            tally.mined += 1;
+            tally.peaks.push(pool.map_or(s.peak_bytes, |p| p.peak()));
+            stats.scan_time += s.scan_time;
+            stats.build_time += s.build_time;
+            stats.convert_time += s.convert_time;
+            stats.mine_time += s.mine_time;
+            stats.tree_nodes += s.tree_nodes;
+            stats.peak_bytes = stats.peak_bytes.max(s.peak_bytes);
+            stats.avg_bytes = stats.avg_bytes.max(s.avg_bytes);
+
+            if let Some(index) = &mut index {
+                let closed = self.output == OutputMode::Closed;
+                part.itemsets.retain(|(set, support)| {
+                    if index.subsumes(set, closed.then_some(*support)) {
+                        return false;
+                    }
+                    index.insert(set, *support);
+                    true
                 });
-                cfp_trace::hist::record_since(&cfp_trace::hist::CORE_SPILL_MINE_NANOS, mine_t0);
-                if let Some(p) = &pool {
-                    reclaimed += p.compact_reclaimed();
-                }
-                match r {
-                    Ok(_) => {
-                        dir.remove(name);
-                        mined += 1;
-                        if cfp_trace::enabled() {
-                            cfp_trace::counters::CORE_SPILL_PARTS_DONE.inc();
-                        }
-                        peaks.push(pool.map(|p| p.peak()).unwrap_or(0));
-                        if let Some(index) = &mut recon {
-                            // Drop candidates subsumed by an earlier
-                            // (higher-range) partition; survivors join
-                            // the index for the partitions below.
-                            let by_support = self.output == OutputMode::Closed;
-                            part_buf.itemsets.retain(|(set, support)| {
-                                let want = by_support.then_some(*support);
-                                if index.subsumes(set, want) {
-                                    return false;
-                                }
-                                index.insert(set, *support);
-                                true
-                            });
-                        }
-                        if let Some(state) = &topk_state {
-                            // Winners drain once the global set is final.
-                            for (set, support) in &part_buf.itemsets {
-                                state.offer(set, *support);
-                            }
-                            part_buf.itemsets.clear();
-                        }
-                        emitted += part_buf.itemsets.len() as u64;
-                        match &mut stream {
-                            Some(sink) => {
-                                for (itemset, support) in &part_buf.itemsets {
-                                    sink.emit(itemset, *support);
-                                }
-                                let remaining: Vec<(u32, u32)> = entries
-                                    .iter()
-                                    .map(|e| (e.lo, e.hi))
-                                    .chain(ranges.iter().copied())
-                                    .collect();
-                                let emit_t0 = cfp_trace::hist::maybe_now();
-                                let sent = sink.progress(cfp_data::MineProgress::SpillParts {
-                                    done: done0 + mined,
-                                    remaining: &remaining,
-                                });
-                                cfp_trace::hist::record_since(
-                                    &cfp_trace::hist::CORE_EMIT_NANOS,
-                                    emit_t0,
-                                );
-                                if let Err(e) = sent {
-                                    return Err((e, mined, reclaimed));
-                                }
-                            }
-                            None => buf.itemsets.append(&mut part_buf.itemsets),
-                        }
-                    }
-                    Err(CfpError::MemoryExhausted { .. }) if hi - lo > 1 => {
-                        // Conditional structures still too big: drop the
-                        // partial output with its buffer, drop the file,
-                        // and send both halves back through the spill
-                        // phase.
-                        dir.remove(name);
-                        let mid = lo + (hi - lo) / 2;
-                        ranges.push_back((*lo, mid));
-                        ranges.push_back((mid, *hi));
-                    }
-                    Err(e) => return Err((e, mined, reclaimed)),
+            }
+            if let Some(state) = &topk {
+                for (set, support) in part.itemsets.drain(..) {
+                    state.offer(&set, support);
                 }
             }
-            if ranges.is_empty() {
-                break;
+            stats.itemsets += part.itemsets.len() as u64;
+            flush(part, sink);
+            if traced {
+                cfp_trace::counters::CORE_SPILL_PARTS_DONE.inc();
             }
+            let remaining: Vec<(u32, u32)> = queue.iter().copied().collect();
+            let t0 = maybe_now();
+            let sent = sink.progress(MineProgress::SpillParts {
+                done: done0 + tally.mined,
+                remaining: &remaining,
+            });
+            record_since(&cfp_trace::hist::CORE_EMIT_NANOS, t0);
+            sent?;
         }
-        if let Some(state) = &topk_state {
-            let winners = state.drain_sorted();
-            emitted += winners.len() as u64;
-            match &mut stream {
-                Some(sink) => {
-                    for (set, support) in &winners {
-                        sink.emit(set, *support);
-                    }
-                }
-                None => buf.itemsets.extend(winners),
-            }
+        if let Some(state) = &topk {
+            let winners = CollectSink { itemsets: state.drain_sorted() };
+            stats.itemsets += winners.itemsets.len() as u64;
+            flush(winners, sink);
         }
-        if cfp_trace::enabled() {
-            cfp_trace::counters::CORE_SPILL_PARTITIONS.record(mined);
+        if traced {
+            cfp_trace::counters::CORE_PARTITIONS.record(tally.mined);
         }
-        stats.itemsets = emitted;
-        stats.peak_bytes = peaks.iter().copied().max().unwrap_or(0);
-        stats.worker_peaks = peaks.clone();
-        Ok((stats, mined, reclaimed, peaks, buf))
+        stats.worker_peaks = tally.peaks.clone();
+        Ok(stats)
     }
 }
 
-/// One partition's spill file, between the spill and mine phases.
-struct SpillEntry {
-    /// File name inside the run's [`SpillDir`].
-    name: String,
-    /// Global recoded item range `[lo, hi)` this partition covers.
-    lo: u32,
-    /// Exclusive upper bound of the range.
-    hi: u32,
-    /// The projection's local-id → original-item map, captured at build
-    /// time (the database is not consulted again during the mine phase).
-    globals: Arc<[Item]>,
-    /// On-disk byte size (recorded for reporting; the mine phase charges
-    /// the actual loaded size).
-    #[allow(dead_code)]
-    bytes: u64,
+/// What rung 3 did, on success or failure.
+#[derive(Default)]
+struct Tally {
+    /// Partitions mined to completion.
+    mined: u64,
+    /// Bytes arena compaction reclaimed across every attempt.
+    reclaimed: u64,
+    /// Each mined partition's pool peak, in mining order.
+    peaks: Vec<u64>,
 }
 
 fn rung_started(rung: cfp_trace::Rung) {
@@ -886,51 +598,8 @@ fn flush(buf: CollectSink, sink: &mut dyn ItemsetSink) {
     }
 }
 
-/// Post-processes a partitioned rung's buffered output for the run's
-/// output mode. Condensed modes replay the buffer — accumulated in
-/// descending range order — against one global subsumption index,
-/// dropping candidates whose subsumer lives in an earlier (higher)
-/// partition; same-partition subsumption was already handled by that
-/// partition's local index. Top-k replaces the buffer with the k
-/// best-supported itemsets under the deterministic (support desc, set
-/// lex asc) order.
-fn finalize_output(output: OutputMode, buf: &mut CollectSink) {
-    match output {
-        OutputMode::All => {}
-        OutputMode::Closed | OutputMode::Maximal => {
-            let closed = output == OutputMode::Closed;
-            let mut index = SubsumeIndex::default();
-            buf.itemsets.retain(|(set, support)| {
-                let want = if closed { Some(*support) } else { None };
-                if index.subsumes(set, want) {
-                    return false;
-                }
-                index.insert(set, *support);
-                true
-            });
-        }
-        OutputMode::TopK(k) => {
-            let state = TopKState::new(k);
-            for (set, support) in &buf.itemsets {
-                state.offer(set, *support);
-            }
-            buf.itemsets = state.drain_sorted();
-        }
-    }
-}
-
-/// Drops buffered itemsets whose maximal recoded item lies in `[lo, hi)`
-/// — used to undo the partial output of a failed partition attempt
-/// before the halved ranges re-mine it.
-fn retract_range(buf: &mut CollectSink, recoder: &ItemRecoder, lo: u32, hi: u32) {
-    buf.itemsets.retain(|(itemset, _)| {
-        let max = itemset.iter().filter_map(|&it| recoder.recode(it)).max();
-        !matches!(max, Some(m) if lo <= m && m < hi)
-    });
-}
-
 /// Forwards only itemsets whose *maximal* global-recoded item falls in
-/// `[lo, hi)` — the disjointness filter of the partition rung.
+/// `[lo, hi)` — the disjointness filter of rung 3.
 struct RangeFilterSink<'a> {
     inner: &'a mut CollectSink,
     recoder: &'a ItemRecoder,
@@ -1373,5 +1042,58 @@ mod tests {
         assert_eq!(err.exit_code(), 4);
         assert!(!report.recovered);
         assert!(sink.into_sorted().is_empty());
+    }
+
+    /// Both rung-3 policies run one range loop, so under a budget below
+    /// the monolithic tree they emit the same ordered stream in every
+    /// output mode, from the same partitions; only the rung's name and
+    /// where its arrays lived differ.
+    #[test]
+    fn partition_and_spill_policies_emit_the_same_stream() {
+        let (block, textbook) = (block_db(), textbook());
+        let mono = |db: &TransactionDb, minsup: u64| {
+            crate::growth::try_build_tree(db, minsup, None).unwrap().1.arena_footprint()
+        };
+        let cases = [
+            ("block", &block, 3, mono(&block, 3) * 2 / 3),
+            ("textbook", &textbook, 2, mono(&textbook, 2) - 10),
+        ];
+        let modes = [OutputMode::All, OutputMode::Closed, OutputMode::Maximal, OutputMode::TopK(4)];
+        for (name, db, minsup, budget) in cases {
+            for output in modes {
+                let run = |policy: RecoveryPolicy| {
+                    let parent = spill_parent(&format!("same-{name}-{}", policy.name()));
+                    let sup = Supervisor {
+                        threads: 2,
+                        mem_budget: Some(budget),
+                        spill_dir: Some(parent.clone()),
+                        output,
+                        ..Supervisor::new(policy)
+                    };
+                    let mut sink = CollectSink::new();
+                    let (r, report) = sup.mine(db, minsup, &mut sink);
+                    r.unwrap_or_else(|e| panic!("{name} {output} {}: {e}", policy.name()));
+                    assert_clean(&parent);
+                    (sink.itemsets, report)
+                };
+                let (in_ram, in_ram_report) = run(RecoveryPolicy::Partition);
+                let (on_disk, on_disk_report) = run(RecoveryPolicy::Spill);
+                assert!(!in_ram.is_empty(), "{name} {output}: nothing mined");
+                assert_eq!(on_disk, in_ram, "{name} {output}: the streams differ");
+                if output == OutputMode::All {
+                    let mut sorted = in_ram.clone();
+                    sorted.sort();
+                    assert_eq!(sorted, reference(db, minsup), "{name}: inexact result");
+                }
+                assert!(in_ram_report.final_partitions >= 2, "{name} {output}: no split");
+                assert_eq!(
+                    on_disk_report.final_partitions, in_ram_report.final_partitions,
+                    "{name} {output}: different partitions"
+                );
+                let rungs = |r: &RecoveryReport| r.rungs.iter().map(|r| r.rung).collect::<Vec<_>>();
+                assert_eq!(rungs(&in_ram_report), ["retry", "degrade", "partition"]);
+                assert_eq!(rungs(&on_disk_report), ["retry", "degrade", "spill"]);
+            }
+        }
     }
 }

@@ -22,9 +22,9 @@ pub enum CfpError {
         /// What was wrong with it.
         message: String,
     },
-    /// An arena allocation could not be satisfied: the configured
-    /// `MemoryBudget` would be exceeded, the 40-bit address space is
-    /// exhausted, or a failpoint injected the condition.
+    /// An arena allocation could not be satisfied: the run's budget pool
+    /// has no room left, the 40-bit address space is exhausted, or a
+    /// failpoint injected the condition.
     MemoryExhausted {
         /// Pipeline phase that hit the wall (`"build"`, `"mine"`, …;
         /// empty until a phase attaches itself via

@@ -29,9 +29,9 @@
 //! Running out of memory is a runtime condition, not a bug, so the arena
 //! exposes fallible entry points: [`Arena::try_alloc`] and
 //! [`Arena::try_realloc`] return an [`AllocError`] when the 40-bit
-//! address space runs out, when a configured [`MemoryBudget`] would be
-//! exceeded, or when a `cfp-fault` failpoint (`"memman.alloc"`) injects
-//! the condition. A failed call leaves the arena fully usable: no
+//! address space runs out, when the arena's [`BudgetPool`] has no room
+//! left, or when a `cfp-fault` failpoint (`"memman.alloc"`) injects the
+//! condition. A failed call leaves the arena fully usable: no
 //! accounting is touched before all checks pass. The panicking
 //! [`alloc`](Arena::alloc)/[`realloc`](Arena::realloc) wrappers remain
 //! for contexts that treat exhaustion as fatal (tests, ad-hoc tools).
@@ -74,27 +74,6 @@ pub const MIN_CHUNK: usize = PTR_BYTES;
 /// Largest chunk the arena manages through free queues. Standard nodes top
 /// out at 24 bytes and chain nodes at 27; 40 leaves headroom.
 pub const MAX_CHUNK: usize = 40;
-
-/// A byte cap on how much memory an [`Arena`] may carve from the OS.
-///
-/// The budget bounds the arena's *footprint* (total carved chunk bytes,
-/// the bump high-water mark) — not the live bytes — because carved
-/// memory is what the process actually pays for. Recycling free-queue
-/// chunks never consumes budget; only bump allocations do, checked
-/// before any state changes so a refused allocation leaves the arena
-/// usable.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MemoryBudget {
-    /// Maximum carved bytes the arena may reach.
-    pub bytes: u64,
-}
-
-impl MemoryBudget {
-    /// A budget of `bytes` carved bytes.
-    pub fn new(bytes: u64) -> Self {
-        MemoryBudget { bytes }
-    }
-}
 
 /// What a participant is holding pool memory *for*.
 ///
@@ -203,12 +182,18 @@ impl PoolSnapshot {
 
 /// A byte budget *shared* between several arenas (and threads).
 ///
-/// Where [`MemoryBudget`] caps one arena in isolation, a `BudgetPool` is a
-/// single atomic pool that every participating arena reserves its carved
-/// bytes from, so the *combined* footprint of all of them stays under one
-/// limit. This is how the parallel miner keeps `threads × conditional
-/// trees` from oversubscribing the budget the user asked for: the build
-/// tree and every worker's conditional trees draw from the same pool.
+/// A `BudgetPool` is a single atomic pool that every participating arena
+/// reserves its carved bytes from, so the *combined* footprint of all of
+/// them stays under one limit. This is how the parallel miner keeps
+/// `threads × conditional trees` from oversubscribing the budget the user
+/// asked for: the build tree and every worker's conditional trees draw
+/// from the same pool.
+///
+/// The pool bounds *carved* bytes (each arena's bump high-water mark),
+/// not live bytes, because carved memory is what the process actually
+/// pays for. Recycling free-queue chunks never consumes budget; only bump
+/// allocations do, checked before any state changes so a refused
+/// allocation leaves the arena usable.
 ///
 /// Clones share the same pool (`Arc` inside). Reservations are released
 /// when an arena is dropped or compacted, and the high-water mark is
@@ -421,8 +406,6 @@ impl BudgetPool {
 /// mining layers so recovery policies can arm them per run.
 #[derive(Clone, Debug, Default)]
 pub struct ArenaOptions {
-    /// Per-arena carved-byte cap (see [`MemoryBudget`]).
-    pub budget: Option<MemoryBudget>,
     /// Shared pool this arena reserves its carved bytes from (see
     /// [`BudgetPool`]).
     pub pool: Option<BudgetPool>,
@@ -439,7 +422,7 @@ pub struct ArenaOptions {
 pub enum AllocErrorKind {
     /// The bump pointer reached the end of the 40-bit address space.
     AddressSpaceExhausted,
-    /// Carving the chunk would exceed the configured [`MemoryBudget`].
+    /// The arena's [`BudgetPool`] has no room for the chunk.
     BudgetExceeded,
     /// A `cfp-fault` failpoint injected the failure (tests only).
     Injected,
@@ -456,9 +439,10 @@ pub struct AllocError {
     pub kind: AllocErrorKind,
     /// Rounded chunk bytes the caller asked for.
     pub requested: u64,
-    /// Carved bytes at the moment of failure.
+    /// Carved bytes at the moment of failure: the whole pool's when the
+    /// pool refused, else this arena's.
     pub footprint: u64,
-    /// The budget in force (0 when no budget was set).
+    /// The pool's limit when the pool refused, else 0.
     pub limit: u64,
 }
 
@@ -566,8 +550,6 @@ pub struct Arena {
     live: u64,
     /// Event counts for this arena.
     stats: ArenaStats,
-    /// Optional cap on carved bytes, checked on every bump allocation.
-    budget: Option<MemoryBudget>,
     /// Optional shared pool carved bytes are reserved from.
     pool: Option<BudgetPool>,
     /// Compact-and-retry once when an allocation is refused.
@@ -599,25 +581,16 @@ impl Arena {
             used: 0,
             live: 0,
             stats: ArenaStats::default(),
-            budget: None,
             pool: None,
             compact_on_pressure: false,
             component: Component::Other,
         }
     }
 
-    /// Creates an empty arena capped at `budget` carved bytes.
-    pub fn with_budget(budget: MemoryBudget) -> Self {
-        let mut a = Self::new();
-        a.budget = Some(budget);
-        a
-    }
-
-    /// Creates an empty arena configured by `opts` (budget, shared pool,
-    /// compact-on-pressure).
+    /// Creates an empty arena configured by `opts` (shared pool,
+    /// compact-on-pressure, attribution label).
     pub fn with_options(opts: ArenaOptions) -> Self {
         let mut a = Self::new();
-        a.budget = opts.budget;
         a.pool = opts.pool;
         a.compact_on_pressure = opts.compact_on_pressure;
         a.component = opts.component;
@@ -627,18 +600,6 @@ impl Arena {
     /// The attribution label this arena charges its pool under.
     pub fn component(&self) -> Component {
         self.component
-    }
-
-    /// Sets or clears the carved-byte cap. Lowering the budget below the
-    /// current footprint does not free anything; it only refuses further
-    /// bump allocations.
-    pub fn set_budget(&mut self, budget: Option<MemoryBudget>) {
-        self.budget = budget;
-    }
-
-    /// The carved-byte cap currently in force, if any.
-    pub fn budget(&self) -> Option<MemoryBudget> {
-        self.budget
     }
 
     /// Rounds a requested size to the chunk size actually used.
@@ -663,8 +624,8 @@ impl Arena {
     }
 
     /// Allocates a chunk of at least `size` bytes and returns its offset,
-    /// or an [`AllocError`] when the 40-bit address space or the
-    /// configured [`MemoryBudget`] runs out.
+    /// or an [`AllocError`] when the 40-bit address space or the arena's
+    /// [`BudgetPool`] runs out.
     ///
     /// A failed call changes nothing: no accounting, no buffer growth —
     /// the arena remains fully usable, so callers can degrade (flush,
@@ -732,23 +693,17 @@ impl Arena {
             kind,
             requested: size as u64,
             footprint: self.footprint().saturating_sub(1),
-            limit: self.budget.map_or(0, |b| b.bytes),
+            limit: 0,
         }
     }
 
     /// Checks whether carving `size` bytes at the bump pointer is
-    /// admissible: 40-bit address space, the local budget, then the
-    /// shared pool. On `Ok`, a pool reservation of `size` bytes is held;
-    /// on `Err`, nothing is.
+    /// admissible: 40-bit address space, then the shared pool. On `Ok`, a
+    /// pool reservation of `size` bytes is held; on `Err`, nothing is.
     fn admit_bump(&mut self, size: usize) -> Result<(), AllocError> {
         let off = self.buf.len() as u64;
         if off + size as u64 > MAX_OFFSET {
             return Err(self.alloc_error(AllocErrorKind::AddressSpaceExhausted, size));
-        }
-        if let Some(b) = self.budget {
-            if self.footprint() - 1 + size as u64 > b.bytes {
-                return Err(self.alloc_error(AllocErrorKind::BudgetExceeded, size));
-            }
         }
         if let Some(pool) = &self.pool {
             if !pool.try_reserve_for(self.component, size as u64) {
@@ -1153,19 +1108,28 @@ mod tests {
         let _ = a.alloc(MAX_CHUNK + 1);
     }
 
+    /// An arena drawing from a pool of its own, `limit` bytes deep.
+    fn pooled(limit: u64) -> Arena {
+        Arena::with_options(ArenaOptions {
+            pool: Some(BudgetPool::new(limit)),
+            ..Default::default()
+        })
+    }
+
     #[test]
     fn budget_refuses_excess_but_leaves_arena_usable() {
-        let mut a = Arena::with_budget(MemoryBudget::new(64));
+        let mut a = pooled(64);
         let x = a.alloc(40);
         let y = a.alloc(24); // exactly at the 64-byte cap
-        let before = (a.used(), a.live_allocs(), a.footprint(), a.stats());
+        let pool = a.pool().unwrap().clone();
+        let before = (a.used(), a.live_allocs(), a.footprint(), a.stats(), pool.used());
         let err = a.try_alloc(8).unwrap_err();
         assert_eq!(err.kind, AllocErrorKind::BudgetExceeded);
         assert_eq!(err.limit, 64);
         assert_eq!(err.requested, 8);
         assert_eq!(err.footprint, 64);
         // Nothing changed: same accounting, and the arena still works.
-        assert_eq!((a.used(), a.live_allocs(), a.footprint(), a.stats()), before);
+        assert_eq!((a.used(), a.live_allocs(), a.footprint(), a.stats(), pool.used()), before);
         a.free(x, 40);
         assert_eq!(a.alloc(40), x, "recycling costs no budget and must succeed");
         a.free(y, 24);
@@ -1174,7 +1138,7 @@ mod tests {
 
     #[test]
     fn budget_counts_carved_not_live_bytes() {
-        let mut a = Arena::with_budget(MemoryBudget::new(20));
+        let mut a = pooled(20);
         let x = a.alloc(10);
         a.free(x, 10);
         // 10 bytes carved (now in the free queue) + a fresh 12 would top 20,
@@ -1185,18 +1149,8 @@ mod tests {
     }
 
     #[test]
-    fn set_budget_can_arm_and_disarm() {
-        let mut a = Arena::new();
-        let _ = a.alloc(24);
-        a.set_budget(Some(MemoryBudget::new(24)));
-        assert!(a.try_alloc(8).is_err());
-        a.set_budget(None);
-        assert!(a.try_alloc(8).is_ok());
-    }
-
-    #[test]
     fn failed_realloc_keeps_the_old_chunk() {
-        let mut a = Arena::with_budget(MemoryBudget::new(8));
+        let mut a = pooled(8);
         let x = a.alloc(8);
         a.bytes_mut(x, 8).copy_from_slice(b"eightbyt");
         let err = a.try_realloc(x, 8, 16).unwrap_err();
@@ -1208,7 +1162,7 @@ mod tests {
 
     #[test]
     fn alloc_error_converts_to_cfp_error_with_phase() {
-        let mut a = Arena::with_budget(MemoryBudget::new(4));
+        let mut a = pooled(4);
         let e: cfp_fault::CfpError =
             cfp_fault::CfpError::from(a.try_alloc(40).unwrap_err()).with_phase("build");
         assert_eq!(e.exit_code(), 4);
@@ -1395,8 +1349,7 @@ mod tests {
     #[test]
     fn compact_on_pressure_retries_within_budget() {
         let mut a = Arena::with_options(ArenaOptions {
-            budget: Some(MemoryBudget::new(40)),
-            pool: None,
+            pool: Some(BudgetPool::new(40)),
             compact_on_pressure: true,
             component: Component::Other,
         });
@@ -1417,7 +1370,6 @@ mod tests {
     fn budget_pool_is_shared_across_arenas() {
         let pool = BudgetPool::new(64);
         let opts = |p: &BudgetPool| ArenaOptions {
-            budget: None,
             pool: Some(p.clone()),
             compact_on_pressure: false,
             component: Component::Other,
@@ -1443,7 +1395,6 @@ mod tests {
     fn compact_releases_reclaimed_bytes_to_the_pool() {
         let pool = BudgetPool::new(100);
         let mut a = Arena::with_options(ArenaOptions {
-            budget: None,
             pool: Some(pool.clone()),
             compact_on_pressure: false,
             component: Component::Other,
@@ -1481,7 +1432,6 @@ mod tests {
     fn reset_releases_the_full_pool_reservation() {
         let pool = BudgetPool::new(100);
         let mut a = Arena::with_options(ArenaOptions {
-            budget: None,
             pool: Some(pool.clone()),
             compact_on_pressure: false,
             component: Component::Other,
@@ -1500,7 +1450,7 @@ mod tests {
 
     #[test]
     fn reset_respects_a_fixed_budget_afresh() {
-        let mut a = Arena::with_budget(MemoryBudget::new(40));
+        let mut a = pooled(40);
         let _x = a.alloc(32);
         assert!(a.try_alloc(32).is_err(), "budget refuses past the cap");
         a.reset();

@@ -28,6 +28,7 @@ use std::path::{Path, PathBuf};
 
 use crate::counters;
 use crate::events::{self, Event, EventKind, TrackDump};
+use crate::fnv::{fnv1a, FNV_OFFSET};
 use crate::hist::{self, HistSummary};
 use crate::json::Json;
 use crate::memstat::MemSummary;
@@ -41,18 +42,6 @@ pub const SCHEMA: &str = "cfp-blackbox/1";
 /// into the report (the rings already drop oldest-first, this just
 /// bounds the document size for huge ring capacities).
 pub const LAST_EVENTS_PER_TRACK: usize = 256;
-
-/// 64-bit FNV-1a over a byte slice — same function the checkpoint
-/// manifest uses; `cfp-trace` sits below `cfp-core` in the crate graph,
-/// so the 6 lines are duplicated rather than imported.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Everything the flight recorder captures about a dying run.
 pub struct BlackboxReport {
@@ -174,7 +163,7 @@ impl BlackboxReport {
     /// The full checksummed document.
     pub fn to_json(&self) -> Json {
         let body = self.body_json();
-        let sum = fnv1a64(body.to_compact().as_bytes());
+        let sum = fnv1a(FNV_OFFSET, body.to_compact().as_bytes());
         Json::Obj(vec![
             ("schema".into(), Json::str(SCHEMA)),
             ("checksum".into(), Json::str(format!("fnv1a64:{sum:016x}"))),
@@ -273,7 +262,7 @@ pub fn verify(doc: &Json) -> Result<&Json, String> {
     }
     let declared = doc.get("checksum").and_then(Json::as_str).ok_or("missing checksum field")?;
     let body = doc.get("body").ok_or("missing body field")?;
-    let actual = format!("fnv1a64:{:016x}", fnv1a64(body.to_compact().as_bytes()));
+    let actual = format!("fnv1a64:{:016x}", fnv1a(FNV_OFFSET, body.to_compact().as_bytes()));
     if declared != actual {
         return Err(format!(
             "checksum mismatch: document says {declared}, body hashes to {actual}"
@@ -454,12 +443,5 @@ mod tests {
         assert!(text.contains("memory exhausted: test"));
         assert!(text.contains("core.items_mined"));
         assert!(text.contains("cfp-blackbox/1 post-mortem"));
-    }
-
-    #[test]
-    fn fnv_matches_reference_vector() {
-        // FNV-1a 64 of "a" is 0xaf63dc4c8601ec8c.
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
     }
 }

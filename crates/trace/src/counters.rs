@@ -289,7 +289,8 @@ pub static CORE_TASKS_CLAIMED: Counter = Counter::new("core.tasks_claimed");
 pub static CORE_TASKS_STOLEN: Counter = Counter::new("core.tasks_stolen");
 /// `cfp-core`: recovery-ladder rungs attempted by the supervisor.
 pub static CORE_RECOVERY_RUNGS: Counter = Counter::new("core.recovery_rungs");
-/// `cfp-core`: partitions the database was split into for fallback mining.
+/// `cfp-core`: partitions the database was split into for partitioned
+/// (in-RAM or out-of-core) mining.
 pub static CORE_PARTITIONS: MaxGauge = MaxGauge::new("core.partitions");
 /// `cfp-core`: first-level items fully mined (conditional subtree done).
 pub static CORE_ITEMS_MINED: Counter = Counter::new("core.items_mined");
@@ -310,9 +311,9 @@ pub static DATA_SPILL_BYTES_WRITTEN: Counter = Counter::new("data.spill_bytes_wr
 pub static DATA_SPILL_BYTES_READ: Counter = Counter::new("data.spill_bytes_read");
 /// `cfp-data`: transient spill I/O errors absorbed by retry-with-backoff.
 pub static DATA_SPILL_RETRIES: Counter = Counter::new("data.spill_retries");
-/// `cfp-core`: spill partitions written to disk so far (the `n` of the
-/// progress heartbeat's `spill k/n`; grows when a too-big partition is
-/// halved and respilled).
+/// `cfp-core`: partitions known so far to a partitioned run — mined,
+/// being mined, and queued (the `n` of the progress heartbeat's
+/// `partition k/n`; grows when a too-big range is halved).
 pub static CORE_SPILL_PARTITIONS: MaxGauge = MaxGauge::new("core.spill_partitions");
 /// `cfp-core`: checkpoint manifests durably committed.
 pub static CORE_CKPT_COMMITS: Counter = Counter::new("core.ckpt_commits");
@@ -327,8 +328,8 @@ pub static CORE_MAXIMAL_PRUNED: Counter = Counter::new("core.maximal_pruned");
 /// `cfp-core`: subtrees pruned because their support fell below the
 /// rising top-k admission bound.
 pub static CORE_TOPK_PRUNED: Counter = Counter::new("core.topk_pruned");
-/// `cfp-core`: spill-rung partitions mined to completion so far (the
-/// `k` of the progress heartbeat's `spill k/n`).
+/// `cfp-core`: partitions a partitioned run mined to completion so far
+/// (the `k` of the progress heartbeat's `partition k/n`).
 pub static CORE_SPILL_PARTS_DONE: Counter = Counter::new("core.spill_parts_done");
 /// `cfp-cli`: first-level watermark a checkpointed run resumed from
 /// (0 when the run started fresh).

@@ -250,10 +250,12 @@ pub static CORE_MINE_TASK_NANOS: LatencyHisto = LatencyHisto::new("core.mine_tas
 pub static CORE_EMIT_NANOS: LatencyHisto = LatencyHisto::new("core.emit_nanos");
 /// Checkpoint commit latency: one atomic manifest save in `ckpt::save`.
 pub static CORE_CKPT_COMMIT_NANOS: LatencyHisto = LatencyHisto::new("core.ckpt_commit_nanos");
-/// Spill-rung projection latency: project + build + convert for one
-/// partition (excludes the disk write).
+/// Partitioned-run projection latency: projecting the database onto one
+/// item range.
 pub static CORE_SPILL_PROJECT_NANOS: LatencyHisto = LatencyHisto::new("core.spill_project_nanos");
-/// Spill-rung per-partition mine latency (includes the partition load).
+/// Partitioned-run per-attempt latency: one projection's whole driver
+/// run — count, build, convert (with the spill round trip out of core)
+/// and mine — including attempts that exhaust the budget and are halved.
 pub static CORE_SPILL_MINE_NANOS: LatencyHisto = LatencyHisto::new("core.spill_mine_nanos");
 /// Spill-partition serialize + atomic-write latency.
 pub static DATA_SPILL_WRITE_NANOS: LatencyHisto = LatencyHisto::new("data.spill_write_nanos");

@@ -41,6 +41,7 @@
 //! - [`blackbox`]: the flight recorder — checksummed `"cfp-blackbox/1"`
 //!   post-mortems dumped on error exits, rendered by
 //!   `cfp-repro postmortem`.
+//! - [`fnv`]: FNV-1a, the one checksum of every persisted format.
 //!
 //! # Cost when disabled
 //!
@@ -71,6 +72,7 @@ pub mod chrome;
 pub mod counters;
 pub mod events;
 pub mod flame;
+pub mod fnv;
 pub mod hist;
 pub mod json;
 pub mod memstat;

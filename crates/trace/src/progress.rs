@@ -4,7 +4,7 @@
 //! until the end; [`ProgressMeter`] is a background thread that reads the
 //! metric registry at a fixed interval and paints one status line —
 //! current phase, first-level items mined, itemsets/s rate, steal count,
-//! resume watermark and spill partition progress (when active), and the
+//! resume watermark and partition progress (when active), and the
 //! budget pool's high-water mark. It writes to stderr only, so stdout
 //! (the mining output) stays byte-identical.
 //!
@@ -64,9 +64,9 @@ fn status_line(rate: &mut RateState) -> String {
     if resume > 0 {
         line.push_str(&format!("  resumed @{resume}"));
     }
-    let spill_total = CORE_SPILL_PARTITIONS.get();
-    if spill_total > 0 {
-        line.push_str(&format!("  spill {}/{spill_total}", CORE_SPILL_PARTS_DONE.get()));
+    let partitions = CORE_SPILL_PARTITIONS.get();
+    if partitions > 0 {
+        line.push_str(&format!("  partition {}/{partitions}", CORE_SPILL_PARTS_DONE.get()));
     }
     let pool_peak = MEMMAN_POOL_PEAK.get();
     if pool_peak > 0 {

@@ -27,7 +27,7 @@ use crate::node::{
 use cfp_data::{ItemRecoder, TransactionDb};
 use cfp_encoding::mask::{is_chain, MAX_CHAIN_LEN};
 use cfp_fault::CfpError;
-use cfp_memman::{AllocError, Arena, ArenaOptions, MemoryBudget};
+use cfp_memman::{AllocError, Arena, ArenaOptions};
 use cfp_metrics::HeapSize;
 use cfp_trace::counters as tc;
 
@@ -83,25 +83,17 @@ impl CfpTree {
 
     /// Creates an empty tree with explicit representation knobs.
     pub fn with_config(num_items: usize, config: CfpTreeConfig) -> Self {
-        Self::try_with_budget(num_items, config, None).unwrap_or_else(|e| panic!("{e}"))
+        Self::try_with_options(num_items, config, ArenaOptions::default())
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Creates an empty tree whose arena is capped at `budget` carved
-    /// bytes. Once the budget is hit, [`try_insert`](Self::try_insert)
-    /// reports [`CfpError::MemoryExhausted`] instead of panicking.
-    pub fn try_with_budget(
-        num_items: usize,
-        config: CfpTreeConfig,
-        budget: Option<MemoryBudget>,
-    ) -> Result<Self, CfpError> {
-        Self::try_with_options(num_items, config, ArenaOptions { budget, ..Default::default() })
-    }
-
-    /// Creates an empty tree whose arena is configured by `opts`: a local
-    /// budget, a shared [`cfp_memman::BudgetPool`] (so several trees —
-    /// e.g. per-worker conditional trees — answer to one limit), and
-    /// compact-on-pressure retry. The recovery ladder threads these down
-    /// from the run supervisor.
+    /// Creates an empty tree whose arena is configured by `opts`: a
+    /// shared [`cfp_memman::BudgetPool`] (so several trees — e.g.
+    /// per-worker conditional trees — answer to one limit) and
+    /// compact-on-pressure retry. Once the pool is exhausted,
+    /// [`try_insert`](Self::try_insert) reports
+    /// [`CfpError::MemoryExhausted`] instead of panicking. The recovery
+    /// ladder threads these down from the run supervisor.
     pub fn try_with_options(
         num_items: usize,
         config: CfpTreeConfig,
@@ -175,24 +167,20 @@ impl CfpTree {
     /// Builds the initial CFP-tree from a database (second scan of
     /// CFP-growth): recodes each transaction and inserts it with weight 1.
     pub fn from_db(db: &TransactionDb, recoder: &ItemRecoder) -> Self {
-        Self::try_from_db(db, recoder, None).unwrap_or_else(|e| panic!("{e}"))
+        Self::try_from_db(db, recoder).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`from_db`](Self::from_db): the build phase respects an
-    /// optional [`MemoryBudget`] and reports exhaustion as
-    /// [`CfpError::MemoryExhausted`] with the phase set to `"build"`,
-    /// leaving the process (though not the partial tree) fully usable.
-    pub fn try_from_db(
-        db: &TransactionDb,
-        recoder: &ItemRecoder,
-        budget: Option<MemoryBudget>,
-    ) -> Result<Self, CfpError> {
-        Self::try_from_db_with(db, recoder, ArenaOptions { budget, ..Default::default() })
+    /// Fallible [`from_db`](Self::from_db): reports an exhausted address
+    /// space (or an injected allocation failure) as
+    /// [`CfpError::MemoryExhausted`] with the phase set to `"build"`.
+    pub fn try_from_db(db: &TransactionDb, recoder: &ItemRecoder) -> Result<Self, CfpError> {
+        Self::try_from_db_with(db, recoder, ArenaOptions::default())
     }
 
-    /// [`try_from_db`](Self::try_from_db) with full [`ArenaOptions`]:
-    /// shared pool and compact-on-pressure in addition to the local
-    /// budget.
+    /// [`try_from_db`](Self::try_from_db) with full [`ArenaOptions`]: the
+    /// build respects a shared [`cfp_memman::BudgetPool`] and may
+    /// compact under pressure. Exhaustion leaves the process (though not
+    /// the partial tree) fully usable.
     pub fn try_from_db_with(
         db: &TransactionDb,
         recoder: &ItemRecoder,
@@ -350,7 +338,7 @@ impl CfpTree {
     }
 
     /// Fallible [`insert`](Self::insert): returns an [`AllocError`] when
-    /// the arena's 40-bit address space or its [`MemoryBudget`] runs out
+    /// the arena's 40-bit address space or its budget pool runs out
     /// mid-insertion.
     ///
     /// **A tree that returned `Err` is poisoned**: the interrupted
@@ -1103,6 +1091,11 @@ mod tests {
         assert!(no_embed >= full, "embedding never costs memory");
     }
 
+    /// Arena options drawing from a pool of `limit` bytes.
+    fn pooled(limit: u64) -> ArenaOptions {
+        ArenaOptions { pool: Some(cfp_memman::BudgetPool::new(limit)), ..Default::default() }
+    }
+
     #[test]
     fn budgeted_build_fails_structured_and_unbudgeted_retry_succeeds() {
         let db = TransactionDb::from_rows(&[
@@ -1112,7 +1105,7 @@ mod tests {
             vec![1, 4, 6, 8, 10],
         ]);
         let recoder = ItemRecoder::scan(&db, 1);
-        let err = CfpTree::try_from_db(&db, &recoder, Some(MemoryBudget::new(16)))
+        let err = CfpTree::try_from_db_with(&db, &recoder, pooled(16))
             .expect_err("16 bytes cannot hold this tree");
         match err {
             CfpError::MemoryExhausted { phase, limit, .. } => {
@@ -1122,7 +1115,7 @@ mod tests {
             other => panic!("unexpected error {other:?}"),
         }
         // The failure is recoverable: a budget-free retry works.
-        let t = CfpTree::try_from_db(&db, &recoder, None).expect("unbudgeted build");
+        let t = CfpTree::try_from_db(&db, &recoder).expect("unbudgeted build");
         assert_eq!(t.weight_total(), 4);
         t.validate().expect("valid tree after retry");
     }
@@ -1131,8 +1124,8 @@ mod tests {
     fn generous_budget_changes_nothing() {
         let db = TransactionDb::from_rows(&[vec![1u32, 2, 3], vec![1, 2], vec![3]]);
         let recoder = ItemRecoder::scan(&db, 1);
-        let capped = CfpTree::try_from_db(&db, &recoder, Some(MemoryBudget::new(1 << 20)))
-            .expect("1 MiB is plenty");
+        let capped =
+            CfpTree::try_from_db_with(&db, &recoder, pooled(1 << 20)).expect("1 MiB is plenty");
         let free = CfpTree::from_db(&db, &recoder);
         assert_eq!(capped.arena_used(), free.arena_used());
         assert_eq!(reconstruct(&capped), reconstruct(&free));

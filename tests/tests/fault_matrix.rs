@@ -52,7 +52,7 @@ fn injected_alloc_failure_fails_the_build_structurally() {
     let recoder = ItemRecoder::scan(&db, 2);
 
     configure("memman.alloc", FaultMode::Nth(1));
-    let err = CfpTree::try_from_db(&db, &recoder, None).expect_err("armed build must fail");
+    let err = CfpTree::try_from_db(&db, &recoder).expect_err("armed build must fail");
     assert_eq!(fired("memman.alloc"), 1);
     match &err {
         CfpError::MemoryExhausted { phase, .. } => assert_eq!(*phase, "build"),
@@ -61,7 +61,7 @@ fn injected_alloc_failure_fails_the_build_structurally() {
     assert_eq!(err.exit_code(), 4);
 
     clear_all();
-    let tree = CfpTree::try_from_db(&db, &recoder, None).expect("disarmed build succeeds");
+    let tree = CfpTree::try_from_db(&db, &recoder).expect("disarmed build succeeds");
     assert!(tree.num_nodes() > 0);
 }
 
@@ -74,7 +74,7 @@ fn injected_alloc_failure_mid_build_is_still_structured() {
     let recoder = ItemRecoder::scan(&db, 2);
 
     configure("memman.alloc", FaultMode::AfterN(4));
-    let err = CfpTree::try_from_db(&db, &recoder, None).expect_err("armed build must fail");
+    let err = CfpTree::try_from_db(&db, &recoder).expect_err("armed build must fail");
     assert!(matches!(err, CfpError::MemoryExhausted { phase: "build", .. }), "{err:?}");
     clear_all();
 }
