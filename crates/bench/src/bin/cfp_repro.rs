@@ -13,9 +13,9 @@
 //!   parallel                  mine-phase scaling with worker threads
 //!   skew                      round-robin deal vs dynamic scheduling on
 //!                             a skewed dataset; with --csv also writes
-//!                             the dynamic run's cfp-profile/2 JSON
+//!                             the dynamic run's cfp-profile/3 JSON
 //!   profile                   traced CFP run on Quest1, written as a
-//!                             cfp-profile/2 JSON document
+//!                             cfp-profile/3 JSON document
 //!   all                       everything above
 //!
 //! cfp-repro bench [--out DIR]
@@ -43,7 +43,7 @@
 //!   error (exit 9 on a torn/corrupt manifest, 1 when none exists).
 //!
 //! cfp-repro postmortem BLACKBOX
-//!   Verifies a `cfp-blackbox/1` flight-recorder dump's checksum and
+//!   Verifies a `cfp-blackbox/2` flight-recorder dump's checksum and
 //!   renders it as a readable report: the fatal error and exit code,
 //!   run context, phase times, latency percentiles, memory state,
 //!   degradation rungs, counters, and the last events per thread.
@@ -151,15 +151,15 @@ fn run(name: &str, csv_dir: Option<&std::path::Path>) {
         "parallel" => emit("parallel", &experiments::parallel_scaling(), csv_dir),
         "skew" => {
             emit("skew", &experiments::skew(), csv_dir);
-            // A cfp-profile/2 document of the dynamic run, so the steal
+            // A cfp-profile/3 document of the dynamic run, so the steal
             // and arena-reset counters are inspectable machine-readably.
             let p = cfp_data::profiles::by_name("kosarak-like").expect("profile exists");
             let db = p.generate();
             let minsup = p.absolute_support(&db, 2);
             let miner = cfp_core::ParallelCfpGrowthMiner::new(4);
             let schedule = cfp_core::Schedule::Dynamic.name();
-            let report = cfp_bench::report::profile_run(&miner, &db, "kosarak-like", minsup, 4)
-                .with_schedule(schedule);
+            let mut report = cfp_bench::report::profile_run(&miner, &db, "kosarak-like", minsup, 4);
+            report.schedule = Some(schedule.into());
             let name = format!("profile_skew_{schedule}.json");
             let path = csv_dir.map(|d| d.join(&name)).unwrap_or_else(|| PathBuf::from(&name));
             if let Err(e) = std::fs::write(&path, report.to_json().to_pretty()) {
@@ -540,8 +540,8 @@ fn run_postmortem(args: &[String]) -> ! {
         path = path.join("blackbox.json");
     }
     match cfp_trace::blackbox::load(&path) {
-        Ok(body) => {
-            print!("{}", cfp_trace::blackbox::render(&body));
+        Ok(doc) => {
+            print!("{}", cfp_trace::blackbox::render(&doc));
             std::process::exit(0);
         }
         Err(e) => {

@@ -1,5 +1,5 @@
 //! Plain-text table rendering for experiment reports, plus traced runs
-//! producing machine-readable `cfp-profile/2` documents.
+//! producing machine-readable `cfp-profile/3` documents.
 
 use cfp_data::miner::CountingSink;
 use cfp_data::{Miner, TransactionDb};
@@ -194,14 +194,12 @@ mod tests {
         // Count/build/convert/mine all ran under tracing (read is the
         // CLI's file pass; recover and spill belong to the supervisor's
         // escalation ladder; all three stay zero here).
-        for p in &report.phases {
+        for p in &report.snapshot.phases {
             if !matches!(p.name, "read" | "recover" | "spill") {
                 assert!(p.count > 0, "phase {} not recorded", p.name);
             }
         }
-        let trees =
-            report.counters.iter().find(|(n, _)| *n == "core.conditional_trees").map(|&(_, v)| v);
-        assert!(trees.unwrap_or(0) > 0, "conditional trees counted");
+        assert!(report.snapshot.counter("core.conditional_trees") > 0, "conditional trees counted");
         assert!(!cfp_trace::enabled(), "previous enabled state restored");
     }
 }

@@ -57,12 +57,9 @@ const PRUNING_COUNTERS: [&str; 3] =
 impl BenchSnapshot {
     /// Reduces a traced run report to a snapshot.
     pub fn from_report(name: &str, report: &RunReport) -> Self {
-        let counter = |name: &str| {
-            report.counters.iter().find(|&&(n, _)| n == name).map(|&(_, v)| v).unwrap_or(0)
-        };
-        let steals = counter("core.tasks_stolen");
+        let registry = &report.snapshot;
         let mut pruning: Vec<(String, u64)> =
-            PRUNING_COUNTERS.iter().map(|&n| (n.to_string(), counter(n))).collect();
+            PRUNING_COUNTERS.iter().map(|&n| (n.to_string(), registry.counter(n))).collect();
         if pruning.iter().all(|&(_, v)| v == 0) {
             pruning.clear();
         }
@@ -73,9 +70,9 @@ impl BenchSnapshot {
             threads: report.threads,
             itemsets: report.itemsets,
             wall_nanos: report.wall_nanos,
-            phases: report.phases.iter().map(|p| (p.name.to_string(), p.nanos)).collect(),
-            peak_bytes: report.peak_bytes,
-            steals,
+            phases: registry.phases.iter().map(|p| (p.name.to_string(), p.nanos)).collect(),
+            peak_bytes: registry.counter("mem.peak_bytes"),
+            steals: registry.counter("core.tasks_stolen"),
             pruning,
             memstat: report.memstat.clone(),
         }
@@ -294,6 +291,7 @@ pub fn compare(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cfp_trace::Snapshot;
 
     fn snapshot(wall: u64, peak: u64, mine_nanos: u64) -> BenchSnapshot {
         BenchSnapshot {
@@ -468,11 +466,10 @@ mod tests {
             schedule: None,
             itemsets: 77,
             wall_nanos: 5_000,
-            phases: vec![],
-            counters: vec![("core.closed_pruned", 55), ("core.patterns", 77)],
-            histograms: vec![],
-            peak_bytes: 9_000,
-            final_bytes: 0,
+            snapshot: Snapshot {
+                counters: vec![("core.closed_pruned", 55), ("core.patterns", 77)],
+                ..Snapshot::default()
+            },
             samples: vec![],
             degradation: None,
             events: None,
@@ -481,7 +478,7 @@ mod tests {
         let snap = BenchSnapshot::from_report("kosarak-closed", &report);
         assert_eq!(snap.pruning, pruning(55, 0, 0));
         // All-zero pruning (an all-itemsets run) keeps the block out.
-        report.counters = vec![("core.patterns", 77)];
+        report.snapshot.counters = vec![("core.patterns", 77)];
         let bare = BenchSnapshot::from_report("kosarak-seq", &report);
         assert!(bare.pruning.is_empty());
     }
@@ -537,11 +534,15 @@ mod tests {
             schedule: Some("dynamic".into()),
             itemsets: 77,
             wall_nanos: 5_000,
-            phases: vec![cfp_trace::span::PhaseSpan { name: "mine", nanos: 4_000, count: 4 }],
-            counters: vec![("core.tasks_stolen", 2), ("core.workers", 4)],
-            histograms: vec![],
-            peak_bytes: 9_000,
-            final_bytes: 0,
+            snapshot: Snapshot {
+                phases: vec![cfp_trace::span::PhaseSpan { name: "mine", nanos: 4_000, count: 4 }],
+                counters: vec![
+                    ("core.tasks_stolen", 2),
+                    ("core.workers", 4),
+                    ("mem.peak_bytes", 9_000),
+                ],
+                ..Snapshot::default()
+            },
             samples: vec![],
             degradation: None,
             events: None,
@@ -552,6 +553,7 @@ mod tests {
         assert_eq!(snap.itemsets, 77);
         assert_eq!(snap.threads, 4);
         assert_eq!(snap.phases, vec![("mine".to_string(), 4_000)]);
+        assert_eq!(snap.peak_bytes, 9_000, "the peak is the mem.peak_bytes counter");
         assert!(snap.pruning.is_empty());
     }
 }

@@ -36,9 +36,11 @@
 //!   --rules CONF       print association rules with confidence ≥ CONF
 //!   --image PATH       also save a reusable mining image (CFP only)
 //!   --stats            print phase times and peak memory to stderr
-//!   --profile PATH     enable tracing and write a cfp-profile/2 JSON
-//!                      run report (phase spans, counters, memory
-//!                      time series, event summary) to PATH
+//!   --profile PATH     enable tracing and write a cfp-profile/3 JSON
+//!                      run report to PATH: the registry snapshot
+//!                      (phase spans, counters, bucket histograms,
+//!                      latency summaries), the memory time series and
+//!                      the event summary
 //!   --trace-out PATH   capture the event timeline and write Chrome
 //!                      trace-event JSON (open in Perfetto or
 //!                      chrome://tracing; one track per worker plus
@@ -55,6 +57,14 @@
 //!                      mining run charges an attribution pool and a
 //!                      post-run analytics pass measures the structures;
 //!                      mining output is byte-identical with the flag on
+//!   --metrics-out PATH export the registry snapshot every
+//!                      --metrics-every interval (default 1s): Prometheus
+//!                      text rewritten at PATH, one cfp-metrics/2 JSON
+//!                      record appended to PATH.jsonl
+//!   --blackbox DIR     on an exit of 3–10 or a panic, write a
+//!                      checksummed cfp-blackbox/2 post-mortem (the
+//!                      registry snapshot plus each thread's last
+//!                      events) to DIR/blackbox.json
 //!   --recover POLICY   escalation ladder on failure: off (default),
 //!                      retry (compact-and-retry), degrade (… then
 //!                      sequential), partition (… then item-range
@@ -356,40 +366,45 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             ));
         }
     }
-    if output_given {
-        if opts.output != OutputMode::All && opts.algorithm != "cfp" {
-            return Err(format!(
-                "--output={} only applies to the cfp algorithm, not {:?} (use the post-hoc \
-                 --top/--closed/--maximal flags for baselines)",
-                opts.output, opts.algorithm
-            ));
-        }
-        if opts.top.is_some() || opts.closed || opts.maximal {
-            return Err(
-                "--output cannot be combined with --top, --closed, or --maximal".to_string()
-            );
-        }
-        if opts.rules.is_some() && opts.output != OutputMode::All {
-            return Err(format!(
-                "--rules needs the full frequent set; it cannot be combined with --output={}",
-                opts.output
-            ));
-        }
-    } else if opts.algorithm == "cfp" && opts.rules.is_none() && !opts.count_only {
-        // The legacy condensed flags become first-class engine modes on
-        // the cfp pipeline (pruning inside the recursion instead of a
-        // post-hoc filter over the full set); the baselines keep the
-        // post-hoc path. Precedence mirrors the historical dispatch
-        // order: --top beats --closed beats --maximal.
+    // One condensed selector at most: `--output`, or one of the legacy
+    // flags. On cfp the legacy flags are aliases of the engine's output
+    // modes, mapped before every other check so that --count, --rules
+    // and --checkpoint-dir treat them exactly as --output; the baselines
+    // keep them as post-hoc filters over the printed itemsets.
+    let selectors = [output_given, opts.top.is_some(), opts.closed, opts.maximal];
+    if selectors.iter().filter(|&&given| given).count() > 1 {
+        return Err(
+            "--output, --top, --closed and --maximal cannot be combined; give one".to_string()
+        );
+    }
+    if opts.algorithm == "cfp" {
         if let Some(k) = opts.top.take() {
             opts.output = OutputMode::TopK(k);
-        } else if opts.closed {
+        } else if std::mem::take(&mut opts.closed) {
             opts.output = OutputMode::Closed;
-            opts.closed = false;
-        } else if opts.maximal {
+        } else if std::mem::take(&mut opts.maximal) {
             opts.output = OutputMode::Maximal;
-            opts.maximal = false;
         }
+    } else if opts.output != OutputMode::All {
+        return Err(format!(
+            "--output={} only applies to the cfp algorithm, not {:?} (use the post-hoc \
+             --top/--closed/--maximal flags for baselines)",
+            opts.output, opts.algorithm
+        ));
+    } else if (opts.top.is_some() || opts.closed || opts.maximal)
+        && (opts.count_only || opts.rules.is_some())
+    {
+        return Err(format!(
+            "--count and --rules cannot be combined with the post-hoc --top, --closed or \
+             --maximal filters of {:?}",
+            opts.algorithm
+        ));
+    }
+    if opts.rules.is_some() && opts.output != OutputMode::All {
+        return Err(format!(
+            "--rules needs the full frequent set; it cannot be combined with --output={}",
+            opts.output
+        ));
     }
     if opts.spill_dir.is_some() && opts.recover != RecoveryPolicy::Spill {
         return Err("--spill-dir requires --recover=spill".to_string());
@@ -412,15 +427,10 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 opts.algorithm
             ));
         }
-        if opts.count_only
-            || opts.top.is_some()
-            || opts.closed
-            || opts.maximal
-            || opts.rules.is_some()
-            || matches!(opts.output, OutputMode::TopK(_))
-        {
+        // On cfp the legacy condensed flags are already output modes.
+        if opts.count_only || opts.rules.is_some() || matches!(opts.output, OutputMode::TopK(_)) {
             return Err("--checkpoint-dir requires streaming output (no --count, --top, \
-                 --output=topk, or --rules; baseline --closed/--maximal collect in memory)"
+                 --output=topk, or --rules)"
                 .to_string());
         }
         if !matches!(opts.recover, RecoveryPolicy::Off | RecoveryPolicy::Spill) {
@@ -812,36 +822,16 @@ struct BlackboxArm {
 static BLACKBOX_ARM: std::sync::OnceLock<BlackboxArm> = std::sync::OnceLock::new();
 /// Degradation state stashed for the flight recorder: the recovery
 /// report lives in locals the exit paths cannot reach, so supervised
-/// runs deposit a copy here as soon as the supervisor returns.
-static BLACKBOX_DEGRADATION: std::sync::Mutex<Option<cfp_trace::DegradationReport>> =
+/// runs deposit its `degradation` section here as soon as the supervisor
+/// returns.
+static BLACKBOX_DEGRADATION: std::sync::Mutex<Option<cfp_trace::Json>> =
     std::sync::Mutex::new(None);
-
-/// Converts the supervisor's recovery report into the trace-layer shape
-/// shared by `--profile` and the blackbox.
-fn to_trace_degradation(d: &RecoveryReport) -> cfp_trace::DegradationReport {
-    cfp_trace::DegradationReport {
-        policy: d.policy.clone(),
-        rungs: d
-            .rungs
-            .iter()
-            .map(|r| cfp_trace::RungOutcome {
-                rung: r.rung.to_string(),
-                succeeded: r.succeeded,
-                reclaimed_bytes: r.reclaimed_bytes,
-                partitions: r.partitions,
-                error: r.error.clone(),
-            })
-            .collect(),
-        recovered: d.recovered,
-        final_partitions: d.final_partitions,
-    }
-}
 
 /// Makes a supervised run's ladder activity visible to a later blackbox
 /// dump. No-op unless `--blackbox` is armed.
 fn stash_blackbox_degradation(report: &RecoveryReport) {
     if BLACKBOX_ARM.get().is_some() && !report.rungs.is_empty() {
-        *BLACKBOX_DEGRADATION.lock().unwrap() = Some(to_trace_degradation(report));
+        *BLACKBOX_DEGRADATION.lock().unwrap() = Some(report.to_json());
     }
 }
 
@@ -849,7 +839,7 @@ fn stash_blackbox_degradation(report: &RecoveryReport) {
 /// process code the Rust runtime uses for unwound panics).
 const PANIC_EXIT_CODE: i32 = 101;
 
-/// Dumps a `cfp-blackbox/1` post-mortem if `--blackbox` is armed and the
+/// Dumps a `cfp-blackbox/2` post-mortem if `--blackbox` is armed and the
 /// exit code is one the flight recorder covers: the structured pipeline
 /// failures (3–10) and panics. Usage (2) and plain I/O (1) exits carry
 /// no mining state worth a report.
@@ -1428,20 +1418,16 @@ fn main() {
             samples,
         );
         if opts.algorithm == "cfp" {
-            report = report.with_schedule(Schedule::Dynamic.name());
+            report.schedule = Some(Schedule::Dynamic.name().into());
         }
         // A supervised run that needed its ladder records what happened;
-        // healthy runs keep the section absent so the schema stays
-        // backward-compatible.
-        if let Some(d) = degradation.as_ref().filter(|d| !d.rungs.is_empty()) {
-            report = report.with_degradation(to_trace_degradation(d));
-        }
-        report = report.with_events(cfp_trace::events::summarize(&tracks));
+        // healthy runs carry no degradation section.
+        report.degradation =
+            degradation.as_ref().filter(|d| !d.rungs.is_empty()).map(RecoveryReport::to_json);
+        report.events = Some(cfp_trace::events::summarize(&tracks));
         // Fold the memory summary in when --mem-report also ran, so
         // profile consumers can diff memory without the full document.
-        if let Some(m) = memstat_summary.clone() {
-            report = report.with_memstat(m);
-        }
+        report.memstat = memstat_summary;
         if let Err(e) = std::fs::write(path, report.to_json().to_pretty()) {
             eprintln!("cannot write profile {path}: {e}");
             exit(1);
@@ -1675,9 +1661,9 @@ mod tests {
                 .unwrap_err();
         assert!(err.contains("cfp"), "{err}");
 
-        // --rules needs the full set; --output conflicts with the legacy
-        // flags it replaces. --rules with a legacy flag keeps output=All
-        // (the rules branch wins, as it always has).
+        // --rules needs the full set, whether the condensed mode comes
+        // from --output or a legacy alias; --output conflicts with the
+        // legacy flags it replaces.
         let err = parse_args(&args(&["in.dat", "--support", "2", "--output=closed", "--maximal"]))
             .unwrap_err();
         assert!(err.contains("cannot be combined"), "{err}");
@@ -1685,9 +1671,13 @@ mod tests {
             parse_args(&args(&["in.dat", "--support", "2", "--output=topk:3", "--rules", "0.5"]))
                 .unwrap_err();
         assert!(err.contains("--rules"), "{err}");
-        let o =
-            parse_args(&args(&["in.dat", "--support", "2", "--rules", "0.5", "--closed"])).unwrap();
-        assert_eq!(o.output, OutputMode::All);
+        let err = parse_args(&args(&["in.dat", "--support", "2", "--rules", "0.5", "--closed"]))
+            .unwrap_err();
+        assert!(err.contains("--rules"), "{err}");
+        // --count counts what the alias selects.
+        let o = parse_args(&args(&["in.dat", "--support", "2", "--count", "--top", "3"])).unwrap();
+        assert_eq!(o.output, OutputMode::TopK(3));
+        assert!(o.count_only && o.top.is_none());
 
         // Checkpointing streams closed/maximal but only on the off rung,
         // and never top-k (no watermark over a heap).

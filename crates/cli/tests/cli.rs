@@ -179,6 +179,46 @@ fn rules_and_condensed_modes_run() {
     }
 }
 
+/// No condensed flag is silently dropped. On cfp the legacy aliases mean
+/// exactly their `--output` mode, also under `--count` and `--rules`;
+/// every combination that would drop a flag is a usage error (exit 2).
+#[test]
+fn condensed_flags_are_never_silently_dropped() {
+    let dir = std::env::temp_dir().join("cfp_cli_tests");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("condensed-flags.dat");
+    write_shared(&path, "1 2\n1 2\n1\n");
+    let run = |extra: &[&str]| {
+        let out = Command::new(bin())
+            .args([path.to_str().unwrap(), "--support", "2"])
+            .args(extra)
+            .output()
+            .unwrap();
+        (out.status.code(), String::from_utf8_lossy(&out.stdout).into_owned())
+    };
+    // Frequent: {1}:3, {2}:2, {1 2}:2. Closed: {1}, {1 2}. Maximal: {1 2}.
+    for (alias, output, expected) in [
+        (&["--count", "--closed"][..], &["--output", "closed", "--count"][..], "2\n"),
+        (&["--count", "--maximal"][..], &["--output", "maximal", "--count"][..], "1\n"),
+        (&["--top", "1", "--count"][..], &["--output", "topk:1", "--count"][..], "1\n"),
+    ] {
+        assert_eq!(run(alias), (Some(0), expected.to_string()), "{alias:?}");
+        assert_eq!(run(alias), run(output), "{alias:?} must mean {output:?}");
+    }
+    for dropped in [
+        &["--rules", "0.5", "--closed"][..],
+        &["--rules", "0.5", "--output", "closed"][..],
+        &["--top", "5", "--closed"][..],
+        &["--closed", "--maximal"][..],
+        &["--algorithm", "fp", "--rules", "0.5", "--top", "1"][..],
+        &["--algorithm", "fp", "--count", "--closed"][..],
+    ] {
+        assert_eq!(run(dropped).0, Some(2), "{dropped:?} must be a usage error");
+    }
+    // The baselines keep their post-hoc filters on their own.
+    assert_eq!(run(&["--algorithm", "fp", "--maximal"]), (Some(0), "1 2 (2)\n".to_string()));
+}
+
 /// Malformed `--output` values are usage errors: exit 2, a diagnostic
 /// naming the output mode, and the usage text.
 #[test]
@@ -362,12 +402,51 @@ fn metrics_and_blackbox_leave_output_byte_identical() {
     assert!(prom.contains("cfp_run_info"), "{prom}");
     let jsonl = std::fs::read_to_string(dir.join("metrics.prom.jsonl")).unwrap();
     let last = jsonl.lines().last().expect("at least one JSONL record");
-    assert!(last.contains("\"schema\":\"cfp-metrics/1\""), "{last}");
+    assert!(last.contains("\"schema\":\"cfp-metrics/2\""), "{last}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One run with both `--profile` and `--metrics-out`: the profile and the
+/// last JSONL record embed the same registry snapshot, so they carry the
+/// same phase names and the same counter, bucket-histogram and
+/// latency-summary names.
+#[test]
+fn profile_and_metrics_record_share_one_snapshot() {
+    use cfp_trace::{json, Json};
+
+    let path = write_sample();
+    let dir = std::env::temp_dir().join(format!("cfp_cli_snapshot_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (profile, metrics) = (dir.join("run.json"), dir.join("metrics.prom"));
+    let out = Command::new(bin())
+        .args([path.to_str().unwrap(), "--support", "2", "--threads", "2"])
+        .args(["--profile", profile.to_str().unwrap()])
+        .args(["--metrics-out", metrics.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let profile = json::parse(&std::fs::read_to_string(&profile).unwrap()).unwrap();
+    let jsonl = std::fs::read_to_string(dir.join("metrics.prom.jsonl")).unwrap();
+    let record = json::parse(jsonl.lines().last().expect("a JSONL record")).unwrap();
+    let phase_names = |doc: &Json| -> Vec<String> {
+        let phases = doc.get("phases").and_then(Json::as_arr).expect("phases");
+        phases.iter().map(|p| p.get("name").and_then(Json::as_str).unwrap().to_string()).collect()
+    };
+    assert_eq!(phase_names(&profile), phase_names(&record));
+    for member in ["counters", "histograms", "hists"] {
+        let keys = |doc: &Json| match doc.get(member) {
+            Some(Json::Obj(m)) => m.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
+            other => panic!("{member} is not an object: {other:?}"),
+        };
+        assert_eq!(keys(&profile), keys(&record), "{member}");
+    }
+    let hists = profile.get("hists").expect("hists");
+    assert!(hists.get("core.mine_task_nanos").is_some(), "the profile carries percentiles");
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Golden test for the machine-readable run report: `--profile` must emit
-/// a valid `cfp-profile/2` document whose structure downstream tooling can
+/// a valid `cfp-profile/3` document whose structure downstream tooling can
 /// rely on. Parsed with the same zero-dependency parser shipped in
 /// `cfp-trace`, so writer and reader are exercised together.
 #[test]
@@ -393,7 +472,7 @@ fn profile_report_is_valid_and_complete() {
     let text = std::fs::read_to_string(&report_path).unwrap();
     let doc = json::parse(&text).expect("profile must be valid JSON");
 
-    assert_eq!(doc.get("schema").and_then(Json::as_str), Some("cfp-profile/2"));
+    assert_eq!(doc.get("schema").and_then(Json::as_str), Some("cfp-profile/3"));
 
     let run = doc.get("run").expect("run object");
     assert_eq!(run.get("transactions").and_then(Json::as_u64), Some(9));
@@ -440,13 +519,13 @@ fn profile_report_is_valid_and_complete() {
     }
     assert_eq!(counters.get("core.patterns_emitted").and_then(Json::as_u64), Some(13));
 
-    // Memory section: peak dominates final, and the time series has the
-    // guaranteed start and stop samples.
-    let memory = doc.get("memory").expect("memory object");
-    let peak = memory.get("peak_bytes").and_then(Json::as_u64).unwrap();
-    let final_bytes = memory.get("final_bytes").and_then(Json::as_u64).unwrap();
-    assert!(peak >= final_bytes);
+    // Memory: the peak counter dominates the current one, and the time
+    // series has the guaranteed start and stop samples.
+    let peak = counters.get("mem.peak_bytes").and_then(Json::as_u64).unwrap();
+    let current = counters.get("mem.current_bytes").and_then(Json::as_u64).unwrap();
+    assert!(peak >= current);
     assert!(peak > 0, "MemGauge mirror never recorded");
+    let memory = doc.get("memory").expect("memory object");
     let samples = memory.get("samples").and_then(Json::as_arr).unwrap();
     assert!(samples.len() >= 2, "need at least start+stop samples");
     for s in samples {
@@ -455,10 +534,10 @@ fn profile_report_is_valid_and_complete() {
         }
     }
 
-    // /2 addition: the events summary block. Without `--trace-out` the
+    // The events summary block. Without `--trace-out` the
     // timeline is not captured, so it reports an empty capture rather
     // than being absent.
-    let events = doc.get("events").expect("cfp-profile/2 carries an events block");
+    let events = doc.get("events").expect("the profile carries an events block");
     assert_eq!(events.get("tracks").and_then(Json::as_u64), Some(0));
     assert_eq!(events.get("recorded").and_then(Json::as_u64), Some(0));
     assert_eq!(events.get("dropped_events").and_then(Json::as_u64), Some(0));

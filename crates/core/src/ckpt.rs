@@ -13,8 +13,10 @@
 //! The manifest is hand-rolled JSON (the workspace builds without
 //! network access, so no serde) written through
 //! [`cfp_data::spill::write_atomic`] — tmp → fsync → rename — and
-//! carries an FNV-1a checksum over its own compact serialisation, so a
-//! torn or bit-flipped manifest is *rejected with a structured error*
+//! sealed with the workspace's JSON checksum envelope
+//! ([`cfp_trace::fnv::seal`]: a `checksum` member, FNV-1a over the
+//! compact serialisation of the other members), so a torn or
+//! bit-flipped manifest is *rejected with a structured error*
 //! ([`CfpError::Checkpoint`]), never trusted and never a panic. A
 //! config fingerprint (input path, minimum support, and an FNV over the
 //! support-ordered item counts) guards against resuming one dataset's
@@ -22,7 +24,7 @@
 
 use cfp_data::spill::write_atomic;
 use cfp_data::{CfpError, ItemRecoder};
-use cfp_trace::fnv::{fnv1a, FNV_OFFSET};
+use cfp_trace::fnv::{self, fnv1a, FNV_OFFSET};
 use cfp_trace::json::{parse, Json};
 use std::path::{Path, PathBuf};
 
@@ -126,7 +128,7 @@ fn ckpt_err(path: &Path, message: impl Into<String>) -> CfpError {
 }
 
 impl Manifest {
-    /// The manifest as JSON, *without* the checksum member.
+    /// The manifest as JSON, before it is sealed.
     fn body(&self) -> Json {
         let progress = match &self.progress {
             CkptProgress::Mono { items_done } => Json::Obj(vec![
@@ -169,33 +171,14 @@ impl Manifest {
 
     /// The manifest as checksummed JSON text, ready to write.
     pub fn to_json_text(&self) -> String {
-        let body = self.body();
-        let checksum = format!("fnv1a:{:016x}", fnv1a(FNV_OFFSET, body.to_compact().as_bytes()));
-        let Json::Obj(mut members) = body else { unreachable!("body is an object") };
-        members.push(("checksum".into(), Json::Str(checksum)));
-        Json::Obj(members).to_pretty()
+        fnv::seal(self.body()).to_pretty()
     }
 
     fn from_json(doc: &Json, path: &Path) -> Result<Manifest, CfpError> {
         let err = |m: &str| ckpt_err(path, m);
         // Verify the checksum first: a manifest that fails it may lie
         // about anything else.
-        let Json::Obj(members) = doc else {
-            return Err(err("manifest root is not an object"));
-        };
-        let stored = doc
-            .get("checksum")
-            .and_then(Json::as_str)
-            .ok_or_else(|| err("missing checksum member"))?;
-        let body =
-            Json::Obj(members.iter().filter(|(k, _)| k != "checksum").cloned().collect::<Vec<_>>());
-        let computed = format!("fnv1a:{:016x}", fnv1a(FNV_OFFSET, body.to_compact().as_bytes()));
-        if stored != computed {
-            return Err(err(&format!(
-                "checksum mismatch: stored {stored}, computed {computed} (torn or corrupted \
-                 manifest)"
-            )));
-        }
+        fnv::verify(doc).map_err(|e| err(&format!("{e} (torn or corrupted manifest)")))?;
         let format = doc.get("format").and_then(Json::as_str).unwrap_or("");
         if format != FORMAT {
             return Err(err(&format!("unsupported format '{format}' (expected '{FORMAT}')")));
@@ -413,6 +396,51 @@ mod tests {
         assert_eq!(load(&dir).unwrap().unwrap(), mono);
         clear(&dir);
         assert_eq!(load(&dir).unwrap(), None, "cleared manifest reads as fresh");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A manifest written before the checksum moved into the shared
+    /// envelope, byte for byte: it still loads, and the same manifest is
+    /// still written as exactly these bytes.
+    const COMMITTED_MANIFEST: &str = r#"{
+  "format": "cfp-ckpt/1",
+  "config": {
+    "input": "data/kosarak.dat",
+    "min_support": 42,
+    "counts": "fnv1a:00deadbeef001234",
+    "num_items": 991,
+    "output": "all"
+  },
+  "progress": {
+    "mode": "spill",
+    "parts_done": 3,
+    "remaining": [
+      [
+        0,
+        7
+      ],
+      [
+        7,
+        19
+      ],
+      [
+        19,
+        991
+      ]
+    ]
+  },
+  "output_bytes": 123456789,
+  "itemsets": 4040,
+  "checksum": "fnv1a:690c7c7186f771db"
+}
+"#;
+
+    #[test]
+    fn committed_manifest_bytes_load_and_are_rewritten_identically() {
+        let dir = ckpt_dir("committed");
+        std::fs::write(manifest_path(&dir), COMMITTED_MANIFEST).unwrap();
+        assert_eq!(load(&dir).expect("load").expect("present"), sample());
+        assert_eq!(sample().to_json_text(), COMMITTED_MANIFEST);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -8,19 +8,26 @@
 //! is correspondingly cheap — build once on the machine that can see the
 //! data, mine many times with different sinks or support levels (any
 //! support ≥ the build support is valid: items below it are simply absent).
+//!
+//! The `CFPI` v2 file is the magic, a version byte, an FNV-1a checksum
+//! over the header that follows (the build support and the item
+//! mapping, as varints), the header, and the embedded `CFPA` v2 array,
+//! which carries its own checksum. A file that fails either checksum, or
+//! any other version, is rejected with [`io::ErrorKind::InvalidData`].
 
 use crate::growth::{CfpGrowthMiner, MineOpts};
 use cfp_array::{convert, CfpArray};
 use cfp_data::{Item, ItemRecoder, ItemsetSink, MineStats, TransactionDb};
 use cfp_encoding::varint;
 use cfp_metrics::{HeapSize, MemGauge, Stopwatch};
+use cfp_trace::fnv::{fnv1a, FNV_OFFSET};
 use cfp_tree::CfpTree;
 use std::io::{self, Read, Write};
 use std::path::Path;
 use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"CFPI";
-const VERSION: u8 = 1;
+const VERSION: u8 = 2;
 
 /// A converted, ready-to-mine CFP-array with its item mapping.
 #[derive(Clone, Debug)]
@@ -85,51 +92,54 @@ impl MiningImage {
         stats
     }
 
-    /// Serializes the image (`CFPI` header, then item mapping, then the
-    /// embedded `CFPA` array).
+    /// Serializes the image (see the module docs for the layout).
     pub fn write_to(&self, mut w: impl Write) -> io::Result<()> {
+        let mut header = Vec::with_capacity(2 + self.globals.len() * 3);
+        let mut buf = [0u8; varint::MAX_LEN_U64];
+        let ids = self.globals.iter().map(|&g| g as u64);
+        for v in [self.min_support, self.globals.len() as u64].into_iter().chain(ids) {
+            let n = varint::write_u64_into(&mut buf, v);
+            header.extend_from_slice(&buf[..n]);
+        }
         w.write_all(MAGIC)?;
         w.write_all(&[VERSION])?;
-        let mut buf = [0u8; varint::MAX_LEN_U64];
-        let n = varint::write_u64_into(&mut buf, self.min_support);
-        w.write_all(&buf[..n])?;
-        let n = varint::write_u64_into(&mut buf, self.globals.len() as u64);
-        w.write_all(&buf[..n])?;
-        for &g in self.globals.iter() {
-            let n = varint::write_u64_into(&mut buf, g as u64);
-            w.write_all(&buf[..n])?;
-        }
+        w.write_all(&fnv1a(FNV_OFFSET, &header).to_le_bytes())?;
+        w.write_all(&header)?;
         self.array.write_to(w)
     }
 
-    /// Deserializes an image written by [`write_to`](Self::write_to).
+    /// Deserializes an image written by [`write_to`](Self::write_to),
+    /// verifying the header checksum before trusting the header.
     pub fn read_from(mut r: impl Read) -> io::Result<Self> {
         let mut magic = [0u8; 4];
         r.read_exact(&mut magic)?;
         if &magic != MAGIC {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "not a CFPI file"));
+            return Err(bad("not a CFPI file"));
         }
         let mut version = [0u8; 1];
         r.read_exact(&mut version)?;
         if version[0] != VERSION {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "unsupported version"));
+            return Err(bad(format!(
+                "unsupported CFPI version {} (expected {VERSION})",
+                version[0]
+            )));
         }
-        let min_support = read_varint(&mut r)?;
-        let n = read_varint(&mut r)? as usize;
-        let mut globals: Vec<Item> = Vec::with_capacity(n);
+        let mut declared = [0u8; 8];
+        r.read_exact(&mut declared)?;
+        let mut header = Vec::new();
+        let min_support = read_varint(&mut r, &mut header)?;
+        let n = read_varint(&mut r, &mut header)?;
+        let mut globals: Vec<Item> = Vec::new();
         for _ in 0..n {
-            globals.push(
-                u32::try_from(read_varint(&mut r)?).map_err(|_| {
-                    io::Error::new(io::ErrorKind::InvalidData, "item id exceeds u32")
-                })?,
-            );
+            let id = read_varint(&mut r, &mut header)?;
+            globals.push(u32::try_from(id).map_err(|_| bad("item id exceeds u32"))?);
+        }
+        if fnv1a(FNV_OFFSET, &header) != u64::from_le_bytes(declared) {
+            return Err(bad("CFPI header checksum mismatch (torn or corrupt file)"));
         }
         let array = CfpArray::read_from(r)?;
-        if array.num_items() != n {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "item mapping disagrees with array",
-            ));
+        if array.num_items() != globals.len() {
+            return Err(bad("item mapping disagrees with array"));
         }
         Ok(MiningImage { array: Arc::new(array), globals: globals.into(), min_support })
     }
@@ -145,14 +155,20 @@ impl MiningImage {
     }
 }
 
-fn read_varint(r: &mut impl Read) -> io::Result<u64> {
+fn bad(message: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, message.into())
+}
+
+/// Reads one varint, appending its bytes to `seen` for the checksum.
+fn read_varint(r: &mut impl Read, seen: &mut Vec<u8>) -> io::Result<u64> {
     let mut value = 0u64;
     let mut shift = 0u32;
     loop {
         let mut byte = [0u8; 1];
         r.read_exact(&mut byte)?;
+        seen.push(byte[0]);
         if shift >= 64 || (shift == 63 && byte[0] & 0x7F > 1) {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "varint overflow"));
+            return Err(bad("varint overflow"));
         }
         value |= ((byte[0] & 0x7F) as u64) << shift;
         if byte[0] & 0x80 == 0 {
@@ -242,5 +258,30 @@ mod tests {
     fn corrupt_header_rejected() {
         assert!(MiningImage::read_from(&b"XXXX"[..]).is_err());
         assert!(MiningImage::read_from(&b"CFPI\x63"[..]).is_err());
+    }
+
+    #[test]
+    fn version_1_images_are_rejected() {
+        let mut bytes = Vec::new();
+        MiningImage::build(&sample_db(), 2).write_to(&mut bytes).unwrap();
+        bytes[4] = 1;
+        let err = MiningImage::read_from(bytes.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("version 1"), "{err}");
+    }
+
+    #[test]
+    fn every_bit_flip_of_a_saved_image_is_rejected() {
+        let mut bytes = Vec::new();
+        MiningImage::build(&sample_db(), 2).write_to(&mut bytes).unwrap();
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert!(
+                MiningImage::read_from(flipped.as_slice()).is_err(),
+                "a flip of bit {bit} of {} loaded",
+                bytes.len() * 8
+            );
+        }
     }
 }

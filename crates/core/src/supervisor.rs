@@ -25,9 +25,10 @@
 //! Output is buffered per attempt and flushed to the caller's sink only
 //! when an attempt succeeds, so the caller never sees a partial result
 //! stream mixed into a complete one. Every rung emits a
-//! [`Phase::Recover`] span and a [`RungReport`]; the CLI serialises the
-//! collected [`RecoveryReport`] as the `degradation` section of the
-//! `cfp-profile/2` run report.
+//! [`Phase::Recover`] span and a [`RungReport`]; the collected
+//! [`RecoveryReport`] writes itself ([`RecoveryReport::to_json`]) as the
+//! `degradation` section of the `cfp-profile/3` run report and the
+//! `cfp-blackbox/2` post-mortem.
 //!
 //! Exactness of rung 3 follows Grahne & Zhu's range projection argument,
 //! spelled out in [`cfp_data::partition`]: every frequent itemset has
@@ -50,7 +51,7 @@ use cfp_data::{
 };
 use cfp_memman::BudgetPool;
 use cfp_trace::hist::{maybe_now, record_since};
-use cfp_trace::{span, Phase};
+use cfp_trace::{span, Json, Phase};
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -133,6 +134,34 @@ pub struct RecoveryReport {
     pub final_partitions: u64,
     /// Per-partition pool peaks of rung 3, in mining order.
     pub partition_peaks: Vec<u64>,
+}
+
+impl RecoveryReport {
+    /// The `degradation` section of the run report and the post-mortem:
+    /// the policy, the rungs in ladder order (`error` is `null` unless
+    /// the rung failed), whether a rung recovered the run, and the final
+    /// partition count.
+    pub fn to_json(&self) -> Json {
+        let rungs = self
+            .rungs
+            .iter()
+            .map(|r| {
+                Json::Obj(vec![
+                    ("rung".into(), Json::str(r.rung)),
+                    ("succeeded".into(), Json::Bool(r.succeeded)),
+                    ("reclaimed_bytes".into(), Json::u64(r.reclaimed_bytes)),
+                    ("partitions".into(), Json::u64(r.partitions)),
+                    ("error".into(), r.error.as_deref().map_or(Json::Null, Json::str)),
+                ])
+            })
+            .collect();
+        Json::Obj(vec![
+            ("policy".into(), Json::str(&self.policy)),
+            ("rungs".into(), Json::Arr(rungs)),
+            ("recovered".into(), Json::Bool(self.recovered)),
+            ("final_partitions".into(), Json::u64(self.final_partitions)),
+        ])
+    }
 }
 
 /// Supervises a mining run with an escalation ladder (see the module
@@ -623,6 +652,44 @@ mod tests {
     use super::*;
     use crate::CfpGrowthMiner;
     use cfp_data::miner::CollectSink;
+
+    #[test]
+    fn recovery_report_writes_the_degradation_section() {
+        let report = RecoveryReport {
+            policy: "partition".into(),
+            rungs: vec![
+                RungReport {
+                    rung: "retry",
+                    succeeded: false,
+                    reclaimed_bytes: 512,
+                    partitions: 0,
+                    error: Some("memory exhausted".into()),
+                },
+                RungReport {
+                    rung: "partition",
+                    succeeded: true,
+                    reclaimed_bytes: 0,
+                    partitions: 4,
+                    error: None,
+                },
+            ],
+            recovered: true,
+            final_partitions: 4,
+            partition_peaks: vec![100, 200, 300, 400],
+        };
+        let d = cfp_trace::json::parse(&report.to_json().to_pretty()).unwrap();
+        assert_eq!(d.get("policy").and_then(Json::as_str), Some("partition"));
+        assert_eq!(d.get("recovered"), Some(&Json::Bool(true)));
+        assert_eq!(d.get("final_partitions").and_then(Json::as_u64), Some(4));
+        let rungs = d.get("rungs").and_then(Json::as_arr).expect("rungs array");
+        assert_eq!(rungs.len(), 2);
+        assert_eq!(rungs[0].get("rung").and_then(Json::as_str), Some("retry"));
+        assert_eq!(rungs[0].get("reclaimed_bytes").and_then(Json::as_u64), Some(512));
+        assert_eq!(rungs[0].get("error").and_then(Json::as_str), Some("memory exhausted"));
+        assert_eq!(rungs[1].get("partitions").and_then(Json::as_u64), Some(4));
+        assert_eq!(rungs[1].get("error"), Some(&Json::Null));
+        assert!(d.get("partition_peaks").is_none(), "per-partition peaks stay in memory");
+    }
 
     fn textbook() -> TransactionDb {
         TransactionDb::from_rows(&[

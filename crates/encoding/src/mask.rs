@@ -211,28 +211,4 @@ mod tests {
         // slot-level embedded-leaf marker never reaches node decoding.
         assert!(is_chain(0xFF));
     }
-
-    /// Property tests require the optional `proptest` dependency,
-    /// which offline builds cannot fetch. Enable with
-    /// `--features proptest` after restoring the dev-dependency
-    /// (see README § Offline builds).
-    #[cfg(feature = "proptest")]
-    mod props {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #[test]
-            fn prop_standard_round_trip(
-                ditem_len in 1usize..=4,
-                pcount_len in 0usize..=4,
-                has_left: bool,
-                has_right: bool,
-                has_suffix: bool,
-            ) {
-                let m = NodeMask { ditem_len, pcount_len, has_left, has_right, has_suffix };
-                prop_assert_eq!(NodeMask::decode(m.encode()), m);
-            }
-        }
-    }
 }

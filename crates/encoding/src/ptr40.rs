@@ -128,31 +128,4 @@ mod tests {
     fn offsets_in_marker_range_rejected() {
         let _ = Ptr40::new(MAX_OFFSET + 1);
     }
-
-    /// Property tests require the optional `proptest` dependency,
-    /// which offline builds cannot fetch. Enable with
-    /// `--features proptest` after restoring the dev-dependency
-    /// (see README § Offline builds).
-    #[cfg(feature = "proptest")]
-    mod props {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #[test]
-            fn prop_round_trip(v in 0u64..=MAX_OFFSET) {
-                let mut buf = [0u8; 5];
-                Ptr40::new(v).write(&mut buf);
-                prop_assert_eq!(Ptr40::read(&buf).offset(), v);
-                prop_assert_ne!(buf[0], EMBED_MARKER);
-            }
-
-            #[test]
-            fn prop_raw40_round_trip(v in 0u64..(1u64 << 40)) {
-                let mut buf = [0u8; 5];
-                write_raw40(&mut buf, v);
-                prop_assert_eq!(read_raw40(&buf), v);
-            }
-        }
-    }
 }

@@ -183,39 +183,4 @@ mod tests {
         bad.push(0x02);
         assert_eq!(read_u64(&bad), None);
     }
-
-    /// Property tests require the optional `proptest` dependency,
-    /// which offline builds cannot fetch. Enable with
-    /// `--features proptest` after restoring the dev-dependency
-    /// (see README § Offline builds).
-    #[cfg(feature = "proptest")]
-    mod props {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #[test]
-            fn prop_round_trip(v in any::<u64>()) {
-                let mut out = Vec::new();
-                let n = write_u64(&mut out, v);
-                prop_assert_eq!(n, encoded_len(v));
-                prop_assert_eq!(read_u64(&out), Some((v, n)));
-            }
-
-            #[test]
-            fn prop_encoding_is_monotone_in_length(a in any::<u64>(), b in any::<u64>()) {
-                // A larger value never encodes shorter.
-                let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-                prop_assert!(encoded_len(lo) <= encoded_len(hi));
-            }
-
-            #[test]
-            fn prop_skip_agrees_with_decode(v in any::<u64>()) {
-                let mut out = Vec::new();
-                write_u64(&mut out, v);
-                out.extend_from_slice(&[0xAB, 0xCD]); // trailing garbage
-                prop_assert_eq!(skip(&out), encoded_len(v));
-            }
-        }
-    }
 }

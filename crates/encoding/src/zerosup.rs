@@ -105,39 +105,4 @@ mod tests {
         push_bytes(&mut out, 0x0102_0304, 4);
         assert_eq!(out, vec![0xEE, 0x04, 0x03, 0x02, 0x01]);
     }
-
-    /// Property tests require the optional `proptest` dependency,
-    /// which offline builds cannot fetch. Enable with
-    /// `--features proptest` after restoring the dev-dependency
-    /// (see README § Offline builds).
-    #[cfg(feature = "proptest")]
-    mod props {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #[test]
-            fn prop_round_trip_3bit(v in any::<u32>()) {
-                let n = significant_bytes(v);
-                let mut buf = [0u8; 4];
-                write_bytes(&mut buf, v, n);
-                prop_assert_eq!(read_bytes(&buf, n), v);
-            }
-
-            #[test]
-            fn prop_round_trip_2bit(v in any::<u32>()) {
-                let n = significant_bytes_min1(v);
-                let mut buf = [0u8; 4];
-                write_bytes(&mut buf, v, n);
-                prop_assert_eq!(read_bytes(&buf, n), v);
-            }
-
-            #[test]
-            fn prop_stored_length_is_minimal(v in 1u32..) {
-                let n = significant_bytes(v);
-                // v does not fit in n-1 bytes.
-                prop_assert!(n == 0 || v > (1u64 << (8 * (n - 1))) as u32 - 1);
-            }
-        }
-    }
 }

@@ -38,31 +38,4 @@ mod tests {
         assert_eq!(encode(i64::MAX), u64::MAX - 1);
         assert_eq!(encode(i64::MIN), u64::MAX);
     }
-
-    /// Property tests require the optional `proptest` dependency,
-    /// which offline builds cannot fetch. Enable with
-    /// `--features proptest` after restoring the dev-dependency
-    /// (see README § Offline builds).
-    #[cfg(feature = "proptest")]
-    mod props {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #[test]
-            fn prop_round_trip(v in any::<i64>()) {
-                prop_assert_eq!(decode(encode(v)), v);
-            }
-
-            #[test]
-            fn prop_magnitude_order_preserved(v in any::<i32>()) {
-                // |v| <= |w| implies encode(v) is within one of encode(w)'s band:
-                // specifically encode maps magnitude m to 2m or 2m-1.
-                let v = v as i64;
-                let e = encode(v);
-                let m = v.unsigned_abs();
-                prop_assert!(e == 2 * m || e + 1 == 2 * m);
-            }
-        }
-    }
 }

@@ -1560,70 +1560,4 @@ mod tests {
         let _z = a.alloc(16);
         assert_eq!(a.stats().peak_used, 16);
     }
-
-    /// Property tests require the optional `proptest` dependency,
-    /// which offline builds cannot fetch. Enable with
-    /// `--features proptest` after restoring the dev-dependency
-    /// (see README § Offline builds).
-    #[cfg(feature = "proptest")]
-    mod props {
-        use super::*;
-        use proptest::prelude::*;
-        use std::collections::HashMap;
-
-        proptest! {
-            /// Random alloc/free/realloc sequences never hand out overlapping
-            /// live chunks and preserve chunk contents across reallocs.
-            #[test]
-            fn prop_no_overlap_and_contents_survive(
-                ops in proptest::collection::vec((0u8..3, 1usize..=MAX_CHUNK, any::<u8>()), 1..200)
-            ) {
-                let mut a = Arena::new();
-                // offset -> (size, fill byte)
-                let mut live: HashMap<u64, (usize, u8)> = HashMap::new();
-                let mut order: Vec<u64> = Vec::new();
-                for (op, size, fill) in ops {
-                    match op {
-                        0 => {
-                            let off = a.alloc(size);
-                            for &o in order.iter() {
-                                let (s, _) = live[&o];
-                                let s = s.max(MIN_CHUNK) as u64;
-                                let sz = size.max(MIN_CHUNK) as u64;
-                                prop_assert!(off + sz <= o || o + s <= off,
-                                    "chunk {} overlaps live chunk {}", off, o);
-                            }
-                            for b in a.bytes_mut(off, size) { *b = fill; }
-                            live.insert(off, (size, fill));
-                            order.push(off);
-                        }
-                        1 => {
-                            if let Some(off) = order.pop() {
-                                let (s, f) = live.remove(&off).unwrap();
-                                prop_assert!(a.bytes(off, s).iter().all(|&b| b == f),
-                                    "contents changed before free");
-                                a.free(off, s);
-                            }
-                        }
-                        _ => {
-                            if let Some(off) = order.pop() {
-                                let (s, f) = live.remove(&off).unwrap();
-                                let new_off = a.realloc(off, s, size);
-                                let kept = s.min(size);
-                                prop_assert!(a.bytes(new_off, kept).iter().all(|&b| b == f),
-                                    "contents lost in realloc");
-                                for b in a.bytes_mut(new_off, size) { *b = fill; }
-                                live.insert(new_off, (size, fill));
-                                order.push(new_off);
-                            }
-                        }
-                    }
-                }
-                // All remaining live chunks still hold their fill bytes.
-                for (&off, &(s, f)) in &live {
-                    prop_assert!(a.bytes(off, s).iter().all(|&b| b == f));
-                }
-            }
-        }
-    }
 }

@@ -1,4 +1,4 @@
-//! The flight recorder: checksummed `cfp-blackbox/1` post-mortem
+//! The flight recorder: checksummed `cfp-blackbox/2` post-mortem
 //! reports dumped when a run dies.
 //!
 //! The richest diagnostic state of a failing run — the per-thread event
@@ -8,35 +8,34 @@
 //! codes 3–10), on a main-thread panic, or after a recovery-rung
 //! escalation fails, and writes it atomically to `<dir>/blackbox.json`.
 //!
-//! The document is self-describing and tamper-evident:
+//! The document embeds the same registry [`Snapshot`] as a run report
+//! and is sealed with the workspace's one JSON checksum envelope
+//! ([`crate::fnv::seal`]):
 //!
 //! ```json
-//! { "schema": "cfp-blackbox/1",
-//!   "checksum": "fnv1a64:<16 hex digits over the compact body>",
-//!   "body": { "error": ..., "exit_code": ..., "context": {...},
-//!             "phases": [...], "counters": {...}, "hists": {...},
-//!             "memory": {...}, "memstat": {...}?, "degradation": {...}?,
-//!             "tracks": [ { "name", "tid", "recorded", "dropped",
-//!                           "events": [{ "t_nanos", "kind", "detail" }] } ] } }
+//! { "schema": "cfp-blackbox/2", "error": ..., "exit_code": ...,
+//!   "context": {...}, "phases": [...], "counters": {...},
+//!   "histograms": {...}, "hists": {...}, "memstat": {...}?,
+//!   "degradation": {...}?,
+//!   "tracks": [ { "name", "tid", "recorded", "dropped",
+//!                 "events": [{ "t_nanos", "kind", "detail" }] } ],
+//!   "checksum": "fnv1a:<16 hex digits over the other members>" }
 //! ```
 //!
-//! [`load`] verifies the checksum by re-serializing the body compactly,
-//! and [`render`] pretty-prints a report for `cfp-repro postmortem`.
+//! [`load`] verifies the schema and the checksum, and [`render`]
+//! pretty-prints a report for `cfp-repro postmortem`.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::counters;
 use crate::events::{self, Event, EventKind, TrackDump};
-use crate::fnv::{fnv1a, FNV_OFFSET};
-use crate::hist::{self, HistSummary};
+use crate::fnv;
 use crate::json::Json;
 use crate::memstat::MemSummary;
-use crate::report::DegradationReport;
-use crate::span::{self, PhaseSpan};
+use crate::snapshot::Snapshot;
 
 /// Schema identifier of the post-mortem document.
-pub const SCHEMA: &str = "cfp-blackbox/1";
+pub const SCHEMA: &str = "cfp-blackbox/2";
 
 /// Events kept per track: the newest `LAST_EVENTS_PER_TRACK` survive
 /// into the report (the rings already drop oldest-first, this just
@@ -51,19 +50,16 @@ pub struct BlackboxReport {
     pub exit_code: i64,
     /// Run identity: dataset, algorithm, threads, support, ...
     pub context: Vec<(String, String)>,
-    /// Accumulated phase spans at capture time.
-    pub phases: Vec<PhaseSpan>,
-    /// Full counter/gauge registry.
-    pub counters: Vec<(&'static str, u64)>,
-    /// Non-empty latency histogram summaries.
-    pub hists: Vec<HistSummary>,
+    /// The registry at capture time.
+    pub snapshot: Snapshot,
     /// Per-thread ring-buffer dumps, truncated to the newest
     /// [`LAST_EVENTS_PER_TRACK`] events each.
     pub tracks: Vec<TrackDump>,
     /// Space-domain summary, when the run had a metered pool.
     pub memstat: Option<MemSummary>,
-    /// Recovery-ladder activity, when the supervisor ran.
-    pub degradation: Option<DegradationReport>,
+    /// The supervisor's recovery report (`RecoveryReport::to_json` in
+    /// `cfp-core`), when the supervisor climbed its ladder.
+    pub degradation: Option<Json>,
 }
 
 impl BlackboxReport {
@@ -74,7 +70,7 @@ impl BlackboxReport {
         exit_code: i64,
         context: Vec<(String, String)>,
         memstat: Option<MemSummary>,
-        degradation: Option<DegradationReport>,
+        degradation: Option<Json>,
     ) -> Self {
         events::set_capture(false);
         let mut tracks = events::drain();
@@ -88,87 +84,31 @@ impl BlackboxReport {
             error: error.into(),
             exit_code,
             context,
-            phases: span::phase_snapshot(),
-            counters: counters::snapshot(),
-            hists: hist::summaries(),
+            snapshot: Snapshot::capture(),
             tracks,
             memstat,
             degradation,
         }
     }
 
-    fn body_json(&self) -> Json {
+    /// The full checksummed document.
+    pub fn to_json(&self) -> Json {
         let context = self.context.iter().map(|(k, v)| (k.clone(), Json::str(v.clone()))).collect();
-        let phases = self
-            .phases
-            .iter()
-            .filter(|p| p.count > 0)
-            .map(|p| {
-                Json::Obj(vec![
-                    ("name".into(), Json::str(p.name)),
-                    ("nanos".into(), Json::u64(p.nanos)),
-                    ("count".into(), Json::u64(p.count)),
-                ])
-            })
-            .collect();
-        let counters =
-            self.counters.iter().map(|&(name, v)| (name.to_string(), Json::u64(v))).collect();
-        let hists = self
-            .hists
-            .iter()
-            .map(|h| {
-                (
-                    h.name.to_string(),
-                    Json::Obj(vec![
-                        ("count".into(), Json::u64(h.count)),
-                        ("sum".into(), Json::u64(h.sum)),
-                        ("max".into(), Json::u64(h.max)),
-                        ("p50".into(), Json::u64(h.p50)),
-                        ("p90".into(), Json::u64(h.p90)),
-                        ("p99".into(), Json::u64(h.p99)),
-                        ("p999".into(), Json::u64(h.p999)),
-                    ]),
-                )
-            })
-            .collect();
-        let lookup = |name: &str| {
-            self.counters.iter().find(|&&(n, _)| n == name).map(|&(_, v)| v).unwrap_or(0)
-        };
-        let memory = Json::Obj(vec![
-            ("footprint_bytes".into(), Json::u64(lookup("memman.footprint_bytes"))),
-            ("peak_bytes".into(), Json::u64(lookup("memman.peak_footprint_bytes"))),
-            ("pool_peak_bytes".into(), Json::u64(lookup("memman.pool_peak_bytes"))),
-        ]);
-        let tracks = self.tracks.iter().map(track_json).collect();
-
-        let mut body = vec![
+        let mut doc = vec![
+            ("schema".into(), Json::str(SCHEMA)),
             ("error".into(), Json::str(self.error.clone())),
             ("exit_code".into(), Json::Num(self.exit_code as f64)),
             ("context".into(), Json::Obj(context)),
-            ("phases".into(), Json::Arr(phases)),
-            ("counters".into(), Json::Obj(counters)),
-            ("hists".into(), Json::Obj(hists)),
-            ("memory".into(), memory),
         ];
+        doc.extend(self.snapshot.members());
         if let Some(m) = &self.memstat {
-            body.push(("memstat".into(), m.to_json()));
+            doc.push(("memstat".into(), m.to_json()));
         }
         if let Some(d) = &self.degradation {
-            body.push(("degradation".into(), degradation_json(d)));
+            doc.push(("degradation".into(), d.clone()));
         }
-        body.push(("tracks".into(), Json::Arr(tracks)));
-        Json::Obj(body)
-    }
-
-    /// The full checksummed document.
-    pub fn to_json(&self) -> Json {
-        let body = self.body_json();
-        let sum = fnv1a(FNV_OFFSET, body.to_compact().as_bytes());
-        Json::Obj(vec![
-            ("schema".into(), Json::str(SCHEMA)),
-            ("checksum".into(), Json::str(format!("fnv1a64:{sum:016x}"))),
-            ("body".into(), body),
-        ])
+        doc.push(("tracks".into(), Json::Arr(self.tracks.iter().map(track_json).collect())));
+        fnv::seal(Json::Obj(doc))
     }
 
     /// Atomically write the report to `dir/blackbox.json`, creating
@@ -203,31 +143,6 @@ fn track_json(t: &TrackDump) -> Json {
     ])
 }
 
-fn degradation_json(d: &DegradationReport) -> Json {
-    let rungs = d
-        .rungs
-        .iter()
-        .map(|r| {
-            let mut o = vec![
-                ("rung".into(), Json::str(r.rung.clone())),
-                ("succeeded".into(), Json::Bool(r.succeeded)),
-                ("reclaimed_bytes".into(), Json::u64(r.reclaimed_bytes)),
-                ("partitions".into(), Json::u64(r.partitions)),
-            ];
-            if let Some(e) = &r.error {
-                o.push(("error".into(), Json::str(e.clone())));
-            }
-            Json::Obj(o)
-        })
-        .collect();
-    Json::Obj(vec![
-        ("policy".into(), Json::str(d.policy.clone())),
-        ("recovered".into(), Json::Bool(d.recovered)),
-        ("final_partitions".into(), Json::u64(d.final_partitions)),
-        ("rungs".into(), Json::Arr(rungs)),
-    ])
-}
-
 /// Human-readable one-liner for an event, used in the report and the
 /// postmortem rendering.
 fn event_detail(e: &Event) -> String {
@@ -252,66 +167,57 @@ fn event_detail(e: &Event) -> String {
     }
 }
 
-/// Verify a parsed document's schema and checksum; returns the `body`
-/// on success.
-pub fn verify(doc: &Json) -> Result<&Json, String> {
+/// Verify a parsed document's schema and checksum.
+pub fn verify(doc: &Json) -> Result<(), String> {
     match doc.get("schema").and_then(Json::as_str) {
         Some(s) if s == SCHEMA => {}
         Some(s) => return Err(format!("unsupported schema {s:?} (expected {SCHEMA:?})")),
         None => return Err("missing schema field".into()),
     }
-    let declared = doc.get("checksum").and_then(Json::as_str).ok_or("missing checksum field")?;
-    let body = doc.get("body").ok_or("missing body field")?;
-    let actual = format!("fnv1a64:{:016x}", fnv1a(FNV_OFFSET, body.to_compact().as_bytes()));
-    if declared != actual {
-        return Err(format!(
-            "checksum mismatch: document says {declared}, body hashes to {actual}"
-        ));
-    }
-    Ok(body)
+    fnv::verify(doc)
 }
 
-/// Read, parse, and verify a blackbox report file; returns the body.
+/// Read, parse, and verify a blackbox report file.
 pub fn load(path: &Path) -> Result<Json, String> {
     let text = fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     let doc = crate::json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    let body = verify(&doc).map_err(|e| format!("{}: {e}", path.display()))?;
-    Ok(body.clone())
+    verify(&doc).map_err(|e| format!("{}: {e}", path.display()))?;
+    Ok(doc)
 }
 
 fn fmt_ms(nanos: u64) -> String {
     format!("{:.3}ms", nanos as f64 / 1e6)
 }
 
-/// Pretty-print a verified report body for `cfp-repro postmortem`.
-pub fn render(body: &Json) -> String {
+/// Pretty-print a verified report for `cfp-repro postmortem`.
+pub fn render(doc: &Json) -> String {
     let mut out = String::new();
-    let error = body.get("error").and_then(Json::as_str).unwrap_or("?");
-    let code = body.get("exit_code").and_then(Json::as_u64).unwrap_or(0);
+    let error = doc.get("error").and_then(Json::as_str).unwrap_or("?");
+    let code = doc.get("exit_code").and_then(Json::as_u64).unwrap_or(0);
     out.push_str(&format!("{SCHEMA} post-mortem\n"));
     out.push_str(&format!("error     : {error}\n"));
     out.push_str(&format!("exit code : {code}\n"));
 
-    if let Some(Json::Obj(ctx)) = body.get("context") {
+    if let Some(Json::Obj(ctx)) = doc.get("context") {
         for (k, v) in ctx {
             let v = v.as_str().map(String::from).unwrap_or_else(|| v.to_compact());
             out.push_str(&format!("context   : {k} = {v}\n"));
         }
     }
 
-    if let Some(Json::Arr(phases)) = body.get("phases") {
-        if !phases.is_empty() {
+    let count = |p: &Json| p.get("count").and_then(Json::as_u64).unwrap_or(0);
+    if let Some(Json::Arr(phases)) = doc.get("phases") {
+        if phases.iter().any(|p| count(p) > 0) {
             out.push_str("\nphases:\n");
-            for p in phases {
+            for p in phases.iter().filter(|p| count(p) > 0) {
                 let name = p.get("name").and_then(Json::as_str).unwrap_or("?");
                 let nanos = p.get("nanos").and_then(Json::as_u64).unwrap_or(0);
-                let count = p.get("count").and_then(Json::as_u64).unwrap_or(0);
-                out.push_str(&format!("  {name:<10} {:>12}  x{count}\n", fmt_ms(nanos)));
+                out.push_str(&format!("  {name:<10} {:>12}  x{}\n", fmt_ms(nanos), count(p)));
             }
         }
     }
 
-    if let Some(Json::Obj(hists)) = body.get("hists") {
+    if let Some(Json::Obj(hists)) = doc.get("hists") {
         if !hists.is_empty() {
             out.push_str("\nlatency histograms (nanos):\n");
             for (name, h) in hists {
@@ -328,17 +234,17 @@ pub fn render(body: &Json) -> String {
         }
     }
 
-    if let Some(mem) = body.get("memory") {
-        let g = |k: &str| mem.get(k).and_then(Json::as_u64).unwrap_or(0);
+    if let Some(counters) = doc.get("counters") {
+        let g = |k: &str| counters.get(k).and_then(Json::as_u64).unwrap_or(0);
         out.push_str(&format!(
             "\nmemory: footprint {} B, peak {} B, pool peak {} B\n",
-            g("footprint_bytes"),
-            g("peak_bytes"),
-            g("pool_peak_bytes"),
+            g("memman.footprint_bytes"),
+            g("memman.peak_footprint_bytes"),
+            g("memman.pool_peak_bytes"),
         ));
     }
 
-    if let Some(d) = body.get("degradation") {
+    if let Some(d) = doc.get("degradation") {
         let policy = d.get("policy").and_then(Json::as_str).unwrap_or("?");
         let recovered = matches!(d.get("recovered"), Some(Json::Bool(true)));
         out.push_str(&format!("\ndegradation: policy {policy}, recovered: {recovered}\n"));
@@ -357,7 +263,7 @@ pub fn render(body: &Json) -> String {
         }
     }
 
-    if let Some(Json::Obj(counters)) = body.get("counters") {
+    if let Some(Json::Obj(counters)) = doc.get("counters") {
         let nonzero: Vec<_> =
             counters.iter().filter(|(_, v)| v.as_u64().unwrap_or(0) != 0).collect();
         if nonzero.is_empty() {
@@ -375,7 +281,7 @@ pub fn render(body: &Json) -> String {
         }
     }
 
-    if let Some(Json::Arr(tracks)) = body.get("tracks") {
+    if let Some(Json::Arr(tracks)) = doc.get("tracks") {
         for t in tracks {
             let name = t.get("name").and_then(Json::as_str).unwrap_or("?");
             let recorded = t.get("recorded").and_then(Json::as_u64).unwrap_or(0);
@@ -408,9 +314,10 @@ mod tests {
             error: "memory exhausted: test".into(),
             exit_code: 4,
             context: vec![("dataset".into(), "baskets.dat".into())],
-            phases: vec![],
-            counters: vec![("core.items_mined", 17)],
-            hists: vec![],
+            snapshot: Snapshot {
+                counters: vec![("core.items_mined", 17), ("memman.peak_footprint_bytes", 4096)],
+                ..Snapshot::default()
+            },
             tracks: vec![],
             memstat: None,
             degradation: None,
@@ -421,9 +328,11 @@ mod tests {
     fn round_trip_verifies() {
         let doc = sample_report().to_json();
         let parsed = crate::json::parse(&doc.to_pretty()).expect("parse");
-        let body = verify(&parsed).expect("verify");
-        assert_eq!(body.get("error").and_then(Json::as_str), Some("memory exhausted: test"));
-        assert_eq!(body.get("exit_code").and_then(Json::as_u64), Some(4));
+        verify(&parsed).expect("verify");
+        assert_eq!(parsed.get("error").and_then(Json::as_str), Some("memory exhausted: test"));
+        assert_eq!(parsed.get("exit_code").and_then(Json::as_u64), Some(4));
+        let sum = parsed.get("checksum").and_then(Json::as_str).unwrap();
+        assert!(sum.starts_with("fnv1a:") && sum.len() == 6 + 16, "{sum}");
     }
 
     #[test]
@@ -438,10 +347,11 @@ mod tests {
     #[test]
     fn render_mentions_the_error_and_counters() {
         let doc = sample_report().to_json();
-        let body = verify(&doc).expect("verify");
-        let text = render(body);
+        verify(&doc).expect("verify");
+        let text = render(&doc);
         assert!(text.contains("memory exhausted: test"));
         assert!(text.contains("core.items_mined"));
-        assert!(text.contains("cfp-blackbox/1 post-mortem"));
+        assert!(text.contains("cfp-blackbox/2 post-mortem"));
+        assert!(text.contains("peak 4096 B"), "memory is read from the counters: {text}");
     }
 }

@@ -34,7 +34,7 @@
 
 use crate::span::Phase;
 use std::cell::OnceCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -231,8 +231,8 @@ fn decode(word1: u64, word2: u64) -> Option<EventKind> {
 // The per-thread ring.
 // ---------------------------------------------------------------------------
 
-/// Default events kept per thread. At three words per slot this is 768 KiB
-/// per worker — enough for the full recursion timeline of the bundled
+/// Events kept per thread. At three words per slot this is 768 KiB per
+/// worker — enough for the full recursion timeline of the bundled
 /// dataset profiles, bounded regardless of run length.
 const DEFAULT_CAPACITY: usize = 1 << 15;
 
@@ -304,7 +304,7 @@ pub struct TrackDump {
     pub dropped: u64,
 }
 
-/// The `events` summary block of the `cfp-profile/2` report.
+/// The `events` summary block of the `cfp-profile/3` report.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EventsSummary {
     /// Threads that recorded at least one event.
@@ -322,7 +322,6 @@ pub struct EventsSummary {
 // ---------------------------------------------------------------------------
 
 static CAPTURE: AtomicBool = AtomicBool::new(false);
-static CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_CAPACITY);
 static REGISTRY: Mutex<Vec<Arc<Ring>>> = Mutex::new(Vec::new());
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
@@ -356,18 +355,12 @@ pub fn set_capture(on: bool) {
     CAPTURE.store(on, Ordering::Relaxed);
 }
 
-/// Sets the per-thread ring capacity (events) for rings created *after*
-/// the call. Existing rings keep their size.
-pub fn set_capacity(events: usize) {
-    CAPACITY.store(events.max(1), Ordering::Relaxed);
-}
-
 fn now_nanos() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
 fn register(name: String) -> Arc<Ring> {
-    let ring = Arc::new(Ring::new(name, CAPACITY.load(Ordering::Relaxed)));
+    let ring = Arc::new(Ring::new(name, DEFAULT_CAPACITY));
     REGISTRY.lock().unwrap_or_else(|e| e.into_inner()).push(Arc::clone(&ring));
     ring
 }

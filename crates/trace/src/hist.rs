@@ -216,8 +216,9 @@ impl HistSnapshot {
     }
 }
 
-/// The percentile digest exported by metrics snapshots and blackbox
-/// reports: p50/p90/p99/p99.9 plus exact count/sum/max.
+/// The percentile digest a registry [`Snapshot`](crate::Snapshot)
+/// carries in its `hists` member: p50/p90/p99/p99.9 plus exact
+/// count/sum/max.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HistSummary {
     /// The source histogram's registry name.

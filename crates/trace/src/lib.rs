@@ -26,9 +26,11 @@
 //!   descent (`flamegraph.pl` / speedscope input).
 //! - [`progress`]: a live status heartbeat on stderr.
 //! - [`json`]: a hand-rolled JSON value type, writer, and parser.
+//! - [`snapshot`]: one capture of the registry — phases, counters,
+//!   bucket histograms, latency summaries — and its one serialiser; the
+//!   run report, the metrics export and the flight recorder all embed it.
 //! - [`report`]: the versioned machine-readable run report
-//!   (`"cfp-profile/2"`; `/1` documents remain readable) emitted by
-//!   `cfp-mine --profile`.
+//!   (`"cfp-profile/3"`) emitted by `cfp-mine --profile`.
 //! - [`memstat`]: the versioned space-domain report (`"cfp-memstat/1"`)
 //!   emitted by `cfp-mine --mem-report` — per-component attribution,
 //!   reconciliation audit, structure analytics, and the compression
@@ -36,12 +38,14 @@
 //! - [`hist`]: log-linear (HDR-style) fixed-memory latency histograms
 //!   with lock-free atomic buckets, mergeable across workers.
 //! - [`metrics`]: live export of the registry — Prometheus text
-//!   exposition plus a `"cfp-metrics/1"` JSONL stream, rewritten
+//!   exposition plus a `"cfp-metrics/2"` JSONL stream, rewritten
 //!   atomically every `--metrics-every` interval.
-//! - [`blackbox`]: the flight recorder — checksummed `"cfp-blackbox/1"`
+//! - [`blackbox`]: the flight recorder — checksummed `"cfp-blackbox/2"`
 //!   post-mortems dumped on error exits, rendered by
 //!   `cfp-repro postmortem`.
-//! - [`fnv`]: FNV-1a, the one checksum of every persisted format.
+//! - [`fnv`]: FNV-1a, the one checksum of every persisted format, and
+//!   the sealed JSON envelope of the checkpoint manifest and the
+//!   post-mortem.
 //!
 //! # Cost when disabled
 //!
@@ -80,6 +84,7 @@ pub mod metrics;
 pub mod progress;
 pub mod report;
 pub mod sampler;
+pub mod snapshot;
 pub mod span;
 
 pub use blackbox::BlackboxReport;
@@ -90,8 +95,9 @@ pub use json::Json;
 pub use memstat::{MemStatReport, MemSummary};
 pub use metrics::{MetricsExporter, MetricsSnapshot};
 pub use progress::ProgressMeter;
-pub use report::{DegradationReport, RunReport, RungOutcome};
+pub use report::RunReport;
 pub use sampler::{MemSampler, Sample};
+pub use snapshot::Snapshot;
 pub use span::{span, Phase, SpanGuard};
 
 #[cfg(feature = "trace")]

@@ -12,19 +12,15 @@
 //!
 //! Like `cfp-profile`, the document is self-describing via its `schema`
 //! field and hand-rolled on the [`Json`] value type — no dependencies.
-//! This module holds only the data model and its (de)serialisation;
-//! assembling a report from a live run happens in the CLI and bench
-//! layers, which can see the pool, the trees, and the baselines at once.
+//! This module holds only the data model and its writer (no code reads
+//! a memstat document back); assembling a report from a live run
+//! happens in the CLI and bench layers, which can see the pool, the
+//! trees, and the baselines at once.
 
 use crate::json::Json;
 
 /// Schema identifier of the memstat document layout.
 pub const SCHEMA: &str = "cfp-memstat/1";
-
-/// Whether `schema` names a memstat layout this crate can read.
-pub fn schema_is_supported(schema: &str) -> bool {
-    schema == SCHEMA
-}
 
 /// One per-component attribution row: live and high-water bytes a
 /// pipeline component holds through the budget pool.
@@ -169,7 +165,7 @@ pub struct MemStatReport {
     pub distributions: Vec<DistRow>,
 }
 
-/// Compact per-component summary folded into `cfp-profile/2` reports
+/// Compact per-component summary folded into `cfp-profile/3` reports
 /// and `cfp-bench/1` snapshots, so time-domain consumers can diff
 /// memory without parsing a full memstat document.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -324,130 +320,6 @@ impl MemStatReport {
         ])
     }
 
-    /// Reads a `cfp-memstat/1` document back.
-    ///
-    /// Unknown fields are ignored (forward compatibility); a missing or
-    /// unsupported `schema` is a clear error, never a panic.
-    pub fn from_json(doc: &Json) -> Result<MemStatReport, String> {
-        let schema = doc
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "memstat document has no schema field".to_string())?;
-        if !schema_is_supported(schema) {
-            return Err(format!("unsupported memstat schema {schema:?} (want {SCHEMA:?})"));
-        }
-        let u = |node: Option<&Json>, key: &str| -> u64 {
-            node.and_then(|n| n.get(key)).and_then(Json::as_u64).unwrap_or(0)
-        };
-        let f = |node: Option<&Json>, key: &str| -> f64 {
-            node.and_then(|n| n.get(key)).and_then(Json::as_f64).unwrap_or(0.0)
-        };
-        let b = |node: Option<&Json>, key: &str| -> bool {
-            matches!(node.and_then(|n| n.get(key)), Some(Json::Bool(true)))
-        };
-        let s = |node: Option<&Json>, key: &str| -> String {
-            node.and_then(|n| n.get(key)).and_then(Json::as_str).unwrap_or("").to_string()
-        };
-        let run = doc.get("run");
-        let att = doc.get("attribution");
-        let components = att
-            .and_then(|a| a.get("components"))
-            .and_then(Json::as_arr)
-            .unwrap_or(&[])
-            .iter()
-            .map(|c| ComponentRow {
-                component: s(Some(c), "component"),
-                live: u(Some(c), "live"),
-                peak: u(Some(c), "peak"),
-            })
-            .collect();
-        let audit = doc.get("audit");
-        let structures = doc
-            .get("structures")
-            .and_then(Json::as_arr)
-            .unwrap_or(&[])
-            .iter()
-            .map(|st| {
-                let detail = match st.get("detail") {
-                    Some(Json::Obj(members)) => members
-                        .iter()
-                        .filter_map(|(k, v)| v.as_u64().map(|n| (k.clone(), n)))
-                        .collect(),
-                    _ => Vec::new(),
-                };
-                StructureReport {
-                    name: s(Some(st), "name"),
-                    logical_nodes: u(Some(st), "logical_nodes"),
-                    bytes: u(Some(st), "bytes"),
-                    bytes_per_node: f(Some(st), "bytes_per_node"),
-                    bytes_per_transaction: f(Some(st), "bytes_per_transaction"),
-                    detail,
-                }
-            })
-            .collect();
-        let compression = doc
-            .get("compression")
-            .and_then(Json::as_arr)
-            .unwrap_or(&[])
-            .iter()
-            .map(|r| CompressionRow {
-                representation: s(Some(r), "representation"),
-                bytes: u(Some(r), "bytes"),
-                ratio_vs_fptree: f(Some(r), "ratio_vs_fptree"),
-            })
-            .collect();
-        let savings = match doc.get("savings") {
-            Some(Json::Obj(members)) => members
-                .iter()
-                .filter_map(|(k, v)| {
-                    v.as_f64().map(|n| SavingsRow { name: k.clone(), bytes: n as i64 })
-                })
-                .collect(),
-            _ => Vec::new(),
-        };
-        let distributions = match doc.get("distributions") {
-            Some(Json::Obj(members)) => members
-                .iter()
-                .map(|(k, v)| DistRow {
-                    name: k.clone(),
-                    count: u(Some(v), "count"),
-                    p50: u(Some(v), "p50"),
-                    p95: u(Some(v), "p95"),
-                    max: u(Some(v), "max"),
-                })
-                .collect(),
-            _ => Vec::new(),
-        };
-        Ok(MemStatReport {
-            dataset: s(run, "dataset"),
-            transactions: u(run, "transactions"),
-            support: u(run, "support"),
-            algorithm: s(run, "algorithm"),
-            threads: u(run, "threads"),
-            attribution: Attribution {
-                limit: att.and_then(|a| a.get("limit")).and_then(Json::as_u64),
-                pool_used: u(att, "pool_used"),
-                pool_peak: u(att, "pool_peak"),
-                external_used: u(att, "external_used"),
-                components,
-            },
-            audit: Audit {
-                components_total: u(audit, "components_total"),
-                accounted: u(audit, "accounted"),
-                reconciled: b(audit, "reconciled"),
-                arena_carved: u(audit, "arena_carved"),
-                arena_reserved: u(audit, "arena_reserved"),
-                reserved_slack: f(audit, "reserved_slack"),
-                within_slack: b(audit, "within_slack"),
-                rss_bytes: audit.and_then(|a| a.get("rss_bytes")).and_then(Json::as_u64),
-            },
-            structures,
-            compression,
-            savings,
-            distributions,
-        })
-    }
-
     /// The compact summary folded into profile reports and bench
     /// snapshots.
     pub fn summary(&self) -> MemSummary {
@@ -547,33 +419,12 @@ mod tests {
         let text = report.to_json().to_pretty();
         let doc = json::parse(&text).expect("memstat must be valid JSON");
         assert_eq!(doc.get("schema").and_then(Json::as_str), Some(SCHEMA));
-        let back = MemStatReport::from_json(&doc).expect("parse back");
-        assert_eq!(back, report);
-    }
-
-    #[test]
-    fn unknown_fields_are_ignored_on_parse() {
-        let report = sample_report();
-        let Json::Obj(mut members) = report.to_json() else { panic!("object") };
-        members.push(("future_field".into(), Json::str("from cfp-memstat/2")));
-        // Nested unknown field inside an existing section too.
-        if let Some((_, Json::Obj(audit))) = members.iter_mut().find(|(k, _)| k == "audit") {
-            audit.push(("future_audit_detail".into(), Json::u64(7)));
-        }
-        let back = MemStatReport::from_json(&Json::Obj(members)).expect("forward compatible");
-        assert_eq!(back, report);
-    }
-
-    #[test]
-    fn missing_or_wrong_schema_is_a_clear_error() {
-        let err = MemStatReport::from_json(&Json::Obj(vec![])).unwrap_err();
-        assert!(err.contains("no schema"), "got: {err}");
-        let err = MemStatReport::from_json(&Json::Obj(vec![(
-            "schema".into(),
-            Json::str("cfp-memstat/9"),
-        )]))
-        .unwrap_err();
-        assert!(err.contains("cfp-memstat/9") && err.contains("cfp-memstat/1"), "got: {err}");
+        assert_eq!(doc, report.to_json(), "the document parses back to what was written");
+        let audit = doc.get("audit").expect("audit section");
+        assert_eq!(audit.get("reconciled"), Some(&Json::Bool(true)));
+        assert_eq!(audit.get("rss_bytes").and_then(Json::as_u64), Some(10 << 20));
+        let savings = doc.get("savings").expect("savings section");
+        assert_eq!(savings.get("mask-overhead").and_then(Json::as_f64), Some(-900.0));
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Live metrics export: periodic snapshots of the counter registry and
-//! latency histograms, serialized as Prometheus text exposition format
-//! and as a versioned `cfp-metrics/1` JSONL stream.
+//! Live metrics export: periodic registry [`Snapshot`]s, serialized as
+//! Prometheus text exposition format and as a versioned `cfp-metrics/2`
+//! JSONL stream.
 //!
 //! The [`MetricsExporter`] runs a background thread (same shape as the
 //! `--progress` meter): every `--metrics-every` interval it captures a
@@ -24,23 +24,21 @@ use std::sync::mpsc::{self, RecvTimeoutError, Sender};
 use std::thread::JoinHandle;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
-use crate::counters;
-use crate::hist::{self, HistSummary};
 use crate::json::Json;
+use crate::snapshot::Snapshot;
 
-/// Schema tag carried by every JSONL record.
-pub const SCHEMA: &str = "cfp-metrics/1";
+/// Schema tag carried by every JSONL record. `/2` embeds the shared
+/// registry [`Snapshot`], adding `phases` and `histograms`.
+pub const SCHEMA: &str = "cfp-metrics/2";
 
-/// One point-in-time capture of the whole telemetry registry.
+/// One numbered, timestamped registry [`Snapshot`].
 pub struct MetricsSnapshot {
     /// Monotone sequence number within the exporter's lifetime.
     pub seq: u64,
     /// Wall-clock capture time, milliseconds since the Unix epoch.
     pub at_ms: u64,
-    /// Counters, gauges, and max-gauges, sorted by name.
-    pub counters: Vec<(&'static str, u64)>,
-    /// Non-empty latency histograms, sorted by name.
-    pub hists: Vec<HistSummary>,
+    /// The registry at capture time.
+    pub snapshot: Snapshot,
 }
 
 impl MetricsSnapshot {
@@ -50,26 +48,18 @@ impl MetricsSnapshot {
             .duration_since(UNIX_EPOCH)
             .map(|d| d.as_millis().min(u64::MAX as u128) as u64)
             .unwrap_or(0);
-        MetricsSnapshot { seq, at_ms, counters: counters::snapshot(), hists: hist::summaries() }
+        MetricsSnapshot { seq, at_ms, snapshot: Snapshot::capture() }
     }
 
-    /// One `cfp-metrics/1` record (callers emit `to_compact()` + `\n`).
+    /// One `cfp-metrics/2` record (callers emit `to_compact()` + `\n`).
     pub fn to_json(&self) -> Json {
-        let mut counters = Vec::with_capacity(self.counters.len());
-        for &(name, value) in &self.counters {
-            counters.push((name.to_string(), Json::u64(value)));
-        }
-        let mut hists = Vec::with_capacity(self.hists.len());
-        for h in &self.hists {
-            hists.push((h.name.to_string(), summary_json(h)));
-        }
-        Json::Obj(vec![
+        let mut doc = vec![
             ("schema".into(), Json::str(SCHEMA)),
             ("seq".into(), Json::u64(self.seq)),
             ("at_ms".into(), Json::u64(self.at_ms)),
-            ("counters".into(), Json::Obj(counters)),
-            ("hists".into(), Json::Obj(hists)),
-        ])
+        ];
+        doc.extend(self.snapshot.members());
+        Json::Obj(doc)
     }
 
     /// Full Prometheus text exposition. `labels` become the label set of
@@ -89,36 +79,9 @@ impl MetricsSnapshot {
             out.push('"');
         }
         out.push_str("} 1\n");
-
-        for &(name, value) in &self.counters {
-            let pname = prom_name(name);
-            out.push_str(&format!("# TYPE {pname} gauge\n{pname} {value}\n"));
-        }
-
-        for h in &self.hists {
-            let pname = prom_name(h.name);
-            out.push_str(&format!("# TYPE {pname} summary\n"));
-            for (q, v) in [("0.5", h.p50), ("0.9", h.p90), ("0.99", h.p99), ("0.999", h.p999)] {
-                out.push_str(&format!("{pname}{{quantile=\"{q}\"}} {v}\n"));
-            }
-            out.push_str(&format!("{pname}_sum {}\n", h.sum));
-            out.push_str(&format!("{pname}_count {}\n", h.count));
-            out.push_str(&format!("# TYPE {pname}_max gauge\n{pname}_max {}\n", h.max));
-        }
+        out.push_str(&self.snapshot.to_prometheus());
         out
     }
-}
-
-fn summary_json(h: &HistSummary) -> Json {
-    Json::Obj(vec![
-        ("count".into(), Json::u64(h.count)),
-        ("sum".into(), Json::u64(h.sum)),
-        ("max".into(), Json::u64(h.max)),
-        ("p50".into(), Json::u64(h.p50)),
-        ("p90".into(), Json::u64(h.p90)),
-        ("p99".into(), Json::u64(h.p99)),
-        ("p999".into(), Json::u64(h.p999)),
-    ])
 }
 
 /// Registry name → Prometheus metric name: `cfp_` prefix, every
@@ -226,11 +189,8 @@ impl MetricsExporter {
     }
 
     /// Flush a final snapshot and join the exporter thread.
-    pub fn stop(mut self) -> PathBuf {
-        let _ = self.stop.send(());
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+    pub fn stop(self) -> PathBuf {
+        // Dropping `self` on return flushes the snapshot and joins.
         self.prom_path.clone()
     }
 }

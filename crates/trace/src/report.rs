@@ -1,62 +1,23 @@
 //! The versioned machine-readable run report.
 //!
 //! `cfp-mine --profile out.json` (and `cfp-bench`'s per-run profiles)
-//! serialise a [`RunReport`] — one JSON document per mining run capturing
-//! phase spans, the full counter registry, histogram sketches, and the
+//! serialise a [`RunReport`] — one JSON document per mining run: the run
+//! parameters, the registry [`Snapshot`] every telemetry document embeds
+//! (phases, counters, bucket histograms, latency summaries), and the
 //! memory time series. The document is self-describing via its `schema`
 //! field; consumers must check it before reading anything else.
 
-use crate::counters;
 use crate::events::EventsSummary;
 use crate::json::Json;
 use crate::memstat::MemSummary;
 use crate::sampler::Sample;
-use crate::span::{self, PhaseSpan};
+use crate::snapshot::Snapshot;
 
-/// Schema identifier of the current report layout. `/2` adds the
-/// `events` summary block (with its `dropped_events` accounting) for the
-/// event-timeline layer; everything a `/1` consumer reads is unchanged.
-pub const SCHEMA: &str = "cfp-profile/2";
-
-/// The previous schema. [`schema_is_supported`] keeps accepting it: `/2`
-/// only added fields, so `/1` documents parse with the same code.
-pub const SCHEMA_V1: &str = "cfp-profile/1";
-
-/// Whether `schema` names a report layout this crate can read.
-pub fn schema_is_supported(schema: &str) -> bool {
-    schema == SCHEMA || schema == SCHEMA_V1
-}
-
-/// One rung of the recovery ladder, as reported by the run supervisor.
-#[derive(Clone, Debug)]
-pub struct RungOutcome {
-    /// Rung name: `"retry"`, `"degrade"`, or `"partition"`.
-    pub rung: String,
-    /// Whether this rung completed the run.
-    pub succeeded: bool,
-    /// Bytes compaction returned to the footprint during this rung.
-    pub reclaimed_bytes: u64,
-    /// Partitions mined in this rung (0 for non-partition rungs).
-    pub partitions: u64,
-    /// The error that ended this rung, if it failed.
-    pub error: Option<String>,
-}
-
-/// The `degradation` section of a profile: what the supervisor did after
-/// the initial attempt failed. Absent on healthy runs (additive to the
-/// `cfp-profile/1` schema).
-#[derive(Clone, Debug)]
-pub struct DegradationReport {
-    /// Recovery policy in force (`"retry"`, `"degrade"`, `"partition"`).
-    pub policy: String,
-    /// Rungs attempted, in ladder order; each at most once.
-    pub rungs: Vec<RungOutcome>,
-    /// Whether some rung completed the run.
-    pub recovered: bool,
-    /// Final partition count the database was mined under (0 when the
-    /// partition rung was never reached).
-    pub final_partitions: u64,
-}
+/// Schema identifier of the current report layout. `/3` embeds the
+/// shared registry [`Snapshot`] (adding the `hists` latency summaries)
+/// and drops `memory.peak_bytes`/`memory.final_bytes`, which restated
+/// the `mem.peak_bytes`/`mem.current_bytes` counters.
+pub const SCHEMA: &str = "cfp-profile/3";
 
 /// Everything `--profile` writes about one mining run.
 #[derive(Clone, Debug)]
@@ -71,42 +32,33 @@ pub struct RunReport {
     pub algorithm: String,
     /// Worker threads (1 = sequential).
     pub threads: u64,
-    /// Mine-phase schedule of a parallel run (`"static"` or
-    /// `"dynamic"`); absent for sequential runs and non-cfp algorithms
-    /// (additive to the `cfp-profile/1` schema).
+    /// Mine-phase schedule of a cfp run (`"dynamic"`); absent for
+    /// non-cfp algorithms.
     pub schedule: Option<String>,
     /// Frequent itemsets found.
     pub itemsets: u64,
     /// End-to-end wall time of the run in nanoseconds.
     pub wall_nanos: u64,
-    /// Accumulated per-phase spans, in pipeline order.
-    pub phases: Vec<PhaseSpan>,
-    /// Counter/gauge registry snapshot, in registry order.
-    pub counters: Vec<(&'static str, u64)>,
-    /// Histogram snapshots (dense bucket vectors).
-    pub histograms: Vec<(&'static str, Vec<u64>)>,
-    /// Peak tracked bytes over the run.
-    pub peak_bytes: u64,
-    /// Tracked bytes at the end of the run.
-    pub final_bytes: u64,
+    /// The registry at the end of the run.
+    pub snapshot: Snapshot,
     /// Memory time series (at least two samples: start and stop).
     pub samples: Vec<Sample>,
-    /// Recovery-ladder activity, present only for degraded runs.
-    pub degradation: Option<DegradationReport>,
-    /// Event-timeline summary, present when the caller attached one via
-    /// [`with_events`](Self::with_events) (additive in `cfp-profile/2`).
+    /// The supervisor's recovery report (`RecoveryReport::to_json` in
+    /// `cfp-core`), present only for runs that climbed the ladder.
+    pub degradation: Option<Json>,
+    /// Event-timeline summary (usually [`crate::events::summarize`]).
     pub events: Option<EventsSummary>,
-    /// Per-component memory summary, present when the caller attached
-    /// one via [`with_memstat`](Self::with_memstat) (additive in
-    /// `cfp-profile/2`; see the `cfp-memstat/1` document for the full
-    /// space-domain report).
+    /// Per-component memory summary (usually
+    /// [`MemStatReport::summary`](crate::memstat::MemStatReport::summary);
+    /// see the `cfp-memstat/1` document for the full space-domain report).
     pub memstat: Option<MemSummary>,
 }
 
 impl RunReport {
-    /// Snapshots the global registry and phase spans into a report.
-    /// Run metadata (`dataset`, `support`, ...) comes from the caller;
-    /// everything else is read from the instrumentation state.
+    /// Snapshots the global registry into a report. Run metadata
+    /// (`dataset`, `support`, ...) comes from the caller, which sets the
+    /// optional sections (`schedule`, `degradation`, `events`, `memstat`)
+    /// it has.
     #[allow(clippy::too_many_arguments)]
     pub fn capture(
         dataset: impl Into<String>,
@@ -127,11 +79,7 @@ impl RunReport {
             itemsets,
             wall_nanos,
             schedule: None,
-            phases: span::phase_snapshot(),
-            counters: counters::snapshot(),
-            histograms: counters::histogram_snapshot(),
-            peak_bytes: counters::MEM_PEAK_BYTES.get(),
-            final_bytes: counters::MEM_CURRENT_BYTES.get(),
+            snapshot: Snapshot::capture(),
             samples,
             degradation: None,
             events: None,
@@ -139,35 +87,7 @@ impl RunReport {
         }
     }
 
-    /// Records the mine-phase schedule of a parallel run in the `run`
-    /// section.
-    pub fn with_schedule(mut self, schedule: impl Into<String>) -> Self {
-        self.schedule = Some(schedule.into());
-        self
-    }
-
-    /// Attaches the supervisor's degradation section to the report.
-    pub fn with_degradation(mut self, degradation: DegradationReport) -> Self {
-        self.degradation = Some(degradation);
-        self
-    }
-
-    /// Attaches the event-timeline summary (usually
-    /// [`crate::events::summary`]) to the report.
-    pub fn with_events(mut self, events: EventsSummary) -> Self {
-        self.events = Some(events);
-        self
-    }
-
-    /// Attaches the per-component memory summary (usually
-    /// [`MemStatReport::summary`](crate::memstat::MemStatReport::summary))
-    /// to the report.
-    pub fn with_memstat(mut self, memstat: MemSummary) -> Self {
-        self.memstat = Some(memstat);
-        self
-    }
-
-    /// Serialises to the `cfp-profile/2` JSON document.
+    /// Serialises to the `cfp-profile/3` JSON document.
     pub fn to_json(&self) -> Json {
         let mut run_fields = vec![
             ("dataset".into(), Json::str(self.dataset.clone())),
@@ -181,39 +101,6 @@ impl RunReport {
         }
         run_fields.push(("itemsets".into(), Json::u64(self.itemsets)));
         run_fields.push(("wall_nanos".into(), Json::u64(self.wall_nanos)));
-        let run = Json::Obj(run_fields);
-        let phases = Json::Arr(
-            self.phases
-                .iter()
-                .map(|p| {
-                    Json::Obj(vec![
-                        ("name".into(), Json::str(p.name)),
-                        ("nanos".into(), Json::u64(p.nanos)),
-                        ("count".into(), Json::u64(p.count)),
-                    ])
-                })
-                .collect(),
-        );
-        let counters = Json::Obj(
-            self.counters.iter().map(|&(name, v)| (name.to_string(), Json::u64(v))).collect(),
-        );
-        // Histograms are sparse in practice (a handful of mask bytes, a
-        // dozen depths), so emit [bucket, count] pairs for non-zero
-        // buckets instead of dense vectors.
-        let histograms = Json::Obj(
-            self.histograms
-                .iter()
-                .map(|(name, buckets)| {
-                    let pairs = buckets
-                        .iter()
-                        .enumerate()
-                        .filter(|&(_, &c)| c != 0)
-                        .map(|(i, &c)| Json::Arr(vec![Json::u64(i as u64), Json::u64(c)]))
-                        .collect();
-                    (name.to_string(), Json::Arr(pairs))
-                })
-                .collect(),
-        );
         let samples = Json::Arr(
             self.samples
                 .iter()
@@ -228,19 +115,10 @@ impl RunReport {
                 })
                 .collect(),
         );
-        let memory = Json::Obj(vec![
-            ("peak_bytes".into(), Json::u64(self.peak_bytes)),
-            ("final_bytes".into(), Json::u64(self.final_bytes)),
-            ("samples".into(), samples),
-        ]);
-        let mut doc = vec![
-            ("schema".into(), Json::str(SCHEMA)),
-            ("run".into(), run),
-            ("phases".into(), phases),
-            ("counters".into(), counters),
-            ("histograms".into(), histograms),
-            ("memory".into(), memory),
-        ];
+        let mut doc =
+            vec![("schema".into(), Json::str(SCHEMA)), ("run".into(), Json::Obj(run_fields))];
+        doc.extend(self.snapshot.members());
+        doc.push(("memory".into(), Json::Obj(vec![("samples".into(), samples)])));
         if let Some(m) = &self.memstat {
             doc.push(("memstat".into(), m.to_json()));
         }
@@ -264,35 +142,7 @@ impl RunReport {
             ));
         }
         if let Some(d) = &self.degradation {
-            let rungs = Json::Arr(
-                d.rungs
-                    .iter()
-                    .map(|r| {
-                        Json::Obj(vec![
-                            ("rung".into(), Json::str(r.rung.clone())),
-                            ("succeeded".into(), Json::Bool(r.succeeded)),
-                            ("reclaimed_bytes".into(), Json::u64(r.reclaimed_bytes)),
-                            ("partitions".into(), Json::u64(r.partitions)),
-                            (
-                                "error".into(),
-                                match &r.error {
-                                    Some(e) => Json::str(e.clone()),
-                                    None => Json::Null,
-                                },
-                            ),
-                        ])
-                    })
-                    .collect(),
-            );
-            doc.push((
-                "degradation".into(),
-                Json::Obj(vec![
-                    ("policy".into(), Json::str(d.policy.clone())),
-                    ("rungs".into(), rungs),
-                    ("recovered".into(), Json::Bool(d.recovered)),
-                    ("final_partitions".into(), Json::u64(d.final_partitions)),
-                ]),
-            ));
+            doc.push(("degradation".into(), d.clone()));
         }
         Json::Obj(doc)
     }
@@ -338,13 +188,11 @@ mod tests {
             Some("read"),
             "phases stay in pipeline order"
         );
-        let samples = doc
-            .get("memory")
-            .and_then(|m| m.get("samples"))
-            .and_then(Json::as_arr)
-            .expect("memory.samples");
+        let memory = doc.get("memory").expect("memory");
+        let samples = memory.get("samples").and_then(Json::as_arr).expect("memory.samples");
         assert_eq!(samples.len(), 2);
         assert_eq!(samples[1].get("arena_footprint").and_then(Json::as_u64), Some(4096));
+        assert!(memory.get("peak_bytes").is_none(), "the peak is the mem.peak_bytes counter");
     }
 
     #[test]
@@ -353,7 +201,8 @@ mod tests {
         let doc = json::parse(&base.to_json().to_compact()).unwrap();
         assert!(doc.get("run").unwrap().get("schedule").is_none());
 
-        let doc = json::parse(&base.with_schedule("dynamic").to_json().to_pretty()).unwrap();
+        let with = RunReport { schedule: Some("dynamic".into()), ..base };
+        let doc = json::parse(&with.to_json().to_pretty()).unwrap();
         let run = doc.get("run").expect("run object");
         assert_eq!(run.get("schedule").and_then(Json::as_str), Some("dynamic"));
         assert_eq!(run.get("threads").and_then(Json::as_u64), Some(4));
@@ -382,15 +231,7 @@ mod tests {
         let counters = doc.get("counters").expect("counters object");
         assert!(counters.get("memman.allocs").is_some());
         assert!(counters.get("core.conditional_trees").is_some());
-    }
-
-    #[test]
-    fn both_schema_generations_are_supported() {
-        assert!(schema_is_supported(SCHEMA));
-        assert!(schema_is_supported("cfp-profile/1"), "v1 documents must keep parsing");
-        assert!(schema_is_supported("cfp-profile/2"));
-        assert!(!schema_is_supported("cfp-profile/3"));
-        assert!(!schema_is_supported("something-else/1"));
+        assert!(doc.get("hists").is_some(), "latency summaries ride along");
     }
 
     #[test]
@@ -399,14 +240,15 @@ mod tests {
         let doc = json::parse(&base.to_json().to_compact()).unwrap();
         assert!(doc.get("events").is_none(), "no events block unless attached");
 
-        let with = base.with_events(EventsSummary {
+        let events = EventsSummary {
             tracks: 4,
             recorded: 1000,
             dropped_events: 12,
             by_kind: vec![("phase_begin", 6), ("task_claim", 982)],
-        });
+        };
+        let with = RunReport { events: Some(events), ..base };
         let doc = json::parse(&with.to_json().to_pretty()).unwrap();
-        assert_eq!(doc.get("schema").and_then(Json::as_str), Some("cfp-profile/2"));
+        assert_eq!(doc.get("schema").and_then(Json::as_str), Some("cfp-profile/3"));
         let events = doc.get("events").expect("events section");
         assert_eq!(events.get("tracks").and_then(Json::as_u64), Some(4));
         assert_eq!(events.get("dropped_events").and_then(Json::as_u64), Some(12));
@@ -420,11 +262,12 @@ mod tests {
         let doc = json::parse(&base.to_json().to_compact()).unwrap();
         assert!(doc.get("memstat").is_none(), "no memstat block unless attached");
 
-        let with = base.with_memstat(MemSummary {
+        let memstat = MemSummary {
             pool_peak: 62213,
             reconciled: true,
             component_peaks: vec![("build-tree".into(), 50000), ("cond-trees".into(), 9000)],
-        });
+        };
+        let with = RunReport { memstat: Some(memstat), ..base };
         let doc = json::parse(&with.to_json().to_pretty()).unwrap();
         let m = doc.get("memstat").expect("memstat section");
         assert_eq!(m.get("pool_peak").and_then(Json::as_u64), Some(62213));
@@ -439,37 +282,12 @@ mod tests {
         let doc = json::parse(&base.to_json().to_compact()).unwrap();
         assert!(doc.get("degradation").is_none(), "healthy runs carry no degradation");
 
-        let degraded = base.with_degradation(DegradationReport {
-            policy: "partition".into(),
-            rungs: vec![
-                RungOutcome {
-                    rung: "retry".into(),
-                    succeeded: false,
-                    reclaimed_bytes: 512,
-                    partitions: 0,
-                    error: Some("memory exhausted".into()),
-                },
-                RungOutcome {
-                    rung: "partition".into(),
-                    succeeded: true,
-                    reclaimed_bytes: 0,
-                    partitions: 4,
-                    error: None,
-                },
-            ],
-            recovered: true,
-            final_partitions: 4,
-        });
+        let section = Json::Obj(vec![
+            ("policy".into(), Json::str("partition")),
+            ("recovered".into(), Json::Bool(true)),
+        ]);
+        let degraded = RunReport { degradation: Some(section.clone()), ..base };
         let doc = json::parse(&degraded.to_json().to_pretty()).unwrap();
-        let d = doc.get("degradation").expect("degradation section");
-        assert_eq!(d.get("policy").and_then(Json::as_str), Some("partition"));
-        assert_eq!(d.get("recovered"), Some(&Json::Bool(true)));
-        assert_eq!(d.get("final_partitions").and_then(Json::as_u64), Some(4));
-        let rungs = d.get("rungs").and_then(Json::as_arr).expect("rungs array");
-        assert_eq!(rungs.len(), 2);
-        assert_eq!(rungs[0].get("rung").and_then(Json::as_str), Some("retry"));
-        assert_eq!(rungs[0].get("reclaimed_bytes").and_then(Json::as_u64), Some(512));
-        assert_eq!(rungs[1].get("partitions").and_then(Json::as_u64), Some(4));
-        assert_eq!(rungs[1].get("error"), Some(&Json::Null));
+        assert_eq!(doc.get("degradation"), Some(&section), "embedded as given");
     }
 }

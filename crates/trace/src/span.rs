@@ -35,8 +35,11 @@ pub enum Phase {
     /// Recovery-ladder work after a failed attempt (compaction retry,
     /// sequential downshift, partitioned fallback). Zero on healthy runs.
     Recover,
-    /// Out-of-core spill I/O: writing partition projections to disk and
-    /// loading them back for mining. Zero unless the spill rung runs.
+    /// Spill-file I/O: writing CFP-arrays (a partition's array, or an
+    /// oversized conditional array) to crash-safe spill files and reading
+    /// them back, plus checkpoint-manifest commits, which use the same
+    /// atomic write. Zero unless `--recover=spill` or `--checkpoint-dir`
+    /// runs.
     Spill,
 }
 

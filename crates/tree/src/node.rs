@@ -414,6 +414,51 @@ mod tests {
         assert!(chain.encoded_size() <= cfp_memman::MAX_CHUNK);
     }
 
+    /// Seeded sweep over standard nodes, chain nodes and embedded
+    /// leaves: every field combination round-trips, and `node_size`
+    /// agrees with the encoder.
+    #[test]
+    fn seeded_nodes_round_trip() {
+        use cfp_data::rng::{Rng, StdRng};
+        let mut rng = StdRng::seed_from_u64(0x0DE5);
+        let ptr = |rng: &mut StdRng| -> u64 {
+            if rng.gen_bool(0.3) {
+                0
+            } else {
+                rng.gen_range(1u64..1 << 39)
+            }
+        };
+        for _ in 0..2000 {
+            let node = StdNode {
+                ditem: (rng.gen::<u32>() >> rng.gen_range(0u32..32)).max(1),
+                pcount: rng.gen::<u32>() >> rng.gen_range(0u32..32),
+                left: ptr(&mut rng),
+                right: ptr(&mut rng),
+                suffix: ptr(&mut rng),
+            };
+            let mut buf = [0u8; 24];
+            let n = node.encode(&mut buf);
+            assert_eq!(n, node.encoded_size(), "{node:?}");
+            assert_eq!(StdNode::decode(&buf), (node, n));
+            assert_eq!(node_size(&buf), n);
+
+            let len = rng.gen_range(2..MAX_CHAIN_LEN + 1);
+            let entries: Vec<u32> = (0..len).map(|_| rng.gen_range(1u32..256)).collect();
+            let chain = ChainNode::from_entries(&entries, node.pcount, ptr(&mut rng));
+            let mut buf = [0u8; 32];
+            let n = chain.encode(&mut buf);
+            assert_eq!(n, chain.encoded_size(), "{entries:?}");
+            assert_eq!(ChainNode::decode(&buf), (chain, n));
+            assert_eq!(node_size(&buf), n);
+
+            let (ditem, pcount) =
+                (rng.gen_range(1u32..256), rng.gen_range(0..EMBED_MAX_PCOUNT + 1));
+            let raw = embed(ditem, pcount).unwrap();
+            assert!(is_embedded(raw));
+            assert_eq!(unembed(raw), (ditem, pcount));
+        }
+    }
+
     #[test]
     fn dispatch_distinguishes_kinds() {
         let mut buf = [0u8; 32];
@@ -426,54 +471,5 @@ mod tests {
         chain.encode(&mut buf);
         assert!(matches!(decode(&buf).0, Node::Chain(c) if c == chain));
         assert_eq!(node_size(&buf), chain.encoded_size());
-    }
-
-    /// Property tests require the optional `proptest` dependency,
-    /// which offline builds cannot fetch. Enable with
-    /// `--features proptest` after restoring the dev-dependency
-    /// (see README § Offline builds).
-    #[cfg(feature = "proptest")]
-    mod props {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #[test]
-            fn prop_std_round_trip(
-                ditem in 1u32..,
-                pcount in any::<u32>(),
-                left in prop_oneof![Just(0u64), 1u64..(1<<39)],
-                right in prop_oneof![Just(0u64), 1u64..(1<<39)],
-                suffix in prop_oneof![Just(0u64), 1u64..(1<<39)],
-            ) {
-                let node = StdNode { ditem, pcount, left, right, suffix };
-                let mut buf = [0u8; 24];
-                let n = node.encode(&mut buf);
-                prop_assert_eq!(n, node.encoded_size());
-                prop_assert_eq!(StdNode::decode(&buf), (node, n));
-                prop_assert_eq!(node_size(&buf), n);
-            }
-
-            #[test]
-            fn prop_chain_round_trip(
-                entries in proptest::collection::vec(1u32..=255, 2..=MAX_CHAIN_LEN),
-                pcount in any::<u32>(),
-                suffix in prop_oneof![Just(0u64), 1u64..(1<<39)],
-            ) {
-                let chain = ChainNode::from_entries(&entries, pcount, suffix);
-                let mut buf = [0u8; 32];
-                let n = chain.encode(&mut buf);
-                prop_assert_eq!(n, chain.encoded_size());
-                prop_assert_eq!(ChainNode::decode(&buf), (chain, n));
-                prop_assert_eq!(node_size(&buf), n);
-            }
-
-            #[test]
-            fn prop_embed_round_trip(ditem in 1u32..=255, pcount in 0u32..=EMBED_MAX_PCOUNT) {
-                let raw = embed(ditem, pcount).unwrap();
-                prop_assert!(is_embedded(raw));
-                prop_assert_eq!(unembed(raw), (ditem, pcount));
-            }
-        }
     }
 }

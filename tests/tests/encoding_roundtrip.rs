@@ -59,6 +59,18 @@ fn varint_round_trips_and_all_paths_agree() {
 }
 
 #[test]
+fn varint_skip_stops_at_the_end_of_each_encoding() {
+    for v in u64_corpus() {
+        let mut buf = Vec::new();
+        let len = varint::write_u64(&mut buf, v);
+        // Trailing bytes that would continue the varint if skip overran.
+        buf.extend_from_slice(&[0xAB, 0xCD]);
+        assert_eq!(varint::skip(&buf), len, "skip of {v}");
+        assert_eq!(varint::read_u64(&buf), Some((v, len)));
+    }
+}
+
+#[test]
 fn varint_length_is_monotone_in_value() {
     let mut values = u64_corpus();
     values.sort_unstable();

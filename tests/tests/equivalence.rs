@@ -2,6 +2,7 @@
 //! produce exactly the same frequent itemsets with the same supports.
 
 use cfp_baselines::oracle;
+use cfp_data::rng::{Rng, StdRng};
 use cfp_data::TransactionDb;
 use cfp_integration::{fingerprint, full_roster, mine_sorted};
 
@@ -72,37 +73,31 @@ fn all_miners_agree_on_profiles_at_high_support() {
     }
 }
 
-/// Property tests require the optional `proptest` dependency,
-/// which offline builds cannot fetch. Enable with
-/// `--features proptest` after restoring the dev-dependency
-/// (see README § Offline builds).
-#[cfg(feature = "proptest")]
-mod props {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        /// Random small databases: every miner equals the brute-force oracle.
-        #[test]
-        fn prop_all_miners_match_oracle(
-            rows in proptest::collection::vec(
-                proptest::collection::btree_set(0u32..9, 0..7),
-                1..40
-            ),
-            minsup in 1u64..5,
-        ) {
-            let rows: Vec<Vec<u32>> = rows.into_iter().map(|s| s.into_iter().collect()).collect();
-            let db = TransactionDb::from_rows(&rows);
-            let expect = oracle::frequent_itemsets(&db, minsup);
-            for m in full_roster() {
-                prop_assert_eq!(
-                    mine_sorted(m.as_ref(), &db, minsup),
-                    expect.clone(),
-                    "miner {}", m.name()
-                );
-            }
+/// Seeded small databases (up to 40 rows over 9 items): every miner
+/// equals the brute-force oracle.
+#[test]
+fn all_miners_match_oracle_on_seeded_random_databases() {
+    let mut rng = StdRng::seed_from_u64(0xE001);
+    for case in 0..24 {
+        let rows: Vec<Vec<u32>> = (0..rng.gen_range(1..40))
+            .map(|_| {
+                let mut row: Vec<u32> =
+                    (0..rng.gen_range(0..7)).map(|_| rng.gen_range(0..9)).collect();
+                row.sort_unstable();
+                row.dedup();
+                row
+            })
+            .collect();
+        let minsup = rng.gen_range(1..5);
+        let db = TransactionDb::from_rows(&rows);
+        let expect = oracle::frequent_itemsets(&db, minsup);
+        for m in full_roster() {
+            assert_eq!(
+                mine_sorted(m.as_ref(), &db, minsup),
+                expect,
+                "case {case}: miner {} at minsup {minsup}",
+                m.name()
+            );
         }
     }
 }

@@ -1,6 +1,7 @@
 //! Telemetry integration tests: histogram accuracy against an exact
-//! oracle, merge algebra, Prometheus exposition robustness, and the
-//! flight-recorder round trip.
+//! oracle, merge algebra, Prometheus exposition robustness, the
+//! flight-recorder round trip, and one registry snapshot serialising
+//! identically in every telemetry document.
 //!
 //! The histogram tests are the documented accuracy contract of
 //! `cfp_trace::hist`: values below 2^SUB_BITS are recorded exactly, and
@@ -9,7 +10,7 @@
 //! order-statistic computed from a sorted copy of the same samples.
 
 use cfp_trace::hist::{self, LatencyHisto};
-use cfp_trace::{blackbox, json, metrics};
+use cfp_trace::{blackbox, json, metrics, Json, RunReport, Snapshot};
 
 /// xorshift64* — a tiny seeded generator so distributions are
 /// reproducible without pulling in a rand crate.
@@ -235,8 +236,9 @@ fn metrics_snapshot_json_carries_schema_and_histograms() {
     let doc = json::parse(&snap.to_json().to_pretty()).expect("snapshot JSON parses");
     assert_eq!(doc.get("schema").and_then(|j| j.as_str()), Some(metrics::SCHEMA));
     assert_eq!(doc.get("seq").and_then(|j| j.as_u64()), Some(3));
-    assert!(doc.get("counters").is_some());
-    assert!(doc.get("hists").is_some());
+    for member in ["phases", "counters", "histograms", "hists"] {
+        assert!(doc.get(member).is_some(), "{member} missing");
+    }
 }
 
 #[test]
@@ -250,8 +252,8 @@ fn blackbox_round_trips_with_a_valid_checksum_and_renders() {
     );
     let doc = report.to_json();
     let reparsed = json::parse(&doc.to_pretty()).expect("blackbox JSON parses");
-    let body = blackbox::verify(&reparsed).expect("checksum verifies");
-    let rendered = blackbox::render(body);
+    blackbox::verify(&reparsed).expect("checksum verifies");
+    let rendered = blackbox::render(&reparsed);
     assert!(rendered.contains("memory budget exhausted"), "{rendered}");
     assert!(rendered.contains("exit code"), "{rendered}");
 
@@ -259,4 +261,52 @@ fn blackbox_round_trips_with_a_valid_checksum_and_renders() {
     let tampered = doc.to_pretty().replace("exhausted", "exhAusted");
     let tampered = json::parse(&tampered).unwrap();
     assert!(blackbox::verify(&tampered).is_err(), "tampering went undetected");
+}
+
+/// The run report, a metrics record and a post-mortem built around one
+/// registry snapshot carry byte-identical `phases`, `counters`,
+/// `histograms` and `hists` members: one serialiser writes all three.
+#[test]
+fn one_snapshot_serialises_identically_in_all_three_documents() {
+    let emit = LatencyHisto::new("core.emit_nanos");
+    emit.record(1_500);
+    let snapshot = Snapshot {
+        phases: cfp_trace::span::phase_snapshot(),
+        counters: vec![("core.patterns_emitted", 13), ("mem.peak_bytes", 4096)],
+        histograms: vec![("core.recursion_depth", vec![0, 5, 2])],
+        hists: vec![emit.summary()],
+    };
+    let profile = RunReport {
+        dataset: "d".into(),
+        transactions: 9,
+        support: 2,
+        algorithm: "cfp".into(),
+        threads: 1,
+        schedule: None,
+        itemsets: 13,
+        wall_nanos: 1,
+        snapshot: snapshot.clone(),
+        samples: vec![],
+        degradation: None,
+        events: None,
+        memstat: None,
+    }
+    .to_json();
+    let record =
+        metrics::MetricsSnapshot { seq: 1, at_ms: 2, snapshot: snapshot.clone() }.to_json();
+    let postmortem = blackbox::BlackboxReport {
+        error: "e".into(),
+        exit_code: 4,
+        context: vec![],
+        snapshot,
+        tracks: vec![],
+        memstat: None,
+        degradation: None,
+    }
+    .to_json();
+    for member in ["phases", "counters", "histograms", "hists"] {
+        let text = |doc: &Json| doc.get(member).expect(member).to_compact();
+        assert_eq!(text(&profile), text(&record), "{member}: profile vs metrics record");
+        assert_eq!(text(&profile), text(&postmortem), "{member}: profile vs post-mortem");
+    }
 }
