@@ -5,7 +5,9 @@
 //! with identical supports — cross-checked against each other and against
 //! a brute-force [`oracle`] in the test suites. They differ exactly where
 //! the paper says they should: memory footprint and its growth as minimum
-//! support falls.
+//! support falls. The [`oracle`] also filters a complete result down to
+//! its closed and maximal itemsets, the yardstick for the engine's
+//! condensed output modes.
 //!
 //! | module | models | character |
 //! |---|---|---|

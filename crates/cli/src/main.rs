@@ -11,7 +11,8 @@
 //!   --algorithm NAME   cfp (default), fp, apriori, eclat, lcm,
 //!                      nonordfp, tiny, fparray
 //!   --threads N        mine-phase workers for CFP-growth (default 1);
-//!                      output is byte-identical at every count
+//!                      output is byte-identical at every count (cfp
+//!                      only above 1)
 //!   --schedule dynamic the mine-phase schedule (the only one: workers
 //!                      claim from a shared cost-sorted queue)
 //!   --mem-budget B     cap the whole run at B bytes — one budget pool
@@ -25,16 +26,11 @@
 //!                      closure/maximality/top-k-bound pruning, not a
 //!                      post-hoc filter — and stream in the same
 //!                      deterministic order as all-mode (topk prints
-//!                      support-descending at the end). cfp only
-//!   --count            print only the number of frequent itemsets
-//!   --top K            print the K highest-support itemsets
-//!                      (cfp: alias for --output=topk:K)
-//!   --closed           print only closed itemsets
-//!                      (cfp: alias for --output=closed)
-//!   --maximal          print only maximal itemsets
-//!                      (cfp: alias for --output=maximal)
+//!                      support-descending at the end). With --count,
+//!                      counts what the mode selects. cfp only
+//!   --count            print only the number of itemsets
 //!   --rules CONF       print association rules with confidence ≥ CONF
-//!   --image PATH       also save a reusable mining image (CFP only)
+//!   --image PATH       also save a reusable mining image (cfp only)
 //!   --stats            print phase times and peak memory to stderr
 //!   --profile PATH     enable tracing and write a cfp-profile/3 JSON
 //!                      run report to PATH: the registry snapshot
@@ -53,10 +49,11 @@
 //!   --mem-report PATH  write a cfp-memstat/1 JSON memory report
 //!                      (per-component attribution, reconciliation
 //!                      audit, per-structure analytics, compression
-//!                      table vs FP-tree baselines; cfp only). The
-//!                      mining run charges an attribution pool and a
-//!                      post-run analytics pass measures the structures;
-//!                      mining output is byte-identical with the flag on
+//!                      table vs FP-tree baselines; cfp only, with
+//!                      --recover off). The mining run charges an
+//!                      attribution pool and a post-run analytics pass
+//!                      measures the structures; mining output is
+//!                      byte-identical with the flag on
 //!   --metrics-out PATH export the registry snapshot every
 //!                      --metrics-every interval (default 1s): Prometheus
 //!                      text rewritten at PATH, one cfp-metrics/2 JSON
@@ -76,13 +73,14 @@
 //!                      per-run subdirectory is created and removed on
 //!                      every exit path; requires --recover=spill)
 //!   --worker-timeout S watchdog: fail the run when no mine-phase worker
-//!                      makes progress for S seconds (at any --threads)
+//!                      makes progress for S seconds (at any --threads;
+//!                      cfp only)
 //!   --checkpoint-dir P crash-safe checkpointing: periodically commit a
 //!                      cfp-ckpt/1 manifest into P recording an exact
 //!                      output watermark. The directory is guarded by a
 //!                      PID lockfile. Requires the cfp algorithm,
 //!                      streaming output (--output all, closed, or
-//!                      maximal; no --count, --top/topk, or --rules), and
+//!                      maximal; no --count, topk, or --rules), and
 //!                      --recover off or spill (condensed modes:
 //!                      --recover off only)
 //!   --checkpoint-every N  commit the manifest every N completed
@@ -97,9 +95,10 @@
 //!                      and exit 8 (cfp only)
 //! ```
 //!
-//! Flags also accept the `--flag=value` spelling. Itemsets print in FIMI
-//! output format: space-separated items followed by the absolute support
-//! in parentheses, e.g. `3 17 29 (1250)`.
+//! Flags also accept the `--flag=value` spelling. A cfp-only flag with
+//! another algorithm is a usage error, reported before the input is read.
+//! Itemsets print in FIMI output format: space-separated items followed by
+//! the absolute support in parentheses, e.g. `3 17 29 (1250)`.
 //!
 //! # Exit codes
 //!
@@ -120,12 +119,12 @@
 
 use cfp_core::{
     CollectSink, CountingSink, ItemsetSink, MineStats, Miner, MiningImage, OutputMode,
-    ParallelCfpGrowthMiner, RecoveryPolicy, RecoveryReport, Schedule, Supervisor, TopKSink,
-    TransactionDb,
+    ParallelCfpGrowthMiner, RecoveryPolicy, RecoveryReport, Schedule, Supervisor, TransactionDb,
 };
 use cfp_data::{CfpError, ParsePolicy};
-use cfp_fault::EXIT_USAGE;
-use cfp_rules::{closed_itemsets, maximal_itemsets, RuleMiner};
+use cfp_fault::{CancelToken, EXIT_USAGE};
+use cfp_memman::BudgetPool;
+use cfp_rules::RuleMiner;
 use std::io::{self, Write};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -140,9 +139,6 @@ struct Options {
     skip_bad_lines: bool,
     output: OutputMode,
     count_only: bool,
-    top: Option<usize>,
-    closed: bool,
-    maximal: bool,
     rules: Option<f64>,
     image: Option<String>,
     stats: bool,
@@ -175,8 +171,7 @@ fn print_usage() {
     eprintln!("  --threads N | --schedule dynamic | --mem-budget BYTES[k|m|g]");
     eprintln!("  --skip-bad-lines");
     eprintln!("  --output all|closed|maximal|topk:N");
-    eprintln!("  --count | --top K | --closed | --maximal");
-    eprintln!("  --rules CONF | --image PATH | --stats | --profile PATH");
+    eprintln!("  --count | --rules CONF | --image PATH | --stats | --profile PATH");
     eprintln!("  --trace-out PATH | --flame-out PATH | --progress | --mem-report PATH");
     eprintln!("  --metrics-out PATH [--metrics-every DUR] | --blackbox DIR");
     eprintln!("  --recover off|retry|degrade|partition|spill | --spill-dir PATH");
@@ -231,9 +226,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         skip_bad_lines: false,
         output: OutputMode::All,
         count_only: false,
-        top: None,
-        closed: false,
-        maximal: false,
         rules: None,
         image: None,
         stats: false,
@@ -255,7 +247,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     };
     let mut checkpoint_every_given = false;
     let mut metrics_every_given = false;
-    let mut output_given = false;
     // Accept `--flag=value` as well as `--flag value`.
     let args: Vec<String> = args
         .iter()
@@ -290,16 +281,8 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--mem-budget" => opts.mem_budget = Some(parse_bytes(&value(arg)?)?),
             "--skip-bad-lines" => opts.skip_bad_lines = true,
-            "--output" => {
-                opts.output = value(arg)?.parse()?;
-                output_given = true;
-            }
+            "--output" => opts.output = value(arg)?.parse()?,
             "--count" => opts.count_only = true,
-            "--top" => {
-                opts.top = Some(value(arg)?.parse().map_err(|_| "bad top-k".to_string())?);
-            }
-            "--closed" => opts.closed = true,
-            "--maximal" => opts.maximal = true,
             "--rules" => {
                 opts.rules = Some(value(arg)?.parse().map_err(|_| "bad confidence".to_string())?);
             }
@@ -366,39 +349,26 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             ));
         }
     }
-    // One condensed selector at most: `--output`, or one of the legacy
-    // flags. On cfp the legacy flags are aliases of the engine's output
-    // modes, mapped before every other check so that --count, --rules
-    // and --checkpoint-dir treat them exactly as --output; the baselines
-    // keep them as post-hoc filters over the printed itemsets.
-    let selectors = [output_given, opts.top.is_some(), opts.closed, opts.maximal];
-    if selectors.iter().filter(|&&given| given).count() > 1 {
-        return Err(
-            "--output, --top, --closed and --maximal cannot be combined; give one".to_string()
-        );
-    }
-    if opts.algorithm == "cfp" {
-        if let Some(k) = opts.top.take() {
-            opts.output = OutputMode::TopK(k);
-        } else if std::mem::take(&mut opts.closed) {
-            opts.output = OutputMode::Closed;
-        } else if std::mem::take(&mut opts.maximal) {
-            opts.output = OutputMode::Maximal;
+    // The flags that configure the cfp engine mean nothing to the
+    // baselines: reject them up front rather than drop them.
+    if opts.algorithm != "cfp" {
+        let cfp_only = [
+            ("--output", opts.output != OutputMode::All),
+            ("--threads", opts.threads > 1),
+            ("--mem-budget", opts.mem_budget.is_some()),
+            ("--image", opts.image.is_some()),
+            ("--mem-report", opts.mem_report.is_some()),
+            ("--recover", opts.recover != RecoveryPolicy::Off),
+            ("--worker-timeout", opts.worker_timeout.is_some()),
+            ("--checkpoint-dir", opts.checkpoint_dir.is_some()),
+            ("--deadline", opts.deadline.is_some()),
+        ];
+        if let Some((flag, _)) = cfp_only.iter().find(|(_, given)| *given) {
+            return Err(format!(
+                "{flag} only applies to the cfp algorithm, not {:?}",
+                opts.algorithm
+            ));
         }
-    } else if opts.output != OutputMode::All {
-        return Err(format!(
-            "--output={} only applies to the cfp algorithm, not {:?} (use the post-hoc \
-             --top/--closed/--maximal flags for baselines)",
-            opts.output, opts.algorithm
-        ));
-    } else if (opts.top.is_some() || opts.closed || opts.maximal)
-        && (opts.count_only || opts.rules.is_some())
-    {
-        return Err(format!(
-            "--count and --rules cannot be combined with the post-hoc --top, --closed or \
-             --maximal filters of {:?}",
-            opts.algorithm
-        ));
     }
     if opts.rules.is_some() && opts.output != OutputMode::All {
         return Err(format!(
@@ -412,24 +382,16 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     if metrics_every_given && opts.metrics_out.is_none() {
         return Err("--metrics-every requires --metrics-out".to_string());
     }
-    if opts.mem_report.is_some() && opts.algorithm != "cfp" {
-        return Err(format!(
-            "--mem-report only applies to the cfp algorithm, not {:?}",
-            opts.algorithm
-        ));
+    // The recovery supervisor's attempts never charge the attribution
+    // pool, so its report would read zero peaks.
+    if opts.mem_report.is_some() && opts.recover != RecoveryPolicy::Off {
+        return Err("--mem-report requires --recover=off".to_string());
     }
     // Checkpointing promises an exact output watermark, which only the
     // deterministic plain-streaming CFP pipeline provides.
     if opts.checkpoint_dir.is_some() {
-        if opts.algorithm != "cfp" {
-            return Err(format!(
-                "--checkpoint-dir only applies to the cfp algorithm, not {:?}",
-                opts.algorithm
-            ));
-        }
-        // On cfp the legacy condensed flags are already output modes.
         if opts.count_only || opts.rules.is_some() || matches!(opts.output, OutputMode::TopK(_)) {
-            return Err("--checkpoint-dir requires streaming output (no --count, --top, \
+            return Err("--checkpoint-dir requires streaming output (no --count, \
                  --output=topk, or --rules)"
                 .to_string());
         }
@@ -455,12 +417,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         if checkpoint_every_given {
             return Err("--checkpoint-every requires --checkpoint-dir".to_string());
         }
-    }
-    if opts.deadline.is_some() && opts.algorithm != "cfp" {
-        return Err(format!(
-            "--deadline only applies to the cfp algorithm, not {:?}",
-            opts.algorithm
-        ));
     }
     Ok(opts)
 }
@@ -496,79 +452,61 @@ impl Runner {
 
 /// Builds the attribution pool a `--mem-report` run charges. Admission
 /// must be byte-identical to a run without the flag, so it is exactly the
-/// pool the miner would have created from `--mem-budget` itself.
-fn attribution_pool(opts: &Options) -> cfp_memman::BudgetPool {
-    use cfp_memman::BudgetPool;
+/// pool [`cfp_miner`] would have created from `--mem-budget` itself.
+fn attribution_pool(opts: &Options) -> BudgetPool {
     opts.mem_budget.map_or_else(BudgetPool::unlimited, BudgetPool::new)
+}
+
+/// The cfp engine as `opts` configure it, resuming past `resume_skip`
+/// first-level items. It charges `pool` (the `--mem-report` attribution
+/// pool) when given, else a pool of `--mem-budget`.
+fn cfp_miner(
+    opts: &Options,
+    pool: Option<&BudgetPool>,
+    cancel: Option<&CancelToken>,
+    resume_skip: u64,
+) -> ParallelCfpGrowthMiner {
+    ParallelCfpGrowthMiner {
+        pool: pool.cloned().or_else(|| opts.mem_budget.map(BudgetPool::new)),
+        worker_timeout: opts.worker_timeout,
+        cancel: cancel.cloned(),
+        resume_skip,
+        output: opts.output,
+        ..ParallelCfpGrowthMiner::new(opts.threads)
+    }
+}
+
+/// The recovery supervisor of a `--recover` run, as `opts` configure it.
+fn supervisor(opts: &Options, cancel: Option<&CancelToken>) -> Supervisor {
+    Supervisor {
+        threads: opts.threads,
+        mem_budget: opts.mem_budget,
+        worker_timeout: opts.worker_timeout,
+        spill_dir: opts.spill_dir.as_ref().map(std::path::PathBuf::from),
+        cancel: cancel.cloned(),
+        output: opts.output,
+        ..Supervisor::new(opts.recover)
+    }
 }
 
 fn runner_by_name(
     opts: &Options,
-    pool: Option<&cfp_memman::BudgetPool>,
-    cancel: Option<&cfp_fault::CancelToken>,
+    pool: Option<&BudgetPool>,
+    cancel: Option<&CancelToken>,
 ) -> Result<Runner, String> {
-    let budget_ignored = |name: &str| {
-        if opts.mem_budget.is_some() {
-            eprintln!(
-                "warning: --mem-budget only applies to the cfp algorithms; ignored for {name}"
-            );
-        }
-    };
+    // `parse_args` rejects --recover on the baselines.
     if opts.recover != RecoveryPolicy::Off {
-        if opts.algorithm != "cfp" {
-            return Err(format!(
-                "--recover only applies to the cfp algorithm, not {:?}",
-                opts.algorithm
-            ));
-        }
-        return Ok(Runner::Supervised(Supervisor {
-            threads: opts.threads,
-            single_path_opt: true,
-            mem_budget: opts.mem_budget,
-            policy: opts.recover,
-            worker_timeout: opts.worker_timeout,
-            spill_dir: opts.spill_dir.as_ref().map(std::path::PathBuf::from),
-            cancel: cancel.cloned(),
-            output: opts.output,
-        }));
+        return Ok(Runner::Supervised(supervisor(opts, cancel)));
     }
     Ok(Runner::Plain(match opts.algorithm.as_str() {
-        "cfp" => Box::new(ParallelCfpGrowthMiner {
-            mem_budget: opts.mem_budget,
-            pool: pool.cloned(),
-            worker_timeout: opts.worker_timeout,
-            cancel: cancel.cloned(),
-            output: opts.output,
-            ..ParallelCfpGrowthMiner::new(opts.threads)
-        }),
-        "fp" => {
-            budget_ignored("fp");
-            Box::new(cfp_fptree::FpGrowthMiner::new())
-        }
-        "apriori" => {
-            budget_ignored("apriori");
-            Box::new(cfp_baselines::AprioriMiner::new())
-        }
-        "eclat" => {
-            budget_ignored("eclat");
-            Box::new(cfp_baselines::EclatMiner::new())
-        }
-        "lcm" => {
-            budget_ignored("lcm");
-            Box::new(cfp_baselines::LcmStyleMiner::new())
-        }
-        "nonordfp" => {
-            budget_ignored("nonordfp");
-            Box::new(cfp_baselines::NonordFpMiner::new())
-        }
-        "tiny" => {
-            budget_ignored("tiny");
-            Box::new(cfp_baselines::TinyStyleMiner::new())
-        }
-        "fparray" => {
-            budget_ignored("fparray");
-            Box::new(cfp_baselines::FpArrayStyleMiner::new())
-        }
+        "cfp" => Box::new(cfp_miner(opts, pool, cancel, 0)),
+        "fp" => Box::new(cfp_fptree::FpGrowthMiner::new()),
+        "apriori" => Box::new(cfp_baselines::AprioriMiner::new()),
+        "eclat" => Box::new(cfp_baselines::EclatMiner::new()),
+        "lcm" => Box::new(cfp_baselines::LcmStyleMiner::new()),
+        "nonordfp" => Box::new(cfp_baselines::NonordFpMiner::new()),
+        "tiny" => Box::new(cfp_baselines::TinyStyleMiner::new()),
+        "fparray" => Box::new(cfp_baselines::FpArrayStyleMiner::new()),
         other => return Err(format!("unknown algorithm {other:?}")),
     }))
 }
@@ -620,15 +558,6 @@ impl<W: Write> ItemsetSink for PrintSink<W> {
             self.err = Some(e);
         }
     }
-}
-
-fn print_itemsets(itemsets: &[(Vec<u32>, u64)]) -> io::Result<()> {
-    let stdout = std::io::stdout();
-    let mut out = std::io::BufWriter::new(stdout.lock());
-    for (items, support) in itemsets {
-        out.write_all(fimi_line(items, *support).as_bytes())?;
-    }
-    out.flush()
 }
 
 /// Counts the bytes that actually reached the inner writer — under a
@@ -909,7 +838,7 @@ fn run_checkpointed(
     opts: &Options,
     db: &TransactionDb,
     min_support: u64,
-    cancel: Option<&cfp_fault::CancelToken>,
+    cancel: Option<&CancelToken>,
     degradation: &mut Option<RecoveryReport>,
 ) -> MineStats {
     use cfp_core::{ckpt, CkptProgress};
@@ -1007,31 +936,17 @@ fn run_checkpointed(
         // streaming spill rung produces partition watermarks, so the
         // in-memory rungs (whose output has no committed prefix) are
         // skipped deliberately.
-        let supervisor = Supervisor {
-            threads: opts.threads,
-            single_path_opt: true,
-            mem_budget: opts.mem_budget,
-            policy: RecoveryPolicy::Spill,
-            worker_timeout: opts.worker_timeout,
-            spill_dir: opts.spill_dir.as_ref().map(std::path::PathBuf::from),
-            cancel: cancel.cloned(),
-            output: opts.output,
-        };
-        let (r, report) =
-            supervisor.mine_out_of_core_resumable(db, min_support, &mut sink, spill_resume);
+        let (r, report) = supervisor(opts, cancel).mine_out_of_core_resumable(
+            db,
+            min_support,
+            &mut sink,
+            spill_resume,
+        );
         stash_blackbox_degradation(&report);
         *degradation = Some(report);
         r
     } else {
-        ParallelCfpGrowthMiner {
-            mem_budget: opts.mem_budget,
-            worker_timeout: opts.worker_timeout,
-            cancel: cancel.cloned(),
-            resume_skip,
-            output: opts.output,
-            ..ParallelCfpGrowthMiner::new(opts.threads)
-        }
-        .try_mine(db, min_support, &mut sink)
+        cfp_miner(opts, None, cancel, resume_skip).try_mine(db, min_support, &mut sink)
     };
 
     match result {
@@ -1203,7 +1118,7 @@ fn main() {
     // handlers are installed only here, so plain runs keep the default
     // kill-me-now semantics.
     let cancel = (opts.checkpoint_dir.is_some() || opts.deadline.is_some()).then(|| {
-        let mut token = cfp_fault::CancelToken::new();
+        let mut token = CancelToken::new();
         if let Some(budget) = opts.deadline {
             token = token.with_deadline(budget);
         }
@@ -1225,8 +1140,6 @@ fn main() {
             exit(EXIT_USAGE);
         }
     };
-    let needs_collection =
-        opts.top.is_some() || opts.closed || opts.maximal || opts.rules.is_some();
     let mut degradation: Option<RecoveryReport> = None;
 
     let stats = if opts.checkpoint_dir.is_some() {
@@ -1240,47 +1153,28 @@ fn main() {
             exit_for_write_error(&e);
         }
         stats
-    } else if let Some(k) = opts.top {
-        let mut sink = TopKSink::new(k);
-        let stats = runner
-            .mine(&db, min_support, &mut sink, &mut degradation)
-            .unwrap_or_else(|e| exit_for_mine_error(e));
-        if let Err(e) = print_itemsets(&sink.into_sorted()) {
-            exit_for_write_error(&e);
-        }
-        stats
-    } else if needs_collection {
+    } else if let Some(conf) = opts.rules {
         let mut sink = CollectSink::new();
         let stats = runner
             .mine(&db, min_support, &mut sink, &mut degradation)
             .unwrap_or_else(|e| exit_for_mine_error(e));
         let all = sink.into_sorted();
-        if let Some(conf) = opts.rules {
-            let rules = RuleMiner::new(&all, db.len() as u64).rules_by_confidence(conf);
-            let stdout = std::io::stdout();
-            let mut out = std::io::BufWriter::new(stdout.lock());
-            for r in &rules {
-                if let Err(e) = writeln!(
-                    out,
-                    "{:?} => {:?}  support {}  confidence {:.3}  lift {:.3}",
-                    r.antecedent, r.consequent, r.support, r.confidence, r.lift
-                ) {
-                    exit_for_write_error(&e);
-                }
-            }
-            if let Err(e) = out.flush() {
-                exit_for_write_error(&e);
-            }
-            eprintln!("{} rules", rules.len());
-        } else if opts.closed {
-            if let Err(e) = print_itemsets(&closed_itemsets(&all)) {
-                exit_for_write_error(&e);
-            }
-        } else if opts.maximal {
-            if let Err(e) = print_itemsets(&maximal_itemsets(&all)) {
+        let rules = RuleMiner::new(&all, db.len() as u64).rules_by_confidence(conf);
+        let stdout = std::io::stdout();
+        let mut out = std::io::BufWriter::new(stdout.lock());
+        for r in &rules {
+            if let Err(e) = writeln!(
+                out,
+                "{:?} => {:?}  support {}  confidence {:.3}  lift {:.3}",
+                r.antecedent, r.consequent, r.support, r.confidence, r.lift
+            ) {
                 exit_for_write_error(&e);
             }
         }
+        if let Err(e) = out.flush() {
+            exit_for_write_error(&e);
+        }
+        eprintln!("{} rules", rules.len());
         stats
     } else {
         let stdout = std::io::stdout();
@@ -1342,10 +1236,6 @@ fn main() {
     }
 
     if let Some(path) = &opts.image {
-        if opts.algorithm != "cfp" {
-            eprintln!("--image requires the cfp algorithm");
-            exit(EXIT_USAGE);
-        }
         let image = MiningImage::build(&db, min_support);
         if let Err(e) = image.save(path) {
             eprintln!("cannot save image {path}: {e}");
@@ -1537,7 +1427,7 @@ mod tests {
         assert!(err.contains("spill"), "{err}");
 
         // --recover=spill applies to the cfp algorithm only.
-        let o = parse_args(&args(&[
+        let err = parse_args(&args(&[
             "in.dat",
             "--support",
             "2",
@@ -1545,8 +1435,8 @@ mod tests {
             "apriori",
             "--recover=spill",
         ]))
-        .unwrap();
-        assert!(runner_by_name(&o, None, None).is_err());
+        .unwrap_err();
+        assert!(err.contains("--recover"), "{err}");
     }
 
     #[test]
@@ -1608,11 +1498,12 @@ mod tests {
         assert!(err.contains("at least 1"), "{err}");
         for bad in [
             &["--checkpoint-dir=/tmp/ck", "--count"][..],
-            &["--checkpoint-dir=/tmp/ck", "--top", "5"][..],
+            &["--checkpoint-dir=/tmp/ck", "--output=topk:5"][..],
             &["--checkpoint-dir=/tmp/ck", "--rules", "0.5"][..],
             &["--checkpoint-dir=/tmp/ck", "--schedule=static"][..],
             &["--checkpoint-dir=/tmp/ck", "--recover=partition"][..],
             &["--checkpoint-dir=/tmp/ck", "--mem-report", "m.json"][..],
+            &["--recover=partition", "--mem-report", "m.json"][..],
             &["--checkpoint-dir=/tmp/ck", "--algorithm", "fp"][..],
             &["--deadline", "5", "--algorithm", "eclat"][..],
             &["--deadline", "0"][..],
@@ -1642,42 +1533,30 @@ mod tests {
             assert!(err.contains("output mode"), "{bad:?}: {err}");
         }
 
-        // The legacy condensed flags alias to engine modes on cfp…
-        let o = parse_args(&args(&["in.dat", "--support", "2", "--closed"])).unwrap();
-        assert_eq!(o.output, OutputMode::Closed);
-        assert!(!o.closed, "aliased flag must not also trigger the post-hoc filter");
-        let o = parse_args(&args(&["in.dat", "--support", "2", "--maximal"])).unwrap();
-        assert_eq!(o.output, OutputMode::Maximal);
-        let o = parse_args(&args(&["in.dat", "--support", "2", "--top", "7"])).unwrap();
-        assert_eq!(o.output, OutputMode::TopK(7));
-        assert_eq!(o.top, None);
-        // …but stay post-hoc on the baselines, where --output is rejected.
-        let o = parse_args(&args(&["in.dat", "--support", "2", "--algorithm=lcm", "--closed"]))
-            .unwrap();
-        assert_eq!(o.output, OutputMode::All);
-        assert!(o.closed);
+        // --output is the one condensed selector: the flags it replaced
+        // are unknown arguments.
+        for gone in [&["--closed"][..], &["--maximal"][..], &["--top", "7"][..]] {
+            let mut a = vec!["in.dat", "--support", "2"];
+            a.extend_from_slice(gone);
+            let err = parse_args(&args(&a)).unwrap_err();
+            assert!(err.contains("unknown argument"), "{gone:?}: {err}");
+        }
+        // The engine mines the modes; the baselines reject them.
         let err =
             parse_args(&args(&["in.dat", "--support", "2", "--algorithm=lcm", "--output=closed"]))
                 .unwrap_err();
         assert!(err.contains("cfp"), "{err}");
 
-        // --rules needs the full set, whether the condensed mode comes
-        // from --output or a legacy alias; --output conflicts with the
-        // legacy flags it replaces.
-        let err = parse_args(&args(&["in.dat", "--support", "2", "--output=closed", "--maximal"]))
-            .unwrap_err();
-        assert!(err.contains("cannot be combined"), "{err}");
+        // --rules needs the full set.
         let err =
             parse_args(&args(&["in.dat", "--support", "2", "--output=topk:3", "--rules", "0.5"]))
                 .unwrap_err();
         assert!(err.contains("--rules"), "{err}");
-        let err = parse_args(&args(&["in.dat", "--support", "2", "--rules", "0.5", "--closed"]))
-            .unwrap_err();
-        assert!(err.contains("--rules"), "{err}");
-        // --count counts what the alias selects.
-        let o = parse_args(&args(&["in.dat", "--support", "2", "--count", "--top", "3"])).unwrap();
+        // --count counts what the mode selects.
+        let o = parse_args(&args(&["in.dat", "--support", "2", "--count", "--output", "topk:3"]))
+            .unwrap();
         assert_eq!(o.output, OutputMode::TopK(3));
-        assert!(o.count_only && o.top.is_none());
+        assert!(o.count_only);
 
         // Checkpointing streams closed/maximal but only on the off rung,
         // and never top-k (no watermark over a heap).

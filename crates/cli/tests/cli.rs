@@ -152,7 +152,7 @@ fn profile_phases_mean_the_same_at_any_thread_count() {
 fn top_k_orders_by_support() {
     let path = write_sample();
     let out = Command::new(bin())
-        .args([path.to_str().unwrap(), "--support", "2", "--top", "3"])
+        .args([path.to_str().unwrap(), "--support", "2", "--output", "topk:3"])
         .output()
         .unwrap();
     assert!(out.status.success());
@@ -170,7 +170,9 @@ fn top_k_orders_by_support() {
 #[test]
 fn rules_and_condensed_modes_run() {
     let path = write_sample();
-    for extra in [&["--rules", "0.6"][..], &["--closed"][..], &["--maximal"][..]] {
+    for extra in
+        [&["--rules", "0.6"][..], &["--output", "closed"][..], &["--output", "maximal"][..]]
+    {
         let mut args = vec![path.to_str().unwrap(), "--support", "2"];
         args.extend_from_slice(extra);
         let out = Command::new(bin()).args(&args).output().unwrap();
@@ -179,9 +181,10 @@ fn rules_and_condensed_modes_run() {
     }
 }
 
-/// No condensed flag is silently dropped. On cfp the legacy aliases mean
-/// exactly their `--output` mode, also under `--count` and `--rules`;
-/// every combination that would drop a flag is a usage error (exit 2).
+/// No condensed selection is silently dropped. `--output` is the one
+/// selector and means its mode also under `--count`; the flags it replaced
+/// are unknown arguments, and every combination that would drop a
+/// selection is a usage error (exit 2, nothing on stdout).
 #[test]
 fn condensed_flags_are_never_silently_dropped() {
     let dir = std::env::temp_dir().join("cfp_cli_tests");
@@ -197,26 +200,48 @@ fn condensed_flags_are_never_silently_dropped() {
         (out.status.code(), String::from_utf8_lossy(&out.stdout).into_owned())
     };
     // Frequent: {1}:3, {2}:2, {1 2}:2. Closed: {1}, {1 2}. Maximal: {1 2}.
-    for (alias, output, expected) in [
-        (&["--count", "--closed"][..], &["--output", "closed", "--count"][..], "2\n"),
-        (&["--count", "--maximal"][..], &["--output", "maximal", "--count"][..], "1\n"),
-        (&["--top", "1", "--count"][..], &["--output", "topk:1", "--count"][..], "1\n"),
-    ] {
-        assert_eq!(run(alias), (Some(0), expected.to_string()), "{alias:?}");
-        assert_eq!(run(alias), run(output), "{alias:?} must mean {output:?}");
+    for (mode, expected) in [("closed", "2\n"), ("maximal", "1\n"), ("topk:1", "1\n")] {
+        assert_eq!(run(&["--output", mode, "--count"]), (Some(0), expected.to_string()), "{mode}");
     }
     for dropped in [
-        &["--rules", "0.5", "--closed"][..],
+        &["--closed"][..],
+        &["--count", "--maximal"][..],
+        &["--top", "1"][..],
         &["--rules", "0.5", "--output", "closed"][..],
-        &["--top", "5", "--closed"][..],
-        &["--closed", "--maximal"][..],
-        &["--algorithm", "fp", "--rules", "0.5", "--top", "1"][..],
-        &["--algorithm", "fp", "--count", "--closed"][..],
+        &["--algorithm", "fp", "--output", "maximal"][..],
+        &["--algorithm", "fp", "--count", "--output", "closed"][..],
     ] {
-        assert_eq!(run(dropped).0, Some(2), "{dropped:?} must be a usage error");
+        assert_eq!(run(dropped), (Some(2), String::new()), "{dropped:?} must be a usage error");
     }
-    // The baselines keep their post-hoc filters on their own.
-    assert_eq!(run(&["--algorithm", "fp", "--maximal"]), (Some(0), "1 2 (2)\n".to_string()));
+}
+
+/// Every flag that configures the cfp engine is a usage error with a
+/// baseline algorithm, reported before the input is read: exit 2 and
+/// nothing on stdout.
+#[test]
+fn cfp_only_flags_on_a_baseline_exit_2_before_any_work() {
+    let path = write_sample();
+    let image = std::env::temp_dir().join("cfp_cli_tests").join("baseline.img");
+    let _ = std::fs::remove_file(&image);
+    for cell in [
+        &["--image", image.to_str().unwrap()][..],
+        &["--recover", "partition"][..],
+        &["--threads", "4"][..],
+        &["--worker-timeout", "5"][..],
+        &["--mem-budget", "1m"][..],
+    ] {
+        let out = Command::new(bin())
+            .args([path.to_str().unwrap(), "--support", "2", "--algorithm", "fp"])
+            .args(cell)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{cell:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{cell:?} printed itemsets before failing");
+        assert!(stderr.contains(cell[0]), "{cell:?} must name the flag: {stderr}");
+        assert!(!stderr.contains("transactions"), "{cell:?} read the input: {stderr}");
+    }
+    assert!(!image.exists(), "no image may be written for a baseline");
 }
 
 /// Malformed `--output` values are usage errors: exit 2, a diagnostic
@@ -235,16 +260,29 @@ fn bad_output_mode_exits_2_with_usage_text() {
     }
 }
 
-/// The engine's condensed modes agree with the post-hoc baseline path
-/// end to end, the legacy flags alias onto the engine (byte-identical
-/// commands), and each mode is byte-identical across thread counts.
+/// The engine's condensed modes agree end to end with the brute-force
+/// oracles over a baseline's full output, and each mode is byte-identical
+/// across thread counts.
 #[test]
 fn output_modes_are_deterministic_across_schedules_and_threads() {
+    use cfp_core::{ItemsetSink, TopKSink};
+
     let path = write_skewed();
     let p = path.to_str().unwrap();
     let sorted = |bytes: &[u8]| {
         let mut lines: Vec<String> =
             String::from_utf8_lossy(bytes).lines().map(str::to_string).collect();
+        lines.sort();
+        lines
+    };
+    let fimi_lines = |itemsets: Vec<(Vec<u32>, u64)>| {
+        let mut lines: Vec<String> = itemsets
+            .iter()
+            .map(|(items, support)| {
+                let items: Vec<String> = items.iter().map(u32::to_string).collect();
+                format!("{} ({support})", items.join(" "))
+            })
+            .collect();
         lines.sort();
         lines
     };
@@ -257,22 +295,29 @@ fn output_modes_are_deterministic_across_schedules_and_threads() {
     };
 
     let full = run(&[]);
-    for (mode, legacy) in [
-        ("closed", &["--closed"][..]),
-        ("maximal", &["--maximal"][..]),
-        ("topk:25", &["--top", "25"][..]),
-    ] {
+    // The full frequent set from a baseline algorithm, parsed back.
+    let lcm: Vec<(Vec<u32>, u64)> = String::from_utf8_lossy(&run(&["--algorithm=lcm"]))
+        .lines()
+        .map(|line| {
+            let (items, support) = line.rsplit_once(" (").unwrap();
+            let items = items.split(' ').map(|i| i.parse().unwrap()).collect();
+            (items, support.trim_end_matches(')').parse().unwrap())
+        })
+        .collect();
+    let mut top = TopKSink::new(25);
+    for (items, support) in &lcm {
+        top.emit(items, *support);
+    }
+    let oracles = [
+        ("closed", cfp_baselines::oracle::closed_itemsets(&lcm)),
+        ("maximal", cfp_baselines::oracle::maximal_itemsets(&lcm)),
+        ("topk:25", top.into_sorted()),
+    ];
+    for (mode, oracle) in oracles {
         let output = format!("--output={mode}");
         let seq = run(&[&output]);
         assert_ne!(seq, full, "{mode} must actually condense the skewed dataset");
-        assert_eq!(run(legacy), seq, "legacy {legacy:?} must alias --output={mode}");
-        // The post-hoc oracle on a baseline algorithm yields the same set.
-        let oracle = if mode == "topk:25" {
-            run(&["--algorithm=lcm", "--top", "25"])
-        } else {
-            run(&["--algorithm=lcm", &format!("--{mode}")])
-        };
-        assert_eq!(sorted(&seq), sorted(&oracle), "{mode} diverges from the post-hoc oracle");
+        assert_eq!(sorted(&seq), fimi_lines(oracle), "{mode} diverges from the oracle");
 
         for threads in ["2", "4"] {
             let par = run(&[&output, "--threads", threads, "--schedule=dynamic"]);

@@ -11,15 +11,14 @@
 //!   [`BudgetPool`](cfp_memman::BudgetPool) when there is one — and
 //!   converts it to the CFP-array (§3 of the paper), each phase under its
 //!   own span.
-//! - The **back half** ([`mine`]) takes the root single-path shortcut, or
-//!   else mines the frequent first-level items — one task per item — on
-//!   `threads.max(1)` spawned workers claiming from a [`TaskQueue`]. Each
-//!   task's itemsets travel to the caller's thread in chunks, where the
-//!   [`OrderedEmitter`] replays them in descending item order: the order
-//!   one recursion over the array produces, so the output stream is
-//!   byte-identical at every thread count. The emitter owns the resumable
-//!   watermarks, cancellation, the resume skip, the condensed-mode
-//!   reconcile, and the top-k drain.
+//! - The **back half** ([`mine`]) mines the frequent first-level items —
+//!   one task per item — on `threads.max(1)` spawned workers claiming
+//!   from a [`TaskQueue`]. Each task's itemsets travel to the caller's
+//!   thread in chunks, where the [`OrderedEmitter`] replays them in
+//!   descending item order: the order one recursion over the array
+//!   produces, so the output stream is byte-identical at every thread
+//!   count. The emitter owns the resumable watermarks, cancellation, the
+//!   resume skip, the condensed-mode reconcile, and the top-k drain.
 //!
 //! Workers are spawned (not scoped) over `Arc`-shared structures so a
 //! truly wedged worker can be abandoned. A panic inside a worker is caught
@@ -36,8 +35,8 @@
 //! after the build, after the conversion, and at each conditional array.
 
 use crate::growth::{
-    charge_cond_array, drain_topk, mine_one_item, mine_single_path, single_path, MineOpts, ModeCtx,
-    Scratch, SubsumeIndex, TopKState,
+    charge_cond_array, drain_topk, mine_one_item, MineOpts, ModeCtx, Scratch, SubsumeIndex,
+    TopKState,
 };
 use crate::schedule::TaskQueue;
 use cfp_array::{convert, CfpArray};
@@ -56,8 +55,6 @@ use std::time::Duration;
 pub(crate) struct Plan {
     /// Mine-phase workers; 0 counts as 1.
     pub threads: usize,
-    /// Enumerate single-path structures directly instead of recursing.
-    pub single_path_opt: bool,
     /// Watchdog limit: fail when no worker makes progress for this long.
     pub worker_timeout: Option<Duration>,
 }
@@ -189,21 +186,6 @@ pub(crate) fn mine(
         _ => None,
     };
     let mut mined = Mined { array_bytes: array.heap_bytes(), ..Default::default() };
-
-    // A single-path run has no per-item watermarks, so a manifest can
-    // only ever record zero completed items: resume_skip > 0 means the
-    // run being resumed was not single-path.
-    if plan.single_path_opt && opts.resume_skip == 0 {
-        if let Some(mut path) = single_path(&array) {
-            path.truncate(n as usize);
-            let _s = span(Phase::Mine);
-            let mut mode = ModeCtx::new(opts.output, &topk);
-            mined.itemsets = mine_single_path(&path, &globals, sink, opts, &mut mode);
-            mined.itemsets += topk.as_deref().map_or(0, |t| drain_topk(t, sink));
-            return Ok(mined);
-        }
-    }
-
     let threads = plan.threads.clamp(1, n.max(1) as usize);
     if cfp_trace::enabled() {
         cfp_trace::counters::CORE_WORKERS.record(threads as u64);
@@ -218,7 +200,6 @@ pub(crate) fn mine(
         array,
         globals,
         min_support,
-        single_path_opt: plan.single_path_opt,
         opts: opts.clone(),
         topk: topk.clone(),
         poison: AtomicBool::new(false),
@@ -299,7 +280,6 @@ struct Shared {
     globals: Arc<[Item]>,
     queue: TaskQueue,
     min_support: u64,
-    single_path_opt: bool,
     opts: MineOpts,
     topk: Option<Arc<TopKState>>,
     /// Set by the first failure; every worker stops at its next task.
@@ -333,7 +313,7 @@ fn work(shared: &Shared, w: usize, tx: &mpsc::SyncSender<Chunk>) -> Result<Worke
     // Each worker's mining wall time accumulates into the mine phase
     // (span count = worker count).
     let _s = span(Phase::Mine);
-    let mut scratch = Scratch::recycling();
+    let mut scratch = Scratch::default();
     let (mut tasks, mut cost) = (0u64, 0u64);
     let stopped = || {
         shared.poison.load(Ordering::Relaxed)
@@ -377,7 +357,6 @@ fn work(shared: &Shared, w: usize, tx: &mpsc::SyncSender<Chunk>) -> Result<Worke
                     item,
                     &shared.globals,
                     shared.min_support,
-                    shared.single_path_opt,
                     &mut sink,
                     &shared.opts,
                     &mut scratch,

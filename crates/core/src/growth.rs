@@ -32,14 +32,14 @@
 use crate::driver::Plan;
 use crate::spill::CondSpill;
 use cfp_array::{convert, CfpArray};
+use cfp_data::miner::TopKSink;
 use cfp_data::{
     CfpError, Item, ItemRecoder, ItemsetSink, MineStats, Miner, OutputMode, TransactionDb,
 };
 use cfp_memman::{Arena, ArenaOptions, BudgetPool, Component, StatsReset};
 use cfp_metrics::{HeapSize, MemGauge};
 use cfp_tree::{CfpTree, CfpTreeConfig};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -155,28 +155,20 @@ fn is_subset_sorted(small: &[Item], big: &[Item]) -> bool {
     small.iter().all(|s| it.any(|b| b == s))
 }
 
-/// Shared state of a streaming top-k run: a min-heap of the best `k`
-/// `(support, itemset)` pairs — higher support wins, ties broken toward
-/// the lexicographically smaller itemset — plus a monotonically rising
-/// admission bound. One instance is shared by every worker of a run, so
-/// the retained set is the true global top-k regardless of schedule.
+/// Shared state of a streaming top-k run: a [`TopKSink`] holding the best
+/// `k` itemsets, plus a copy of its rising admission bound that workers
+/// read without the lock. One instance is shared by every worker of a
+/// run, so the retained set is the true global top-k regardless of
+/// schedule.
 #[derive(Debug)]
 pub(crate) struct TopKState {
-    k: usize,
     bound: AtomicU64,
-    heap: Mutex<TopKHeap>,
+    heap: Mutex<TopKSink>,
 }
-
-/// Min-heap entry order: worst retained `(support, itemset)` on top.
-type TopKHeap = BinaryHeap<Reverse<(u64, Reverse<Vec<Item>>)>>;
 
 impl TopKState {
     pub(crate) fn new(k: usize) -> Self {
-        TopKState {
-            k,
-            bound: AtomicU64::new(0),
-            heap: Mutex::new(BinaryHeap::with_capacity(k + 1)),
-        }
+        TopKState { bound: AtomicU64::new(0), heap: Mutex::new(TopKSink::new(k)) }
     }
 
     /// Support of the worst retained itemset once `k` are held, else 0.
@@ -187,30 +179,22 @@ impl TopKState {
         self.bound.load(Ordering::Relaxed)
     }
 
-    /// Offers a candidate; evicts the worst entry when over `k`.
+    /// Offers a candidate to the heap, which evicts its worst entry when
+    /// over `k`.
     pub(crate) fn offer(&self, set: &[Item], support: u64) {
-        if self.k == 0 || support < self.bound() {
+        if support < self.bound() {
             return;
         }
         let mut heap = self.heap.lock().unwrap_or_else(|e| e.into_inner());
-        heap.push(Reverse((support, Reverse(set.to_vec()))));
-        if heap.len() > self.k {
-            heap.pop();
-        }
-        if heap.len() == self.k {
-            if let Some(worst) = heap.peek() {
-                self.bound.store(worst.0 .0, Ordering::Relaxed);
-            }
-        }
+        heap.emit(set, support);
+        self.bound.store(heap.bound(), Ordering::Relaxed);
     }
 
-    /// The retained itemsets, highest support first, ties in ascending
-    /// lexicographic order — the final emission order of a top-k run.
+    /// The retained itemsets in the final emission order of a top-k run
+    /// (see [`TopKSink::into_sorted`]).
     pub(crate) fn drain_sorted(&self) -> Vec<(Vec<Item>, u64)> {
-        let heap = std::mem::take(&mut *self.heap.lock().unwrap_or_else(|e| e.into_inner()));
-        let mut v: Vec<(u64, Reverse<Vec<Item>>)> = heap.into_iter().map(|r| r.0).collect();
-        v.sort_by(|a, b| b.cmp(a));
-        v.into_iter().map(|(s, i)| (i.0, s)).collect()
+        let mut heap = self.heap.lock().unwrap_or_else(|e| e.into_inner());
+        std::mem::replace(&mut *heap, TopKSink::new(0)).into_sorted()
     }
 }
 
@@ -335,21 +319,18 @@ pub(crate) fn charge_cond_array(
 
 /// Per-worker reusable mine-phase state.
 ///
-/// With `recycle` on, the first conditional tree's arena is kept after
-/// conversion, [`Arena::reset`] wipes it (releasing its budget-pool
-/// reservation), and the next conditional tree rebuilds inside it — so a
-/// worker touching thousands of first-level items performs one heap
-/// allocation ramp-up instead of one per item. Only one conditional tree
-/// is ever alive per worker (`conditional` drops it before the recursion
-/// continues), so a single slot suffices. The same holds for the
-/// recorded pattern base, whose buffers every conditional reuses.
+/// The first conditional tree's arena is kept after conversion,
+/// [`Arena::reset`] wipes it (releasing its budget-pool reservation), and
+/// the next conditional tree rebuilds inside it — so a worker touching
+/// thousands of first-level items performs one heap allocation ramp-up
+/// instead of one per item. Only one conditional tree is ever alive per
+/// worker (`conditional` drops it before the recursion continues), so a
+/// single slot suffices. The same holds for the recorded pattern base,
+/// whose buffers every conditional reuses.
 #[derive(Default)]
 pub(crate) struct Scratch {
-    /// Recycle one long-lived arena across conditional trees.
-    pub recycle: bool,
-    /// The recycled arena (lazily captured from the first conditional
-    /// tree built while recycling is on).
-    pub arena: Option<Arena>,
+    /// The recycled arena (captured from the first conditional tree).
+    arena: Option<Arena>,
     /// The pattern base the current conditional tree is built from.
     base: RecordedBase,
     /// The worker's live conditional-structure bytes: its peak and its
@@ -437,22 +418,6 @@ impl Drop for HeldBase {
     }
 }
 
-impl Scratch {
-    /// Scratch state with arena recycling armed.
-    pub fn recycling() -> Self {
-        Scratch { recycle: true, ..Default::default() }
-    }
-
-    /// Takes the recycled arena, if recycling is armed and one is stashed.
-    fn take_arena(&mut self) -> Option<Arena> {
-        if self.recycle {
-            self.arena.take()
-        } else {
-            None
-        }
-    }
-}
-
 /// Rewrites the phase of a memory-exhaustion error to `"mine"`:
 /// conditional-tree construction goes through the same build entry
 /// points as the initial tree, but failures there happen mid-mining.
@@ -467,35 +432,21 @@ fn mine_phase(e: CfpError) -> CfpError {
 
 /// The CFP-growth miner: the mining driver (count, build, convert, mine)
 /// with one mine-phase worker — [`ParallelCfpGrowthMiner`](crate::ParallelCfpGrowthMiner)
-/// runs the same driver with more.
-#[derive(Clone, Debug)]
-pub struct CfpGrowthMiner {
-    /// Enumerate single-path structures directly instead of recursing.
-    pub single_path_opt: bool,
-    /// Byte cap on the whole run, enforced by one [`BudgetPool`] charged by
-    /// the initial tree's arena and every conditional tree's (unless
-    /// [`MineOpts::pool`] brings its own). Exceeding it surfaces as
-    /// [`CfpError::MemoryExhausted`] from [`Miner::try_mine`] (or a panic
-    /// from the infallible [`Miner::mine`]).
-    pub mem_budget: Option<u64>,
-}
-
-impl Default for CfpGrowthMiner {
-    fn default() -> Self {
-        CfpGrowthMiner { single_path_opt: true, mem_budget: None }
-    }
-}
+/// runs the same driver with more. A byte cap on the run is a
+/// [`MineOpts::pool`] passed to [`try_mine_with`](Self::try_mine_with).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct CfpGrowthMiner;
 
 impl CfpGrowthMiner {
-    /// A miner with default options.
+    /// A CFP-growth miner (it has no options).
     pub fn new() -> Self {
-        Self::default()
+        CfpGrowthMiner
     }
 
     /// How the driver's back half runs for this miner: one worker, no
     /// watchdog.
     pub(crate) fn plan(&self) -> Plan {
-        Plan { threads: 1, single_path_opt: self.single_path_opt, worker_timeout: None }
+        Plan { threads: 1, worker_timeout: None }
     }
 }
 
@@ -539,7 +490,6 @@ pub fn try_build_tree_with(
 struct Ctx<'a> {
     sink: &'a mut dyn ItemsetSink,
     min_support: u64,
-    single_path_opt: bool,
     opts: &'a MineOpts,
     scratch: &'a mut Scratch,
     mode: &'a mut ModeCtx,
@@ -553,7 +503,6 @@ impl<'a> Ctx<'a> {
     fn new(
         sink: &'a mut dyn ItemsetSink,
         min_support: u64,
-        single_path_opt: bool,
         opts: &'a MineOpts,
         scratch: &'a mut Scratch,
         mode: &'a mut ModeCtx,
@@ -561,7 +510,6 @@ impl<'a> Ctx<'a> {
         Ctx {
             sink,
             min_support,
-            single_path_opt,
             opts,
             scratch,
             mode,
@@ -659,33 +607,8 @@ impl CfpGrowthMiner {
         sink: &mut dyn ItemsetSink,
         opts: &MineOpts,
     ) -> Result<MineStats, CfpError> {
-        let opts = MineOpts {
-            pool: opts.pool.clone().or_else(|| self.mem_budget.map(BudgetPool::new)),
-            ..opts.clone()
-        };
-        crate::driver::run(db, min_support, sink, self.plan(), &opts)
+        crate::driver::run(db, min_support, sink, self.plan(), opts)
     }
-}
-
-/// Enumerates a first-level array that is one single `path` (see
-/// [`single_path`]) into `sink` and returns the itemset count — the
-/// driver's root shortcut, taken instead of decomposing the array into
-/// per-item tasks, whose output would be grouped by item rather than by
-/// path depth.
-pub(crate) fn mine_single_path(
-    path: &[(u32, u64)],
-    globals: &[Item],
-    sink: &mut dyn ItemsetSink,
-    opts: &MineOpts,
-    mode: &mut ModeCtx,
-) -> u64 {
-    if cfp_trace::enabled() {
-        cfp_trace::span::single_path();
-    }
-    let mut scratch = Scratch::default();
-    let mut ctx = Ctx::new(sink, 0, true, opts, &mut scratch, mode);
-    enumerate_single_path(path, globals, &mut ctx);
-    ctx.itemsets
 }
 
 /// Mines the complete subtree of one first-level item: emits `{item}`
@@ -699,13 +622,12 @@ pub(crate) fn mine_one_item(
     item: u32,
     globals: &[Item],
     min_support: u64,
-    single_path_opt: bool,
     sink: &mut dyn ItemsetSink,
     opts: &MineOpts,
     scratch: &mut Scratch,
     mode: &mut ModeCtx,
 ) -> Result<(), CfpError> {
-    let mut ctx = Ctx::new(sink, min_support, single_path_opt, opts, scratch, mode);
+    let mut ctx = Ctx::new(sink, min_support, opts, scratch, mode);
     let task_t0 = cfp_trace::hist::maybe_now();
     ctx.suffix.push(globals[item as usize]);
     mine_node(array, item, globals, array.item_support(item), &mut ctx)?;
@@ -718,16 +640,15 @@ pub(crate) fn mine_one_item(
 }
 
 /// Mines every frequent itemset of the conditional `array` combined with
-/// the suffix in `ctx`; `globals` maps local ids to original items.
+/// the suffix in `ctx`; `globals` maps local ids to original items. An
+/// array that is one path is enumerated directly.
 fn mine_array(array: &CfpArray, globals: &[Item], ctx: &mut Ctx<'_>) -> Result<(), CfpError> {
-    if ctx.single_path_opt {
-        if let Some(path) = single_path(array) {
-            if cfp_trace::enabled() {
-                cfp_trace::span::single_path();
-            }
-            enumerate_single_path(&path, globals, ctx);
-            return Ok(());
+    if let Some(path) = single_path(array) {
+        if cfp_trace::enabled() {
+            cfp_trace::span::single_path();
         }
+        enumerate_single_path(&path, globals, ctx);
+        return Ok(());
     }
     for item in (0..array.num_items() as u32).rev() {
         let support = array.item_support(item);
@@ -950,9 +871,9 @@ fn conditional(
     // would cost megabytes (3.9 MB on connect-like at 80%).
     // Conditional arenas share the run's budget pool (when one is set) and
     // may compact-and-retry; exhaustion surfaces with the "mine" phase.
-    // A worker with recycling armed rebuilds inside its long-lived arena
-    // instead of allocating a fresh one per conditional tree.
-    let mut cond_tree = match ctx.scratch.take_arena() {
+    // A worker rebuilds inside its long-lived arena instead of allocating
+    // a fresh one per conditional tree.
+    let mut cond_tree = match ctx.scratch.arena.take() {
         Some(arena) => CfpTree::try_with_arena(cond_globals.len(), CfpTreeConfig::default(), arena),
         None => CfpTree::try_with_options(
             cond_globals.len(),
@@ -992,15 +913,12 @@ fn conditional(
     drop(held);
     let cond_array = convert(&cond_tree);
     ctx.scratch.gauge.free(cond_tree.heap_bytes());
-    if ctx.scratch.recycle {
-        let mut arena = cond_tree.into_arena();
-        // ClearPeaks: each task gets a fresh per-instance high-water
-        // window, so one early giant conditional tree cannot smear its
-        // peak across every later task (the run-level peak stays in the
-        // budget pool).
-        arena.reset_with(StatsReset::ClearPeaks);
-        ctx.scratch.arena = Some(arena);
-    }
+    let mut arena = cond_tree.into_arena();
+    // ClearPeaks: each task gets a fresh per-instance high-water window,
+    // so one early giant conditional tree cannot smear its peak across
+    // every later task (the run-level peak stays in the budget pool).
+    arena.reset_with(StatsReset::ClearPeaks);
+    ctx.scratch.arena = Some(arena);
     // Out-of-core hook: an oversized conditional array round-trips
     // through a spill file and comes back as a shared view, so its data
     // block leaves pool-metered memory. The checksum on the file proves
@@ -1016,7 +934,7 @@ fn conditional(
 /// If the array represents a single downward path (every item has exactly
 /// one node, chained by parent links), returns its `(item, count)` pairs
 /// from the top.
-pub(crate) fn single_path(array: &CfpArray) -> Option<Vec<(u32, u64)>> {
+fn single_path(array: &CfpArray) -> Option<Vec<(u32, u64)>> {
     let n = array.num_items() as u32;
     let mut path = Vec::with_capacity(n as usize);
     let mut expected_parent: Option<u32> = None;
@@ -1133,11 +1051,56 @@ mod tests {
     use cfp_data::miner::{CollectSink, CountingSink};
     use cfp_fptree::FpGrowthMiner;
 
-    fn mine_collect(db: &TransactionDb, minsup: u64, opt: bool) -> Vec<(Vec<Item>, u64)> {
-        let miner = CfpGrowthMiner { single_path_opt: opt, ..Default::default() };
+    fn mine_collect(db: &TransactionDb, minsup: u64) -> Vec<(Vec<Item>, u64)> {
         let mut sink = CollectSink::new();
-        miner.mine(db, minsup, &mut sink);
+        CfpGrowthMiner::new().mine(db, minsup, &mut sink);
         sink.into_sorted()
+    }
+
+    /// Pool-capped mining: the run's byte cap is its [`MineOpts::pool`].
+    fn try_mine_capped(
+        db: &TransactionDb,
+        minsup: u64,
+        budget: u64,
+        sink: &mut dyn ItemsetSink,
+    ) -> Result<MineStats, CfpError> {
+        let opts = MineOpts { pool: Some(BudgetPool::new(budget)), ..Default::default() };
+        CfpGrowthMiner::new().try_mine_with(db, minsup, sink, &opts)
+    }
+
+    /// A sink that requests cancellation once `after` top-level items
+    /// have completed — the in-process analogue of SIGTERM.
+    struct CancellingSink {
+        inner: CollectSink,
+        cancel: cfp_fault::CancelToken,
+        after: u64,
+        watermark: u64,
+    }
+
+    impl CancellingSink {
+        fn new(cancel: &cfp_fault::CancelToken, after: u64) -> Self {
+            CancellingSink {
+                inner: CollectSink::new(),
+                cancel: cancel.clone(),
+                after,
+                watermark: 0,
+            }
+        }
+    }
+
+    impl ItemsetSink for CancellingSink {
+        fn emit(&mut self, itemset: &[Item], support: u64) {
+            self.inner.emit(itemset, support);
+        }
+        fn progress(&mut self, p: cfp_data::MineProgress<'_>) -> Result<(), CfpError> {
+            if let cfp_data::MineProgress::Items { done } = p {
+                self.watermark = done;
+                if done >= self.after {
+                    self.cancel.cancel();
+                }
+            }
+            Ok(())
+        }
     }
 
     fn fp_collect(db: &TransactionDb, minsup: u64) -> Vec<(Vec<Item>, u64)> {
@@ -1196,7 +1159,7 @@ mod tests {
             let row: Vec<Item> = (0..10).filter(|_| rng.gen_bool(0.5)).collect();
             db.push(&row);
         }
-        let baseline = mine_collect(&db, 3, true);
+        let baseline = mine_collect(&db, 3);
 
         let parent =
             std::env::temp_dir().join(format!("cfp-growth-condspill-{}", std::process::id()));
@@ -1230,29 +1193,22 @@ mod tests {
             vec![1, 2, 3, 5],
             vec![1, 2, 3],
         ]);
-        let got = mine_collect(&db, 2, true);
+        let got = mine_collect(&db, 2);
         assert_eq!(got, fp_collect(&db, 2));
         assert!(got.contains(&(vec![1, 2, 5], 2)));
     }
 
     #[test]
-    fn single_path_opt_changes_nothing() {
-        let db =
-            TransactionDb::from_rows(&[vec![0, 1, 2, 3], vec![0, 1, 2], vec![0, 1], vec![7, 8]]);
-        assert_eq!(mine_collect(&db, 1, true), mine_collect(&db, 1, false));
-    }
-
-    #[test]
     fn empty_database_and_high_minsup() {
-        assert!(mine_collect(&TransactionDb::new(), 1, true).is_empty());
+        assert!(mine_collect(&TransactionDb::new(), 1).is_empty());
         let db = TransactionDb::from_rows(&[vec![1u32, 2]]);
-        assert!(mine_collect(&db, 2, true).is_empty());
+        assert!(mine_collect(&db, 2).is_empty());
     }
 
     #[test]
     fn pure_single_path_database() {
         let db = TransactionDb::from_rows(&vec![vec![3u32, 5, 9]; 4]);
-        let got = mine_collect(&db, 2, true);
+        let got = mine_collect(&db, 2);
         assert_eq!(got.len(), 7);
         assert!(got.iter().all(|(_, s)| *s == 4));
     }
@@ -1274,7 +1230,7 @@ mod tests {
             }
             let minsup = rng.gen_range(1..=5);
             assert_eq!(
-                mine_collect(&db, minsup, true),
+                mine_collect(&db, minsup),
                 fp_collect(&db, minsup),
                 "trial {trial} minsup {minsup}"
             );
@@ -1298,9 +1254,8 @@ mod tests {
     fn tiny_budget_fails_structured_and_uncapped_retry_succeeds() {
         let db =
             TransactionDb::from_rows(&[vec![1, 2, 3, 4], vec![1, 2, 3], vec![1, 2], vec![2, 3, 4]]);
-        let capped = CfpGrowthMiner { mem_budget: Some(8), ..Default::default() };
         let mut sink = CountingSink::new();
-        let err = capped.try_mine(&db, 1, &mut sink).expect_err("8 bytes cannot hold the tree");
+        let err = try_mine_capped(&db, 1, 8, &mut sink).expect_err("8 bytes cannot hold the tree");
         assert_eq!(err.exit_code(), 4);
         assert!(err.to_string().contains("build"), "{err}");
         // The failure is recoverable in-process: retry without the cap.
@@ -1314,10 +1269,9 @@ mod tests {
     fn generous_budget_mines_identically() {
         let db =
             TransactionDb::from_rows(&[vec![1, 2, 3, 4], vec![1, 2, 3], vec![1, 2], vec![2, 3, 4]]);
-        let capped = CfpGrowthMiner { mem_budget: Some(1 << 20), ..Default::default() };
         let mut sink = CollectSink::new();
-        capped.try_mine(&db, 1, &mut sink).expect("1 MiB is plenty");
-        assert_eq!(sink.into_sorted(), mine_collect(&db, 1, true));
+        try_mine_capped(&db, 1, 1 << 20, &mut sink).expect("1 MiB is plenty");
+        assert_eq!(sink.into_sorted(), mine_collect(&db, 1));
     }
 
     #[test]
@@ -1350,7 +1304,6 @@ mod tests {
             last,
             &globals,
             1,
-            false,
             &mut sink,
             &opts,
             &mut Scratch::default(),
@@ -1363,32 +1316,6 @@ mod tests {
 
     #[test]
     fn cancel_and_resume_split_the_emission_stream_exactly() {
-        use cfp_data::MineProgress;
-        use cfp_fault::CancelToken;
-
-        // A sink that requests cancellation once `after` top-level items
-        // have completed — the in-process analogue of SIGTERM.
-        struct CancellingSink {
-            inner: CollectSink,
-            cancel: CancelToken,
-            after: u64,
-            watermark: u64,
-        }
-        impl ItemsetSink for CancellingSink {
-            fn emit(&mut self, itemset: &[Item], support: u64) {
-                self.inner.emit(itemset, support);
-            }
-            fn progress(&mut self, p: MineProgress<'_>) -> Result<(), CfpError> {
-                if let MineProgress::Items { done } = p {
-                    self.watermark = done;
-                    if done >= self.after {
-                        self.cancel.cancel();
-                    }
-                }
-                Ok(())
-            }
-        }
-
         use cfp_data::rng::{Rng, StdRng};
         let mut rng = StdRng::seed_from_u64(4242);
         let mut db = TransactionDb::new();
@@ -1401,13 +1328,8 @@ mod tests {
         miner.try_mine(&db, 3, &mut full).unwrap();
 
         for after in [1u64, 3, 7] {
-            let cancel = CancelToken::new();
-            let mut first = CancellingSink {
-                inner: CollectSink::new(),
-                cancel: cancel.clone(),
-                after,
-                watermark: 0,
-            };
+            let cancel = cfp_fault::CancelToken::new();
+            let mut first = CancellingSink::new(&cancel, after);
             let opts = MineOpts { cancel: Some(cancel), ..Default::default() };
             let err = miner.try_mine_with(&db, 3, &mut first, &opts).expect_err("cancelled");
             assert_eq!(err.exit_code(), 8, "{err}");
@@ -1426,6 +1348,54 @@ mod tests {
         }
     }
 
+    /// A first-level array that is one path is mined item by item like any
+    /// other, so it has a watermark after every item: a cancel at the first
+    /// one interrupts the run, and a resume from it completes the stream.
+    #[test]
+    fn single_path_input_stops_and_resumes_at_item_watermarks() {
+        // Rows `1`, `1 2`, …, `1 2 3 4 5 6`: one path, item 6 least frequent.
+        let rows: Vec<Vec<Item>> = (1..=6).map(|n| (1..=n).collect()).collect();
+        let db = TransactionDb::from_rows(&rows);
+        let (_, tree) = try_build_tree(&db, 1, None).unwrap();
+        assert!(single_path(&convert(&tree)).is_some(), "the first-level array must be one path");
+        drop(tree);
+
+        let miner = CfpGrowthMiner::new();
+        let mut full = CollectSink::new();
+        miner.try_mine(&db, 1, &mut full).unwrap();
+        assert_eq!(full.itemsets.len(), 63);
+        // Item by item, least frequent first: each itemset's largest item
+        // never rises along the stream.
+        let tops: Vec<Item> = full.itemsets.iter().map(|(set, _)| *set.last().unwrap()).collect();
+        assert!(tops.windows(2).all(|w| w[0] >= w[1]), "not grouped by item: {tops:?}");
+        for threads in [2, 4] {
+            let mut par = CollectSink::new();
+            crate::ParallelCfpGrowthMiner::new(threads).mine(&db, 1, &mut par);
+            assert_eq!(par.itemsets, full.itemsets, "{threads} threads reordered the output");
+        }
+
+        let cancel = cfp_fault::CancelToken::new();
+        let mut first = CancellingSink::new(&cancel, 1);
+        let opts = MineOpts { cancel: Some(cancel), ..Default::default() };
+        let err = miner.try_mine_with(&db, 1, &mut first, &opts).expect_err("cancelled");
+        assert!(matches!(err, CfpError::Interrupted), "{err}");
+        assert_eq!(first.watermark, 1);
+        // The first item's subtree: every subset holding item 6.
+        assert_eq!(first.inner.itemsets.len(), 32);
+        assert!(first
+            .inner
+            .itemsets
+            .iter()
+            .all(|(set, support)| set.contains(&6) && *support == 1));
+
+        let opts = MineOpts { resume_skip: first.watermark, ..Default::default() };
+        let mut second = CollectSink::new();
+        miner.try_mine_with(&db, 1, &mut second, &opts).unwrap();
+        let mut joined = first.inner.itemsets;
+        joined.extend(second.itemsets);
+        assert_eq!(joined, full.itemsets, "pre-cancel + resumed stream must equal the full one");
+    }
+
     #[test]
     fn deep_recursion_on_dense_block() {
         // A dense block: every transaction holds most of 14 items, so
@@ -1437,7 +1407,7 @@ mod tests {
             let t: Vec<Item> = (0..14).filter(|_| rng.gen_bool(0.8)).collect();
             db.push(&t);
         }
-        let got = mine_collect(&db, 10, true);
+        let got = mine_collect(&db, 10);
         assert_eq!(got, fp_collect(&db, 10));
         assert!(!got.is_empty());
     }
@@ -1461,7 +1431,7 @@ mod tests {
             (0..recoder.num_items() as u32).map(|i| recoder.original(i)).collect();
         let mut reference = CollectSink::new();
         let (opts, mut scratch, mut mode) = (MineOpts::default(), Scratch::default(), ModeCtx::All);
-        let mut ctx = Ctx::new(&mut reference, 8, true, &opts, &mut scratch, &mut mode);
+        let mut ctx = Ctx::new(&mut reference, 8, &opts, &mut scratch, &mut mode);
         mine_array(&array, &globals, &mut ctx).unwrap();
         let last = recoder.original(recoder.num_items() as u32 - 1);
         let in_last = reference.itemsets.iter().filter(|(set, _)| set.contains(&last)).count();

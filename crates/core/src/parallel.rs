@@ -25,23 +25,16 @@ use std::time::Duration;
 pub struct ParallelCfpGrowthMiner {
     /// Number of mine-phase worker threads (0 counts as 1).
     pub threads: usize,
-    /// Enumerate single-path structures directly instead of recursing.
-    pub single_path_opt: bool,
-    /// Byte cap on the whole run, enforced by one [`BudgetPool`] shared
-    /// between the initial tree's arena and every worker's conditional
-    /// trees. Exceeding it surfaces as [`CfpError::MemoryExhausted`]
-    /// from [`Miner::try_mine`] (or a panic from the infallible
-    /// [`Miner::mine`]).
-    pub mem_budget: Option<u64>,
-    /// Pre-built pool to charge instead of a fresh one from
-    /// `mem_budget`; lets the run supervisor read the pool's peak and
-    /// compaction gauges after the run.
+    /// The run's byte cap: one pool shared between the initial tree's
+    /// arena and every worker's conditional trees. Exceeding it surfaces
+    /// as [`CfpError::MemoryExhausted`] from [`Miner::try_mine`] (or a
+    /// panic from the infallible [`Miner::mine`]); the caller keeps a
+    /// clone to read the pool's peak and per-component gauges after the
+    /// run.
     pub pool: Option<BudgetPool>,
     /// Watchdog limit: fail with [`CfpError::WorkerTimeout`] when no
     /// worker makes progress for this long. `None` disables it.
     pub worker_timeout: Option<Duration>,
-    /// Compact arenas and retry once before reporting exhaustion.
-    pub compact_on_pressure: bool,
     /// How first-level items are distributed to workers (there is one
     /// schedule).
     pub schedule: Schedule,
@@ -69,11 +62,8 @@ impl ParallelCfpGrowthMiner {
     pub fn new(threads: usize) -> Self {
         ParallelCfpGrowthMiner {
             threads,
-            single_path_opt: true,
-            mem_budget: None,
             pool: None,
             worker_timeout: None,
-            compact_on_pressure: false,
             schedule: Schedule::default(),
             cancel: None,
             resume_skip: 0,
@@ -104,18 +94,13 @@ impl Miner for ParallelCfpGrowthMiner {
         min_support: u64,
         sink: &mut dyn ItemsetSink,
     ) -> Result<MineStats, CfpError> {
-        let plan = Plan {
-            threads: self.threads,
-            single_path_opt: self.single_path_opt,
-            worker_timeout: self.worker_timeout,
-        };
+        let plan = Plan { threads: self.threads, worker_timeout: self.worker_timeout };
         let opts = MineOpts {
-            pool: self.pool.clone().or_else(|| self.mem_budget.map(BudgetPool::new)),
-            compact_on_pressure: self.compact_on_pressure,
+            pool: self.pool.clone(),
             cancel: self.cancel.clone(),
             resume_skip: self.resume_skip,
             output: self.output,
-            cond_spill: None,
+            ..Default::default()
         };
         driver::run(db, min_support, sink, plan, &opts)
     }
@@ -215,7 +200,7 @@ mod tests {
 
     #[test]
     fn budget_is_one_shared_pool_not_per_worker_copies() {
-        // The regression this guards: `mem_budget` used to cap only the
+        // The regression this guards: the run's budget used to cap only the
         // initial build, leaving every worker's conditional trees
         // unaccounted (t workers could oversubscribe the limit t-fold).
         // With the shared pool, the initial tree AND every conditional

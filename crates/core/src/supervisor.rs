@@ -39,15 +39,13 @@
 //! identity transformation of each array.
 
 use crate::driver::{self, Plan};
-use crate::growth::{MineOpts, SubsumeIndex, TopKState};
-use crate::parallel::ParallelCfpGrowthMiner;
+use crate::growth::{MineOpts, SubsumeIndex};
 use crate::spill::CondSpill;
-use cfp_data::miner::CollectSink;
+use cfp_data::miner::{CollectSink, TopKSink};
 use cfp_data::partition::{project, ranges_by_mass};
 use cfp_data::spill::SpillDir;
 use cfp_data::{
-    CfpError, Item, ItemRecoder, ItemsetSink, MineProgress, MineStats, Miner, OutputMode,
-    TransactionDb,
+    CfpError, Item, ItemRecoder, ItemsetSink, MineProgress, MineStats, OutputMode, TransactionDb,
 };
 use cfp_memman::BudgetPool;
 use cfp_trace::hist::{maybe_now, record_since};
@@ -165,21 +163,20 @@ impl RecoveryReport {
 }
 
 /// Supervises a mining run with an escalation ladder (see the module
-/// docs). Construct with the same knobs as [`ParallelCfpGrowthMiner`]
-/// plus a [`RecoveryPolicy`].
+/// docs). Construct with the same knobs as
+/// [`ParallelCfpGrowthMiner`](crate::ParallelCfpGrowthMiner) plus a
+/// [`RecoveryPolicy`].
 #[derive(Clone, Debug)]
 pub struct Supervisor {
     /// Worker threads for the first attempt and the retry rung.
     pub threads: usize,
-    /// Enumerate single-path structures directly instead of recursing.
-    pub single_path_opt: bool,
     /// Byte budget for the whole run; `None` disables the memory rungs'
     /// reason to exist but the ladder still handles worker failures.
     pub mem_budget: Option<u64>,
     /// The escalation policy.
     pub policy: RecoveryPolicy,
     /// Watchdog limit for every attempt (see
-    /// [`ParallelCfpGrowthMiner::worker_timeout`]).
+    /// [`ParallelCfpGrowthMiner::worker_timeout`](crate::ParallelCfpGrowthMiner::worker_timeout)).
     pub worker_timeout: Option<Duration>,
     /// Parent directory for the out-of-core rung's spill files; the system
     /// temp directory when unset. A uniquely-named subdirectory is
@@ -204,7 +201,6 @@ impl Supervisor {
     pub fn new(policy: RecoveryPolicy) -> Self {
         Supervisor {
             threads: 1,
-            single_path_opt: true,
             mem_budget: None,
             policy,
             worker_timeout: None,
@@ -219,13 +215,9 @@ impl Supervisor {
         self.cancel.as_ref().is_some_and(|c| c.is_cancelled())
     }
 
-    /// Rung 3 mines each range on one worker, under the run's watchdog.
-    fn plan(&self) -> Plan {
-        Plan {
-            threads: 1,
-            single_path_opt: self.single_path_opt,
-            worker_timeout: self.worker_timeout,
-        }
+    /// The driver on `threads` workers, under the run's watchdog.
+    fn plan(&self, threads: usize) -> Plan {
+        Plan { threads, worker_timeout: self.worker_timeout }
     }
 
     /// Mines `db`, escalating through the recovery ladder on failure.
@@ -326,17 +318,15 @@ impl Supervisor {
         compact_on_pressure: bool,
     ) -> (Result<MineStats, CfpError>, CollectSink, u64) {
         let pool = self.mem_budget.map(BudgetPool::new);
-        let mut buf = CollectSink::new();
-        let r = ParallelCfpGrowthMiner {
-            single_path_opt: self.single_path_opt,
+        let opts = MineOpts {
             pool: pool.clone(),
-            worker_timeout: self.worker_timeout,
             compact_on_pressure,
             cancel: self.cancel.clone(),
             output: self.output,
-            ..ParallelCfpGrowthMiner::new(threads)
-        }
-        .try_mine(db, min_support, &mut buf);
+            ..Default::default()
+        };
+        let mut buf = CollectSink::new();
+        let r = driver::run(db, min_support, &mut buf, self.plan(threads), &opts);
         (r, buf, pool.map_or(0, |p| p.compact_reclaimed()))
     }
 
@@ -489,8 +479,8 @@ impl Supervisor {
             None
         };
         let condensed = self.output.is_condensed();
-        let (proj_output, topk) = match self.output {
-            OutputMode::TopK(k) => (OutputMode::All, Some(TopKState::new(k))),
+        let (proj_output, mut topk) = match self.output {
+            OutputMode::TopK(k) => (OutputMode::All, Some(TopKSink::new(k))),
             other => (other, None),
         };
         let mut index = condensed.then(SubsumeIndex::default);
@@ -533,7 +523,7 @@ impl Supervisor {
             let mut part = CollectSink::new();
             let mut fsink = RangeFilterSink { inner: &mut part, recoder: &recoder, lo, hi };
             let t0 = maybe_now();
-            let r = driver::run(&proj, min_support, &mut fsink, self.plan(), &opts);
+            let r = driver::run(&proj, min_support, &mut fsink, self.plan(1), &opts);
             record_since(&cfp_trace::hist::CORE_SPILL_MINE_NANOS, t0);
             drop(proj);
             tally.reclaimed += pool.as_ref().map_or(0, |p| p.compact_reclaimed());
@@ -569,9 +559,9 @@ impl Supervisor {
                     true
                 });
             }
-            if let Some(state) = &topk {
+            if let Some(heap) = &mut topk {
                 for (set, support) in part.itemsets.drain(..) {
-                    state.offer(&set, support);
+                    heap.emit(&set, support);
                 }
             }
             stats.itemsets += part.itemsets.len() as u64;
@@ -588,8 +578,8 @@ impl Supervisor {
             record_since(&cfp_trace::hist::CORE_EMIT_NANOS, t0);
             sent?;
         }
-        if let Some(state) = &topk {
-            let winners = CollectSink { itemsets: state.drain_sorted() };
+        if let Some(heap) = topk {
+            let winners = CollectSink { itemsets: heap.into_sorted() };
             stats.itemsets += winners.itemsets.len() as u64;
             flush(winners, sink);
         }
@@ -652,6 +642,7 @@ mod tests {
     use super::*;
     use crate::CfpGrowthMiner;
     use cfp_data::miner::CollectSink;
+    use cfp_data::Miner;
 
     #[test]
     fn recovery_report_writes_the_degradation_section() {

@@ -279,8 +279,7 @@ pub struct MineStats {
     /// Logical nodes of the initial prefix tree (0 for tree-less miners).
     pub tree_nodes: u64,
     /// Per-worker peak bytes of conditional structures: one entry per
-    /// mine-phase worker thread (empty for miners without workers, and
-    /// for a CFP-growth run that took the root single-path shortcut).
+    /// mine-phase worker thread (empty for miners without workers).
     pub worker_peaks: Vec<u64>,
     /// First-level item tasks each worker claimed (entries as for
     /// `worker_peaks`).

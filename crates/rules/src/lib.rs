@@ -1,5 +1,4 @@
-//! Post-processing of frequent itemsets: association rules and the
-//! closed / maximal condensed representations.
+//! Post-processing of frequent itemsets: association rules.
 //!
 //! Frequent-itemset mining is rarely the end product. The paper's
 //! introduction motivates it through recommendation ("customers who
@@ -17,15 +16,12 @@
 //! the anti-monotonicity of confidence (if `A ⇒ C` lacks confidence, so
 //! does every rule that moves more items from `A` into `C`).
 //!
-//! [`closed_itemsets`] and [`maximal_itemsets`] reduce a mining result to
-//! the standard condensed representations: an itemset is *closed* when no
-//! proper superset has the same support, *maximal* when no proper superset
-//! is frequent at all.
+//! The closed and maximal condensed representations are mined inside the
+//! CFP-growth recursion (`cfp_data::OutputMode`); their brute-force
+//! oracles live in `cfp_baselines::oracle`.
 
 #![warn(missing_docs)]
 
-pub mod condensed;
 pub mod rules;
 
-pub use condensed::{closed_itemsets, maximal_itemsets};
 pub use rules::{Rule, RuleMiner};

@@ -2,16 +2,17 @@
 //! bought this also bought …" use case from the paper's introduction.
 //!
 //! Generates a sparse retail-like dataset, mines the top associations with
-//! CFP-growth, and derives simple association rules (confidence = support
-//! of the pair over support of the antecedent).
+//! CFP-growth, counts the maximal itemsets with the engine's maximal output
+//! mode, and derives simple association rules (confidence = support of the
+//! pair over support of the antecedent).
 //!
 //! ```text
 //! cargo run --release -p cfp-examples --bin market_basket
 //! ```
 
-use cfp_core::{CfpGrowthMiner, CollectSink, Miner};
+use cfp_core::{CfpGrowthMiner, CollectSink, CountingSink, MineOpts, Miner, OutputMode};
 use cfp_data::profiles;
-use cfp_rules::{maximal_itemsets, RuleMiner};
+use cfp_rules::RuleMiner;
 
 fn main() {
     let profile = profiles::by_name("retail-like").expect("built-in profile");
@@ -35,9 +36,13 @@ fn main() {
         cfp_metrics::fmt_bytes(stats.peak_bytes)
     );
 
-    // Condensed views of the result.
-    let maximal = maximal_itemsets(&itemsets);
-    println!("condensed: {} maximal itemsets describe the frequent border\n", maximal.len());
+    // A condensed view of the result, mined inside the recursion.
+    let mut maximal = CountingSink::new();
+    let opts = MineOpts { output: OutputMode::Maximal, ..Default::default() };
+    CfpGrowthMiner::new()
+        .try_mine_with(&db, min_support, &mut maximal, &opts)
+        .expect("an unbudgeted run cannot fail");
+    println!("condensed: {} maximal itemsets describe the frequent border\n", maximal.count);
 
     // Association rules ("customers who bought ... also bought ...").
     let rule_miner = RuleMiner::new(&itemsets, db.len() as u64);

@@ -341,7 +341,7 @@ fn mine_seq_mode(
 
 /// Runs the condensed-output matrix on one seed: for each of closed,
 /// maximal, and a seed-derived topk:N, the sequential engine must match
-/// the post-hoc oracle (`cfp_rules::condensed` over the apriori full
+/// the brute-force oracle (`cfp_baselines::oracle` over the apriori full
 /// set), and the parallel dynamic schedule must reproduce the sequential
 /// emission byte for byte at 1, 2, and 8 threads.
 fn check_seed_condensed(seed: u64) -> Result<(), String> {
@@ -353,8 +353,8 @@ fn check_seed_condensed(seed: u64) -> Result<(), String> {
 
     type OracleRows = Vec<(Vec<Item>, u64)>;
     let modes: [(OutputMode, OracleRows); 3] = [
-        (OutputMode::Closed, sorted(cfp_rules::closed_itemsets(&full))),
-        (OutputMode::Maximal, sorted(cfp_rules::maximal_itemsets(&full))),
+        (OutputMode::Closed, sorted(cfp_baselines::oracle::closed_itemsets(&full))),
+        (OutputMode::Maximal, sorted(cfp_baselines::oracle::maximal_itemsets(&full))),
         (OutputMode::TopK(k), topk_oracle(&full, k)),
     ];
     for (output, oracle) in &modes {

@@ -2,13 +2,14 @@
 //! images, streaming file mining, and rule generation — all cross-checked
 //! against the sequential in-memory pipeline on realistic profiles.
 
+use cfp_baselines::oracle::{closed_itemsets, maximal_itemsets};
 use cfp_core::{
     mine_file, CfpGrowthMiner, CollectSink, CountingSink, Miner, MiningImage,
     ParallelCfpGrowthMiner,
 };
 use cfp_data::{fimi, profiles};
 use cfp_integration::fingerprint;
-use cfp_rules::{closed_itemsets, maximal_itemsets, RuleMiner};
+use cfp_rules::RuleMiner;
 
 #[test]
 fn parallel_equals_sequential_on_profiles() {

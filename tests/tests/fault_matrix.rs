@@ -10,7 +10,9 @@
 #![cfg(feature = "fault")]
 
 use cfp_core::growth::try_build_tree;
-use cfp_core::{CfpGrowthMiner, CountingSink, ParallelCfpGrowthMiner, RecoveryPolicy, Supervisor};
+use cfp_core::{
+    CfpGrowthMiner, CountingSink, MineOpts, ParallelCfpGrowthMiner, RecoveryPolicy, Supervisor,
+};
 use cfp_data::double_buffer::DoubleBufferedReader;
 use cfp_data::{fimi, CfpError, ItemRecoder, Miner, ParsePolicy, TransactionDb};
 use cfp_fault::{clear_all, configure, fired, FaultMode};
@@ -87,9 +89,11 @@ fn budget_overrun_reports_limit_and_uncapped_retry_succeeds() {
     let _g = armed();
     let db = textbook_db();
 
-    let capped = CfpGrowthMiner { single_path_opt: true, mem_budget: Some(16) };
+    let capped = MineOpts { pool: Some(cfp_memman::BudgetPool::new(16)), ..Default::default() };
     let mut sink = CountingSink::new();
-    let err = capped.try_mine(&db, 2, &mut sink).expect_err("16 bytes cannot hold the tree");
+    let err = CfpGrowthMiner::new()
+        .try_mine_with(&db, 2, &mut sink, &capped)
+        .expect_err("16 bytes cannot hold the tree");
     match &err {
         CfpError::MemoryExhausted { phase, limit, .. } => {
             assert_eq!(*phase, "build");
@@ -99,9 +103,8 @@ fn budget_overrun_reports_limit_and_uncapped_retry_succeeds() {
     }
     assert_eq!(err.exit_code(), 4);
 
-    let uncapped = CfpGrowthMiner { single_path_opt: true, mem_budget: None };
     let mut sink = CountingSink::new();
-    let stats = uncapped.try_mine(&db, 2, &mut sink).expect("uncapped retry");
+    let stats = CfpGrowthMiner::new().try_mine(&db, 2, &mut sink).expect("uncapped retry");
     assert_eq!(sink.count, 13);
     assert_eq!(stats.itemsets, 13);
 }

@@ -3,7 +3,7 @@
 use cfp_core::{CfpGrowthMiner, LengthHistogramSink, Miner, TopKSink};
 use cfp_data::{profiles, TransactionDb};
 use cfp_fptree::FpGrowthMiner;
-use cfp_integration::{fingerprint, mine_sorted};
+use cfp_integration::mine_sorted;
 
 fn sample_db() -> TransactionDb {
     profiles::by_name("retail-like").unwrap().generate()
@@ -77,15 +77,4 @@ fn support_counts_are_exact_at_every_level() {
         let actual = db.iter().filter(|t| itemset.iter().all(|i| t.contains(i))).count() as u64;
         assert_eq!(actual, *support, "itemset {itemset:?}");
     }
-}
-
-#[test]
-fn single_path_option_is_behaviour_preserving_at_scale() {
-    let db = profiles::by_name("quest1").unwrap().generate();
-    let minsup = 1_000;
-    let with =
-        fingerprint(&CfpGrowthMiner { single_path_opt: true, ..Default::default() }, &db, minsup);
-    let without =
-        fingerprint(&CfpGrowthMiner { single_path_opt: false, ..Default::default() }, &db, minsup);
-    assert_eq!(with, without);
 }
