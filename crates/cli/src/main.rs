@@ -883,6 +883,14 @@ fn run_checkpointed(
                         resume_skip = *items_done;
                     }
                     (CkptProgress::Spill { parts_done, remaining }, true) => {
+                        if let Some((lo, hi)) = remaining.iter().find(|r| r.1 as u64 > num_items) {
+                            exit_for_mine_error(CfpError::Checkpoint {
+                                path: manifest_path,
+                                message: format!(
+                                    "range {lo}..{hi} exceeds the {num_items}-item universe"
+                                ),
+                            });
+                        }
                         spill_resume = Some((*parts_done, remaining.clone()));
                     }
                     (p, _) => exit_for_mine_error(CfpError::Checkpoint {

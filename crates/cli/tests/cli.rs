@@ -1621,6 +1621,54 @@ fn resume_with_mismatched_config_exits_9() {
     let _ = std::fs::remove_dir_all(&scratch);
 }
 
+/// A spill manifest whose ranges reach past the input's frequent items
+/// is rejected with exit 9 before any range is mined.
+#[test]
+fn resume_with_a_spill_range_past_the_universe_exits_9() {
+    let path = write_sample();
+    let scratch = ckpt_scratch("universe");
+    let ck = scratch.join("ck");
+    std::fs::create_dir_all(&ck).unwrap();
+    let (db, _) =
+        cfp_data::fimi::read_file_with_policy(&path, cfp_data::ParsePolicy::Strict).unwrap();
+    let recoder = cfp_core::ItemRecoder::scan(&db, 2);
+    assert_eq!(recoder.num_items(), 5);
+    cfp_core::ckpt::save(
+        &ck,
+        &cfp_core::Manifest {
+            input: path.to_str().unwrap().to_string(),
+            min_support: 2,
+            counts: cfp_core::ckpt::counts_fingerprint(&recoder),
+            num_items: 5,
+            output: "all".into(),
+            progress: cfp_core::CkptProgress::Spill { parts_done: 1, remaining: vec![(3, 9)] },
+            output_bytes: 0,
+            itemsets: 0,
+        },
+    )
+    .unwrap();
+    let out = Command::new(bin())
+        .args([
+            path.to_str().unwrap(),
+            "--support",
+            "2",
+            "--recover",
+            "spill",
+            "--spill-dir",
+            scratch.join("spill").to_str().unwrap(),
+            "--checkpoint-dir",
+            ck.to_str().unwrap(),
+            "--resume",
+        ])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(9), "{stderr}");
+    assert!(stderr.contains("range 3..9 exceeds the 5-item universe"), "{stderr}");
+    assert!(out.stdout.is_empty(), "nothing may be mined from a bad manifest");
+    let _ = std::fs::remove_dir_all(&scratch);
+}
+
 /// A torn (truncated) or bit-flipped manifest is a structured exit 9 —
 /// never a panic, never silently trusted.
 #[test]

@@ -11,10 +11,12 @@
 //!   [`BudgetPool`](cfp_memman::BudgetPool) when there is one — and
 //!   converts it to the CFP-array (§3 of the paper), each phase under its
 //!   own span.
-//! - The **back half** ([`mine`]) mines the frequent first-level items —
-//!   one task per item — on `threads.max(1)` spawned workers claiming
-//!   from a [`TaskQueue`]. Each task's itemsets travel to the caller's
-//!   thread in chunks, where the [`OrderedEmitter`] replays them in
+//! - The **back half** ([`mine`]) mines the frequent first-level items
+//!   from the run's first item up (0 unless a rung-3 partition ranks its
+//!   context items first) — one task per item — on `threads.max(1)`
+//!   spawned workers claiming from a [`TaskQueue`]. Each task's itemsets
+//!   travel to the caller's thread in chunks, where the
+//!   [`OrderedEmitter`] replays them in
 //!   descending item order: the order one recursion over the array
 //!   produces, so the output stream is byte-identical at every thread
 //!   count. The emitter owns the resumable watermarks, cancellation, the
@@ -59,9 +61,22 @@ pub(crate) struct Plan {
     pub worker_timeout: Option<Duration>,
 }
 
-/// Count, build, convert, mine: one whole run over `db`.
+/// How a run ranks its items: the recoder over the run's database and the
+/// first recoded item the back half mines. [`by_support`] ranks a whole
+/// database; rung 3 ranks its range's items last and mines only those.
+pub(crate) type Rank<'a> = &'a dyn Fn(&TransactionDb, u64) -> (ItemRecoder, u32);
+
+/// The whole-database ranking: every frequent item by descending support,
+/// all of them mined.
+pub(crate) fn by_support(db: &TransactionDb, min_support: u64) -> (ItemRecoder, u32) {
+    (ItemRecoder::scan(db, min_support), 0)
+}
+
+/// Count, build, convert, mine: one whole run over `db`, whose items
+/// `rank` counts and orders (under the count span).
 pub(crate) fn run(
     db: &TransactionDb,
+    rank: Rank<'_>,
     min_support: u64,
     sink: &mut dyn ItemsetSink,
     plan: Plan,
@@ -69,9 +84,9 @@ pub(crate) fn run(
 ) -> Result<MineStats, CfpError> {
     let mut stats = MineStats::default();
     let mut sw = Stopwatch::start();
-    let recoder = {
+    let (recoder, first) = {
         let _s = span(Phase::Count);
-        ItemRecoder::scan(db, min_support)
+        rank(db, min_support)
     };
     stats.scan_time = sw.lap();
     let tree = {
@@ -79,16 +94,18 @@ pub(crate) fn run(
         CfpTree::try_from_db_with(db, &recoder, opts.arena_options(Component::BuildTree))?
     };
     stats.build_time = sw.lap();
-    convert_and_mine(&recoder, tree, min_support, sink, stats, sw, plan, opts)
+    convert_and_mine(&recoder, tree, first, min_support, sink, stats, sw, plan, opts)
 }
 
 /// The rest of a run once the initial tree is built: conversion, then the
-/// back half. The streaming [`mine_file`](crate::mine_file) pipeline,
-/// which builds its tree from the file, joins here.
+/// back half from item `first` up. The streaming
+/// [`mine_file`](crate::mine_file) pipeline, which builds its tree from
+/// the file, joins here.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn convert_and_mine(
     recoder: &ItemRecoder,
     tree: CfpTree,
+    first: u32,
     min_support: u64,
     sink: &mut dyn ItemsetSink,
     mut stats: MineStats,
@@ -121,7 +138,7 @@ pub(crate) fn convert_and_mine(
 
     let globals: Arc<[Item]> =
         (0..recoder.num_items() as u32).map(|i| recoder.original(i)).collect();
-    let mined = mine(Arc::new(array), globals, min_support, sink, plan, opts)?;
+    let mined = mine(Arc::new(array), globals, first, min_support, sink, plan, opts)?;
     stats.mine_time = sw.lap();
     mined.record(&mut stats, &gauge);
     Ok(stats)
@@ -161,11 +178,13 @@ impl Mined {
     }
 }
 
-/// The back half: mines the first-level `array` (local ids mapped to
-/// original items by `globals`) into `sink`.
+/// The back half: mines the first-level items of `array` from `first` up
+/// (local ids mapped to original items by `globals`) into `sink`. Items
+/// below `first` appear only inside the itemsets of the items above.
 pub(crate) fn mine(
     array: Arc<CfpArray>,
     globals: Arc<[Item]>,
+    first: u32,
     min_support: u64,
     sink: &mut dyn ItemsetSink,
     plan: Plan,
@@ -176,8 +195,9 @@ pub(crate) fn mine(
     let n = (0..array.num_items() as u32)
         .take_while(|&item| array.item_support(item) >= min_support)
         .count() as u32;
+    let first = first.min(n);
     if cfp_trace::enabled() {
-        cfp_trace::counters::CORE_FIRST_LEVEL_ITEMS.record(n as u64);
+        cfp_trace::counters::CORE_FIRST_LEVEL_ITEMS.record((n - first) as u64);
     }
     // One top-k heap shared by every worker: offers commute (the retained
     // set is fixed by the input), so the drain is deterministic.
@@ -186,7 +206,7 @@ pub(crate) fn mine(
         _ => None,
     };
     let mut mined = Mined { array_bytes: array.heap_bytes(), ..Default::default() };
-    let threads = plan.threads.clamp(1, n.max(1) as usize);
+    let threads = plan.threads.clamp(1, (n - first).max(1) as usize);
     if cfp_trace::enabled() {
         cfp_trace::counters::CORE_WORKERS.record(threads as u64);
     }
@@ -196,7 +216,7 @@ pub(crate) fn mine(
     let max_item = (n as u64).saturating_sub(opts.resume_skip) as u32;
     let sched_max = if opts.output.is_condensed() { n } else { max_item };
     let shared = Arc::new(Shared {
-        queue: TaskQueue::for_workers(&array, sched_max, threads),
+        queue: TaskQueue::for_workers(&array, first, sched_max, threads),
         array,
         globals,
         min_support,
@@ -204,7 +224,7 @@ pub(crate) fn mine(
         topk: topk.clone(),
         poison: AtomicBool::new(false),
         heartbeats: (0..threads).map(|_| AtomicU64::new(0)).collect(),
-        fair_share: (n as u64).div_ceil(threads as u64),
+        fair_share: ((n - first) as u64).div_ceil(threads as u64),
     });
     let (tx, rx) = mpsc::sync_channel::<Chunk>(IN_FLIGHT);
     let handles: Vec<_> = (0..threads)
@@ -217,10 +237,11 @@ pub(crate) fn mine(
     drop(tx);
 
     let mut emitter =
-        OrderedEmitter::new(sink, n, sched_max, max_item, opts.output, opts.cancel.clone());
+        OrderedEmitter::new(sink, n, first, sched_max, max_item, opts.output, opts.cancel.clone());
     let mut first_error = receive(&rx, &mut emitter, &shared, &handles, plan.worker_timeout);
     mined.itemsets = emitter.emitted;
-    let unfinished = emitter.next >= 0;
+    // The run is finished once its first item is out.
+    let unfinished = emitter.next >= first as i64;
     drop(emitter);
     // A worker blocked on a full channel after a failure sees the hang-up
     // and stops.
@@ -559,8 +580,11 @@ struct OrderedEmitter<'a> {
     sink: &'a mut dyn ItemsetSink,
     /// Buffered chunks by item id.
     pending: Vec<Pending>,
-    /// The head: the highest item not yet fully emitted (-1 when done).
+    /// The head: the highest item not yet fully emitted (`first - 1` when
+    /// done).
     next: i64,
+    /// The lowest item mined.
+    first: u32,
     /// Whether the head has been entered: cancellation is checked only
     /// before entering the next item.
     entered: bool,
@@ -579,13 +603,14 @@ struct OrderedEmitter<'a> {
 }
 
 impl<'a> OrderedEmitter<'a> {
-    /// Replays items `sched_max-1 … 0` in order, emitting only items below
-    /// `live_below`; on a resume, `live_below` sits below `total` because
-    /// the higher items are already out (condensed modes still schedule
-    /// them, so `sched_max` stays at `total` there).
+    /// Replays items `sched_max-1 … first` in order, emitting only items
+    /// below `live_below`; on a resume, `live_below` sits below `total`
+    /// because the higher items are already out (condensed modes still
+    /// schedule them, so `sched_max` stays at `total` there).
     fn new(
         sink: &'a mut dyn ItemsetSink,
         total: u32,
+        first: u32,
         sched_max: u32,
         live_below: u32,
         output: OutputMode,
@@ -602,6 +627,7 @@ impl<'a> OrderedEmitter<'a> {
             sink,
             pending: (0..sched_max).map(|_| Pending::default()).collect(),
             next: sched_max as i64 - 1,
+            first,
             entered: false,
             total,
             live_below,
@@ -657,7 +683,7 @@ impl<'a> OrderedEmitter<'a> {
             slot.batch.extend(chunk.batch);
         }
         slot.done = chunk.last;
-        while self.next >= 0 {
+        while self.next >= self.first as i64 {
             if !self.entered {
                 if self.cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
                     self.stopped = true;
@@ -685,5 +711,66 @@ impl<'a> OrderedEmitter<'a> {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cfp_data::miner::CollectSink;
+
+    /// Collects itemsets and fires a cancel token at the first itemset
+    /// that is exactly `[trigger]`.
+    struct CancelAt {
+        inner: CollectSink,
+        trigger: Item,
+        token: cfp_fault::CancelToken,
+    }
+
+    impl ItemsetSink for CancelAt {
+        fn emit(&mut self, itemset: &[Item], support: u64) {
+            if itemset == [self.trigger] {
+                self.token.cancel();
+            }
+            self.inner.emit(itemset, support);
+        }
+    }
+
+    /// A run that mines from item `first` up is finished once `first` is
+    /// out: a cancel that fires while the emitter is on that last item
+    /// must leave a complete run, not an interrupted one.
+    #[test]
+    fn a_cancel_on_the_first_mined_item_leaves_the_run_complete() {
+        let db = TransactionDb::from_rows(&[
+            vec![1, 2, 5],
+            vec![2, 4],
+            vec![2, 3],
+            vec![1, 2, 4],
+            vec![1, 3],
+            vec![2, 3],
+            vec![1, 3],
+            vec![1, 2, 3, 5],
+            vec![1, 2, 3],
+        ]);
+        let from_three =
+            |db: &TransactionDb, min_support: u64| (ItemRecoder::scan(db, min_support), 3);
+        let plan = Plan { threads: 1, worker_timeout: None };
+        let mut whole = CollectSink::new();
+        run(&db, &from_three, 2, &mut whole, plan, &MineOpts::default()).expect("uncancelled");
+        let recoder = ItemRecoder::scan(&db, 2);
+        let mined: Vec<Item> = (3..5).map(|i| recoder.original(i)).collect();
+        assert!(!whole.itemsets.is_empty());
+        for (set, _) in &whole.itemsets {
+            assert!(set.iter().any(|it| mined.contains(it)), "{set:?} has no item from 3 up");
+        }
+
+        let token = cfp_fault::CancelToken::new();
+        let opts = MineOpts { cancel: Some(token.clone()), ..Default::default() };
+        let mut sink = CancelAt { inner: CollectSink::new(), trigger: recoder.original(3), token };
+        let stats = run(&db, &from_three, 2, &mut sink, plan, &opts)
+            .expect("the last item was entered before the cancel");
+        assert!(sink.token.is_cancelled(), "the trigger never fired");
+        assert_eq!(sink.inner.itemsets, whole.itemsets);
+        assert_eq!(stats.itemsets, whole.itemsets.len() as u64);
     }
 }

@@ -80,6 +80,7 @@ impl MiningImage {
         let mined = crate::driver::mine(
             Arc::clone(&self.array),
             Arc::clone(&self.globals),
+            0,
             min_support,
             sink,
             CfpGrowthMiner::new().plan(),

@@ -59,6 +59,7 @@ pub fn mine_file(
     crate::driver::convert_and_mine(
         &recoder,
         tree,
+        0,
         min_support,
         sink,
         stats,

@@ -83,13 +83,20 @@ impl TaskQueue {
         Self::with_limit(array, array.num_items() as u32)
     }
 
-    /// Builds the queue for items `0 .. max_item` only — the resume
-    /// path's constructor: items `max_item .. n` were fully emitted by a
-    /// previous run (mining walks items in descending order) and must
-    /// not be re-claimed.
+    /// Builds the queue for items `0 .. max_item` only.
+    #[cfg(test)]
     pub fn with_limit(array: &CfpArray, max_item: u32) -> Self {
+        Self::with_items(array, 0, max_item)
+    }
+
+    /// Builds the queue for items `first .. max_item` only. Items from
+    /// `max_item` up were fully emitted by a previous run (mining walks
+    /// items in descending order) and must not be re-claimed; items below
+    /// `first` are mined only inside the itemsets of the items above, as
+    /// a partition's context items are.
+    pub fn with_items(array: &CfpArray, first: u32, max_item: u32) -> Self {
         let n = (array.num_items() as u32).min(max_item);
-        let mut order: Vec<u32> = (0..n).collect();
+        let mut order: Vec<u32> = (first.min(n)..n).collect();
         // Heaviest first; descending item id on ties keeps the order (and
         // therefore chunk boundaries) deterministic across runs.
         order.sort_by_key(|&item| {
@@ -101,13 +108,13 @@ impl TaskQueue {
         TaskQueue { order, costs, cursor: AtomicUsize::new(0), heavy_threshold }
     }
 
-    /// The queue `workers` workers claim items `0 .. max_item` from:
-    /// heaviest first ([`with_limit`](Self::with_limit)) to balance
+    /// The queue `workers` workers claim items `first .. max_item` from:
+    /// heaviest first ([`with_items`](Self::with_items)) to balance
     /// several workers; in emission order (descending item id) for one,
     /// which has nothing to balance and so streams every task straight
     /// through the ordered emitter instead of buffering it.
-    pub fn for_workers(array: &CfpArray, max_item: u32, workers: usize) -> Self {
-        let mut queue = Self::with_limit(array, max_item);
+    pub fn for_workers(array: &CfpArray, first: u32, max_item: u32, workers: usize) -> Self {
+        let mut queue = Self::with_items(array, first, max_item);
         if workers == 1 {
             queue.order.sort_unstable_by(|a, b| b.cmp(a));
             queue.costs = queue.order.iter().map(|&item| array.subarray_bytes(item)).collect();
@@ -186,13 +193,26 @@ mod tests {
         let (_, tree) =
             crate::growth::try_build_tree(&TransactionDb::from_rows(&rows), 1, None).unwrap();
         let array = cfp_array::convert(&tree);
-        let q = TaskQueue::for_workers(&array, 4, 1);
+        let q = TaskQueue::for_workers(&array, 0, 4, 1);
         assert_eq!(q.order, [3, 2, 1, 0], "descending item id is the emission order");
         for (slot, &item) in q.order.iter().enumerate() {
             assert_eq!(q.cost(slot), array.subarray_bytes(item));
         }
-        let balanced = TaskQueue::for_workers(&array, 4, 2);
+        let balanced = TaskQueue::for_workers(&array, 0, 4, 2);
         assert_eq!(balanced.order, TaskQueue::with_limit(&array, 4).order);
+    }
+
+    #[test]
+    fn a_first_item_leaves_the_items_below_it_unclaimed() {
+        let rows = [vec![1, 2, 3, 4], vec![1, 2, 3], vec![1, 2], vec![1], vec![2, 3, 4], vec![3]];
+        let (_, tree) =
+            crate::growth::try_build_tree(&TransactionDb::from_rows(&rows), 1, None).unwrap();
+        let array = cfp_array::convert(&tree);
+        assert_eq!(TaskQueue::for_workers(&array, 2, 4, 1).order, [3, 2]);
+        let mut balanced = TaskQueue::for_workers(&array, 2, 4, 2).order;
+        balanced.sort_unstable();
+        assert_eq!(balanced, [2, 3]);
+        assert_eq!(TaskQueue::for_workers(&array, 3, 2, 1).len(), 0, "first above the limit");
     }
 
     #[test]

@@ -13,14 +13,16 @@
 //! 3. **partition** or **spill** — partitioned mining: split the recoded
 //!    items into ranges ([`cfp_data::partition`]) and run each range's
 //!    projection through the mining driver under a fresh pool of the
-//!    budget, keeping each itemset in the range of its maximal item. A
-//!    range that still exhausts the budget is halved and requeued; a
-//!    single-item range that fails ends the run. Both policies run this
-//!    one range loop and differ only in where the arrays live: under
-//!    [`RecoveryPolicy::Spill`] every partition's CFP-array, and every
-//!    conditional array above a quarter of the budget, round-trips
-//!    through a crash-safe spill file ([`CondSpill`]) and is mined from a
-//!    zero-copy view.
+//!    budget, mining only the itemsets whose maximal item is in the
+//!    range. Under a budget each range is cut to fit before it is built:
+//!    the projection pass of the partition before it estimates the
+//!    candidate ranges' trees ([`Sizer`]). A range that still exhausts
+//!    the budget is halved and requeued; a single-item range that fails
+//!    ends the run. Both policies run this one range loop and differ only
+//!    in where the arrays live: under [`RecoveryPolicy::Spill`] every
+//!    partition's CFP-array, and every conditional array above a quarter
+//!    of the budget, round-trips through a crash-safe spill file
+//!    ([`CondSpill`]) and is mined from a zero-copy view.
 //!
 //! Output is buffered per attempt and flushed to the caller's sink only
 //! when an attempt succeeds, so the caller never sees a partial result
@@ -34,15 +36,18 @@
 //! spelled out in [`cfp_data::partition`]: every frequent itemset has
 //! exactly one maximal item under the global support-descending recode
 //! order, the projection for that item's range preserves the itemset's
-//! full global support, and a max-item filter keeps each itemset in
-//! exactly one range's output. The on-disk detour is a checksummed
-//! identity transformation of each array.
+//! full global support, and ranking the range's items after the context
+//! items and mining from the first range item up emits exactly the
+//! itemsets whose maximal item is in the range, so each itemset comes out
+//! of exactly one range. The on-disk detour is a checksummed identity
+//! transformation of each array.
 
 use crate::driver::{self, Plan};
 use crate::growth::{MineOpts, SubsumeIndex};
 use crate::spill::CondSpill;
+use cfp_data::count::count_supports;
 use cfp_data::miner::{CollectSink, TopKSink};
-use cfp_data::partition::{project, ranges_by_mass};
+use cfp_data::partition::{project, ranges_by_mass, Candidate, Sizer, Walk};
 use cfp_data::spill::SpillDir;
 use cfp_data::{
     CfpError, Item, ItemRecoder, ItemsetSink, MineProgress, MineStats, OutputMode, TransactionDb,
@@ -289,18 +294,10 @@ impl Supervisor {
             return (Err(CfpError::Interrupted), report);
         }
 
-        // Rung 3. The initial partition count comes from the failure
-        // itself: aim for projections of at most half the budget. Other
-        // causes start at 2.
-        let k0 = match last_err {
-            CfpError::MemoryExhausted { footprint, limit, .. } if limit > 0 => {
-                (2 * footprint).div_ceil(limit).max(2) as usize
-            }
-            _ => 2,
-        };
+        // Rung 3.
         let on_disk = self.policy == RecoveryPolicy::Spill;
         let mut buf = CollectSink::new();
-        let (r, report) = self.partitioned(db, min_support, k0, on_disk, &mut buf, None, report);
+        let (r, report) = self.partitioned(db, min_support, on_disk, &mut buf, None, report);
         if r.is_ok() {
             flush(buf, sink);
         }
@@ -326,7 +323,8 @@ impl Supervisor {
             ..Default::default()
         };
         let mut buf = CollectSink::new();
-        let r = driver::run(db, min_support, &mut buf, self.plan(threads), &opts);
+        let r =
+            driver::run(db, &driver::by_support, min_support, &mut buf, self.plan(threads), &opts);
         (r, buf, pool.map_or(0, |p| p.compact_reclaimed()))
     }
 
@@ -386,18 +384,16 @@ impl Supervisor {
             policy: RecoveryPolicy::Spill.name().to_string(),
             ..Default::default()
         };
-        self.partitioned(db, min_support, 2, true, sink, resume, report)
+        self.partitioned(db, min_support, true, sink, resume, report)
     }
 
     /// Rung 3 (see the module docs), recorded into `report`: the range
-    /// loop, starting from `k0` ranges or from a `resume` point, with the
-    /// arrays on disk when `on_disk`.
-    #[allow(clippy::too_many_arguments)]
+    /// loop, fresh or from a `resume` point, with the arrays on disk when
+    /// `on_disk`.
     fn partitioned(
         &self,
         db: &TransactionDb,
         min_support: u64,
-        k0: usize,
         on_disk: bool,
         sink: &mut dyn ItemsetSink,
         resume: Option<(u64, Vec<(u32, u32)>)>,
@@ -411,7 +407,7 @@ impl Supervisor {
         };
         rung_started(trace_rung);
         let mut tally = Tally::default();
-        let r = self.range_loop(db, min_support, k0, on_disk, sink, resume, &mut tally);
+        let r = self.range_loop(db, min_support, on_disk, sink, resume, &mut tally);
         report.rungs.push(RungReport {
             rung,
             succeeded: r.is_ok(),
@@ -429,11 +425,17 @@ impl Supervisor {
 
     /// The range loop. Each step pops a range, projects it, and runs the
     /// projection through the driver into a buffer of its own, under a
-    /// fresh pool of the budget. A range that exhausts the pool drops its
-    /// buffer and goes back on the front of the queue as two halves, in
-    /// mining order. A completed partition is reconciled (condensed
-    /// output) or offered to the top-k heap, emitted to `sink`, and
-    /// followed by a [`MineProgress::SpillParts`] watermark.
+    /// fresh pool of the budget. The projection's recoder ranks the
+    /// range's items after its context items and the driver mines from
+    /// the first range item up, so the partition emits exactly the
+    /// itemsets whose maximal item is in the range. A range that exhausts
+    /// the pool drops its buffer and goes back on the front of the queue
+    /// as two halves, in mining order. A completed partition cuts the
+    /// next range from the uncut rest when that is all the queue holds
+    /// ([`fit`]), is reconciled (condensed output) or offered to
+    /// the top-k heap, emitted to `sink`, and followed by a
+    /// [`MineProgress::SpillParts`] watermark, which therefore already
+    /// lists the cut.
     ///
     /// Condensed output mines the ranges in descending item order: the
     /// order one recursion emits in, so every cross-partition subsumer is
@@ -442,12 +444,10 @@ impl Supervisor {
     /// already exact, since the projection preserves global supports.
     /// Top-k mines every partition in full and drains the winners after
     /// the last one.
-    #[allow(clippy::too_many_arguments)]
     fn range_loop(
         &self,
         db: &TransactionDb,
         min_support: u64,
-        k0: usize,
         on_disk: bool,
         sink: &mut dyn ItemsetSink,
         resume: Option<(u64, Vec<(u32, u32)>)>,
@@ -479,38 +479,45 @@ impl Supervisor {
             None
         };
         let condensed = self.output.is_condensed();
+        let walk = if condensed { Walk::Down } else { Walk::Up };
         let (proj_output, mut topk) = match self.output {
             OutputMode::TopK(k) => (OutputMode::All, Some(TopKSink::new(k))),
             other => (other, None),
         };
         let mut index = condensed.then(SubsumeIndex::default);
         let done0 = resume.as_ref().map_or(0, |(done, _)| *done);
+        if let Some((_, remaining)) = &resume {
+            assert!(
+                remaining.iter().all(|&(lo, hi)| lo < hi && hi as usize <= n),
+                "resumed ranges {remaining:?} must lie in the {n}-item universe"
+            );
+        }
         let mut queue: VecDeque<(u32, u32)> = match resume {
             Some((_, remaining)) => remaining.into(),
-            None => {
-                let mut q: VecDeque<(u32, u32)> = ranges_by_mass(&recoder, k0.min(n)).into();
-                if condensed {
-                    q.make_contiguous().reverse();
-                }
-                q
-            }
+            None => self.first_ranges(db, &recoder, walk).into(),
         };
 
         let traced = cfp_trace::enabled();
+        if traced {
+            cfp_trace::counters::CORE_PARTITION_ITEMS.record(n as u64);
+        }
         let mut stats = MineStats::default();
         while let Some((lo, hi)) = queue.pop_front() {
             if self.cancelled() {
                 return Err(CfpError::Interrupted);
             }
-            if traced {
-                // The `n` of the heartbeat's `partition k/n`: grows when
-                // a range is halved.
-                cfp_trace::counters::CORE_SPILL_PARTITIONS
-                    .record(tally.mined + 1 + queue.len() as u64);
-            }
+            // When only the uncut rest follows, this projection pass also
+            // sizes the ranges the next partition could cut from it.
+            let mut sizer = match queue.front() {
+                Some(&rest) if self.mem_budget.is_some() && queue.len() == 1 => {
+                    (rest.1 - rest.0 > 1).then(|| Sizer::new(&recoder, rest, walk))
+                }
+                _ => None,
+            };
             let t0 = maybe_now();
-            let proj = project(db, &recoder, lo, hi);
+            let proj = project(db, &recoder, lo, hi, sizer.as_mut());
             record_since(&cfp_trace::hist::CORE_SPILL_PROJECT_NANOS, t0);
+            let candidates = sizer.map(|s| s.candidates(&recoder));
             let pool = self.mem_budget.map(BudgetPool::new);
             let opts = MineOpts {
                 pool: pool.clone(),
@@ -520,10 +527,18 @@ impl Supervisor {
                 output: proj_output,
                 ..Default::default()
             };
+            // Every range item is frequent in the projection (its rows
+            // are all there), so ranked last the range's items are the
+            // projection's last `hi - lo` items.
+            let rank = |proj: &TransactionDb, min_support: u64| {
+                let own = |item: Item| recoder.recode(item).is_some_and(|i| lo <= i && i < hi);
+                let local = ItemRecoder::ranked_last(&count_supports(proj), min_support, own);
+                let first = local.num_items() as u32 - (hi - lo);
+                (local, first)
+            };
             let mut part = CollectSink::new();
-            let mut fsink = RangeFilterSink { inner: &mut part, recoder: &recoder, lo, hi };
             let t0 = maybe_now();
-            let r = driver::run(&proj, min_support, &mut fsink, self.plan(1), &opts);
+            let r = driver::run(&proj, &rank, min_support, &mut part, self.plan(1), &opts);
             record_since(&cfp_trace::hist::CORE_SPILL_MINE_NANOS, t0);
             drop(proj);
             tally.reclaimed += pool.as_ref().map_or(0, |p| p.compact_reclaimed());
@@ -531,16 +546,23 @@ impl Supervisor {
                 Ok(s) => s,
                 Err(CfpError::MemoryExhausted { .. }) if hi - lo > 1 => {
                     let mid = lo + (hi - lo) / 2;
-                    let (first, second) =
-                        if condensed { ((mid, hi), (lo, mid)) } else { ((lo, mid), (mid, hi)) };
+                    let (first, second) = match walk {
+                        Walk::Up => ((lo, mid), (mid, hi)),
+                        Walk::Down => ((mid, hi), (lo, mid)),
+                    };
                     queue.push_front(second);
                     queue.push_front(first);
+                    tally.retries += 1;
+                    if traced {
+                        cfp_trace::counters::CORE_PARTITION_RETRIES.inc();
+                    }
                     continue;
                 }
                 Err(e) => return Err(e),
             };
             tally.mined += 1;
-            tally.peaks.push(pool.map_or(s.peak_bytes, |p| p.peak()));
+            let peak = pool.map_or(s.peak_bytes, |p| p.peak());
+            tally.peaks.push(peak);
             stats.scan_time += s.scan_time;
             stats.build_time += s.build_time;
             stats.convert_time += s.convert_time;
@@ -548,6 +570,11 @@ impl Supervisor {
             stats.tree_nodes += s.tree_nodes;
             stats.peak_bytes = stats.peak_bytes.max(s.peak_bytes);
             stats.avg_bytes = stats.avg_bytes.max(s.avg_bytes);
+            if let (Some(candidates), Some(budget)) = (candidates, self.mem_budget) {
+                let rest = queue.pop_front().expect("a sized rest is queued");
+                let next = fit(&candidates, budget, (peak, s.tree_nodes.max(1)), u64::MAX);
+                queue.extend(cut(rest, next));
+            }
 
             if let Some(index) = &mut index {
                 let closed = self.output == OutputMode::Closed;
@@ -568,6 +595,8 @@ impl Supervisor {
             flush(part, sink);
             if traced {
                 cfp_trace::counters::CORE_SPILL_PARTS_DONE.inc();
+                let queued: u32 = queue.iter().map(|&(lo, hi)| hi - lo).sum();
+                cfp_trace::counters::CORE_PARTITION_ITEMS_DONE.record((n as u32 - queued) as u64);
             }
             let remaining: Vec<(u32, u32)> = queue.iter().copied().collect();
             let t0 = maybe_now();
@@ -589,6 +618,68 @@ impl Supervisor {
         stats.worker_peaks = tally.peaks.clone();
         Ok(stats)
     }
+
+    /// The ranges a fresh rung-3 run starts from, in mining order.
+    /// Without a budget nothing is sized: two ranges of equal support
+    /// mass. With one, a first range cut by one sizing pass over the
+    /// database at [`FIRST_BYTES_PER_NODE`] and at most half the support
+    /// mass, so the run still has at least two partitions, then the
+    /// uncut rest.
+    fn first_ranges(
+        &self,
+        db: &TransactionDb,
+        recoder: &ItemRecoder,
+        walk: Walk,
+    ) -> Vec<(u32, u32)> {
+        let n = recoder.num_items() as u32;
+        let Some(budget) = self.mem_budget.filter(|_| n > 1) else {
+            let mut ranges = ranges_by_mass(recoder, 2);
+            if walk == Walk::Down {
+                ranges.reverse();
+            }
+            return ranges;
+        };
+        let mut sizer = Sizer::new(recoder, (0, n), walk);
+        sizer.scan(db, recoder);
+        let half = recoder.supports().iter().sum::<u64>() / 2;
+        let first = fit(&sizer.candidates(recoder), budget, (FIRST_BYTES_PER_NODE, 1), half);
+        cut((0, n), first).collect()
+    }
+}
+
+/// Share of the budget, in tenths, that a sized range's estimated tree
+/// may fill.
+const FILL_TENTHS: u128 = 9;
+
+/// Bytes per tree node assumed for the first range, which no partition
+/// precedes to measure them.
+const FIRST_BYTES_PER_NODE: u64 = 6;
+
+/// The cut rule: the largest candidate of at most `max_mass` whose node
+/// estimate, at `bytes / nodes` bytes per node (a pool peak over the node
+/// count of the tree that peaked it), fills at most 90% of `budget`; the
+/// smallest candidate when none does. It depends only on the database,
+/// the budget and the partition measured, so a resumed run cuts where the
+/// uninterrupted one did.
+fn fit(
+    candidates: &[Candidate],
+    budget: u64,
+    (bytes, nodes): (u64, u64),
+    max_mass: u64,
+) -> (u32, u32) {
+    let fits = |c: &Candidate| {
+        c.mass <= max_mass
+            && 10 * u128::from(c.nodes()) * u128::from(bytes)
+                <= FILL_TENTHS * u128::from(budget) * u128::from(nodes)
+    };
+    candidates.iter().rposition(fits).map_or(candidates[0].range, |k| candidates[k].range)
+}
+
+/// `rest` cut into `next`, which shares one of its ends, and what remains,
+/// in mining order.
+fn cut(rest: (u32, u32), next: (u32, u32)) -> impl Iterator<Item = (u32, u32)> {
+    let remainder = if next.0 == rest.0 { (next.1, rest.1) } else { (rest.0, next.0) };
+    std::iter::once(next).chain((remainder.0 < remainder.1).then_some(remainder))
 }
 
 /// What rung 3 did, on success or failure.
@@ -596,6 +687,8 @@ impl Supervisor {
 struct Tally {
     /// Partitions mined to completion.
     mined: u64,
+    /// Ranges whose attempt exhausted the budget and were halved.
+    retries: u64,
     /// Bytes arena compaction reclaimed across every attempt.
     reclaimed: u64,
     /// Each mined partition's pool peak, in mining order.
@@ -614,26 +707,6 @@ fn rung_started(rung: cfp_trace::Rung) {
 fn flush(buf: CollectSink, sink: &mut dyn ItemsetSink) {
     for (itemset, support) in &buf.itemsets {
         sink.emit(itemset, *support);
-    }
-}
-
-/// Forwards only itemsets whose *maximal* global-recoded item falls in
-/// `[lo, hi)` — the disjointness filter of rung 3.
-struct RangeFilterSink<'a> {
-    inner: &'a mut CollectSink,
-    recoder: &'a ItemRecoder,
-    lo: u32,
-    hi: u32,
-}
-
-impl ItemsetSink for RangeFilterSink<'_> {
-    fn emit(&mut self, itemset: &[Item], support: u64) {
-        let max = itemset.iter().filter_map(|&it| self.recoder.recode(it)).max();
-        if let Some(m) = max {
-            if self.lo <= m && m < self.hi {
-                self.inner.emit(itemset, support);
-            }
-        }
     }
 }
 
@@ -1087,6 +1160,87 @@ mod tests {
         assert_clean(&parent);
     }
 
+    /// A Quest database, the generator of the benchmark's `quest1`, its
+    /// support, and a budget under which its out-of-core run needs at
+    /// least four partitions.
+    fn quest_case() -> (TransactionDb, u64, u64) {
+        let db = cfp_data::quest::generate(&cfp_data::quest::QuestConfig {
+            num_transactions: 4000,
+            num_items: 300,
+            num_patterns: 200,
+            ..Default::default()
+        });
+        let minsup = 20;
+        let (_, tree) = crate::growth::try_build_tree(&db, minsup, None).unwrap();
+        let budget = tree.arena_footprint() / 2;
+        (db, minsup, budget)
+    }
+
+    #[test]
+    fn cuts_keep_the_rest_in_mining_order() {
+        let cuts = |rest, next| cut(rest, next).collect::<Vec<_>>();
+        assert_eq!(cuts((3, 10), (3, 5)), [(3, 5), (5, 10)]);
+        assert_eq!(cuts((0, 10), (6, 10)), [(6, 10), (0, 6)]);
+        assert_eq!(cuts((3, 10), (3, 10)), [(3, 10)]);
+        let c = |hi: u32, nodes: u64, mass: u64| Candidate {
+            range: (0, hi),
+            mass,
+            inserted: nodes,
+            prefixes: nodes + 1,
+        };
+        let candidates = [c(1, 10, 5), c(2, 100, 9), c(4, 200, 20)];
+        // 10 B per node against 90% of the budget.
+        assert_eq!(fit(&candidates, 1100, (100, 10), u64::MAX), (0, 1), "1000 B > 990 B");
+        assert_eq!(fit(&candidates, 1112, (100, 10), u64::MAX), (0, 2), "1000 B ≤ 1000.8 B");
+        assert_eq!(fit(&candidates, 2300, (100, 10), u64::MAX), (0, 4));
+        assert_eq!(fit(&candidates, 2300, (100, 10), 10), (0, 2), "the mass cap binds");
+        assert_eq!(fit(&candidates, 10, (100, 10), u64::MAX), (0, 1), "none fits: smallest");
+    }
+
+    /// Under a budget every range is cut to fit before it is built, from
+    /// the measurements of the partition before it, so a resumed run
+    /// re-cuts its tail exactly where the uninterrupted run did.
+    #[test]
+    fn sized_partitions_fit_the_budget_and_resume_byte_exactly() {
+        let (db, minsup, budget) = quest_case();
+        let parent = spill_parent("sized");
+        let sup = Supervisor {
+            mem_budget: Some(budget),
+            spill_dir: Some(parent.clone()),
+            ..Supervisor::new(RecoveryPolicy::Spill)
+        };
+        let marking =
+            || MarkingSink { inner: CollectSink::new(), marks: Vec::new(), cancel_after: None };
+        let mut full = marking();
+        let mut tally = Tally::default();
+        let stats =
+            sup.range_loop(&db, minsup, true, &mut full, None, &mut tally).expect("sized run");
+        assert!(tally.mined >= 4, "{} partitions under {budget} B", tally.mined);
+        assert!(tally.retries <= 1, "{} ranges were halved", tally.retries);
+        for (i, peak) in tally.peaks.iter().enumerate() {
+            assert!(*peak <= budget, "partition {i} peak {peak} over budget {budget}");
+        }
+        let mut sorted = full.inner.itemsets.clone();
+        sorted.sort();
+        assert_eq!(sorted, reference(&db, minsup), "sized result must be exact");
+        assert_eq!(stats.itemsets, full.inner.itemsets.len() as u64);
+        for (done, remaining, prefix_len) in &full.marks {
+            let mut resumed = marking();
+            let resume = Some((*done, remaining.clone()));
+            sup.mine_out_of_core_resumable(&db, minsup, &mut resumed, resume)
+                .0
+                .expect("resumed run");
+            let mut joined = full.inner.itemsets[..*prefix_len].to_vec();
+            joined.extend(resumed.inner.itemsets.iter().cloned());
+            assert_eq!(joined, full.inner.itemsets, "resume at mark {done} must be byte-exact");
+            let cuts =
+                |marks: &[Mark]| marks.iter().map(|m| (m.0, m.1.clone())).collect::<Vec<_>>();
+            let after: Vec<Mark> = full.marks.iter().filter(|m| m.0 > *done).cloned().collect();
+            assert_eq!(cuts(&resumed.marks), cuts(&after), "resume at mark {done} cut elsewhere");
+        }
+        assert_clean(&parent);
+    }
+
     #[test]
     fn single_item_range_failure_is_final() {
         let db = textbook();
@@ -1108,13 +1262,16 @@ mod tests {
     /// where its arrays lived differ.
     #[test]
     fn partition_and_spill_policies_emit_the_same_stream() {
-        let (block, textbook) = (block_db(), textbook());
+        let (block, textbook, (quest, quest_minsup, quest_budget)) =
+            (block_db(), textbook(), quest_case());
         let mono = |db: &TransactionDb, minsup: u64| {
             crate::growth::try_build_tree(db, minsup, None).unwrap().1.arena_footprint()
         };
         let cases = [
             ("block", &block, 3, mono(&block, 3) * 2 / 3),
             ("textbook", &textbook, 2, mono(&textbook, 2) - 10),
+            // Sized cuts, ascending and (closed, maximal) descending.
+            ("quest", &quest, quest_minsup, quest_budget),
         ];
         let modes = [OutputMode::All, OutputMode::Closed, OutputMode::Maximal, OutputMode::TopK(4)];
         for (name, db, minsup, budget) in cases {

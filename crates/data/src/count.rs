@@ -56,7 +56,7 @@ pub struct ItemRecoder {
     old_to_new: Vec<u32>,
     /// `new -> old`.
     new_to_old: Vec<Item>,
-    /// Support per *new* id (non-increasing).
+    /// Support per *new* id (non-increasing within each rank group).
     supports: Vec<u64>,
     min_support: u64,
 }
@@ -64,13 +64,24 @@ pub struct ItemRecoder {
 impl ItemRecoder {
     /// Builds a recoder from per-item supports and a minimum support.
     pub fn from_supports(supports_by_item: &[u64], min_support: u64) -> Self {
+        Self::ranked_last(supports_by_item, min_support, |_| false)
+    }
+
+    /// Like [`from_supports`](Self::from_supports), but the frequent items
+    /// `last` picks rank after every other frequent item. Within each of
+    /// the two groups the order stays descending support, ties by original
+    /// id, so ids still increase along every path of a tree built with it.
+    pub fn ranked_last(
+        supports_by_item: &[u64],
+        min_support: u64,
+        last: impl Fn(Item) -> bool,
+    ) -> Self {
         let mut frequent: Vec<Item> = (0..supports_by_item.len() as u32)
             .filter(|&i| supports_by_item[i as usize] >= min_support)
             .collect();
-        // Descending support, ascending original id for determinism.
-        frequent.sort_by(|&a, &b| {
-            supports_by_item[b as usize].cmp(&supports_by_item[a as usize]).then(a.cmp(&b))
-        });
+        // Group, then descending support, then ascending original id for
+        // determinism.
+        frequent.sort_by_key(|&i| (last(i), std::cmp::Reverse(supports_by_item[i as usize]), i));
         let mut old_to_new = vec![0u32; supports_by_item.len()];
         let mut supports = Vec::with_capacity(frequent.len());
         for (new, &old) in frequent.iter().enumerate() {
@@ -116,7 +127,8 @@ impl ItemRecoder {
         self.supports[new as usize]
     }
 
-    /// Supports indexed by new id (non-increasing).
+    /// Supports indexed by new id (non-increasing, or non-increasing
+    /// within each group of a [`ranked_last`](Self::ranked_last) recoder).
     pub fn supports(&self) -> &[u64] {
         &self.supports
     }
@@ -177,6 +189,21 @@ mod tests {
         let r = ItemRecoder::scan(&db, 1);
         assert_eq!(r.recode(4), Some(0));
         assert_eq!(r.recode(9), Some(1));
+    }
+
+    #[test]
+    fn ranked_last_puts_the_given_items_after_the_rest() {
+        // supports: 3 -> 4, 1 -> 3, 2 -> 2; item 5 (support 1) is dropped.
+        let r = ItemRecoder::ranked_last(&count_supports(&sample_db()), 2, |i| i == 3 || i == 5);
+        assert_eq!(r.num_items(), 3);
+        assert_eq!((r.recode(1), r.recode(2), r.recode(3)), (Some(0), Some(1), Some(2)));
+        assert_eq!(r.recode(5), None, "an infrequent pick stays out");
+        assert_eq!(r.supports(), &[3, 2, 4]);
+        // Ties inside a group still break by original id.
+        let db = TransactionDb::from_rows(&[vec![9, 4, 7, 6], vec![4, 9, 6, 7]]);
+        let r = ItemRecoder::ranked_last(&count_supports(&db), 1, |i| i > 5);
+        let order: Vec<Item> = (0..4).map(|i| r.original(i)).collect();
+        assert_eq!(order, [4, 6, 7, 9]);
     }
 
     #[test]

@@ -311,10 +311,16 @@ pub static DATA_SPILL_BYTES_WRITTEN: Counter = Counter::new("data.spill_bytes_wr
 pub static DATA_SPILL_BYTES_READ: Counter = Counter::new("data.spill_bytes_read");
 /// `cfp-data`: transient spill I/O errors absorbed by retry-with-backoff.
 pub static DATA_SPILL_RETRIES: Counter = Counter::new("data.spill_retries");
-/// `cfp-core`: partitions known so far to a partitioned run — mined,
-/// being mined, and queued (the `n` of the progress heartbeat's
-/// `partition k/n`; grows when a too-big range is halved).
-pub static CORE_SPILL_PARTITIONS: MaxGauge = MaxGauge::new("core.spill_partitions");
+/// `cfp-core`: frequent items a partitioned run splits into ranges (the
+/// `n` of the progress heartbeat's `items k/n`).
+pub static CORE_PARTITION_ITEMS: MaxGauge = MaxGauge::new("core.partition_items");
+/// `cfp-core`: frequent items the ranges of a partitioned run's completed
+/// partitions cover, counting those a resumed run's predecessor mined
+/// (the `k` of the progress heartbeat's `items k/n`).
+pub static CORE_PARTITION_ITEMS_DONE: MaxGauge = MaxGauge::new("core.partition_items_done");
+/// `cfp-core`: ranges of a partitioned run whose attempt exhausted the
+/// budget and were halved.
+pub static CORE_PARTITION_RETRIES: Counter = Counter::new("core.partition_retries");
 /// `cfp-core`: checkpoint manifests durably committed.
 pub static CORE_CKPT_COMMITS: Counter = Counter::new("core.ckpt_commits");
 /// `cfp-core`: bytes written into committed checkpoint manifests.
@@ -329,7 +335,7 @@ pub static CORE_MAXIMAL_PRUNED: Counter = Counter::new("core.maximal_pruned");
 /// rising top-k admission bound.
 pub static CORE_TOPK_PRUNED: Counter = Counter::new("core.topk_pruned");
 /// `cfp-core`: partitions a partitioned run mined to completion so far
-/// (the `k` of the progress heartbeat's `partition k/n`).
+/// (the `k` of the progress heartbeat's `partition k`).
 pub static CORE_SPILL_PARTS_DONE: Counter = Counter::new("core.spill_parts_done");
 /// `cfp-cli`: first-level watermark a checkpointed run resumed from
 /// (0 when the run started fresh).
@@ -379,6 +385,7 @@ static COUNTERS: &[&Counter] = &[
     &CORE_CKPT_COMMITS,
     &CORE_CKPT_BYTES,
     &CORE_SPILL_PARTS_DONE,
+    &CORE_PARTITION_RETRIES,
 ];
 
 /// All gauges, for snapshots.
@@ -392,7 +399,8 @@ static MAX_GAUGES: &[&MaxGauge] = &[
     &CORE_WORKERS,
     &CORE_MAX_DEPTH,
     &CORE_PARTITIONS,
-    &CORE_SPILL_PARTITIONS,
+    &CORE_PARTITION_ITEMS,
+    &CORE_PARTITION_ITEMS_DONE,
     &CORE_FIRST_LEVEL_ITEMS,
     &CORE_RESUME_WATERMARK,
 ];

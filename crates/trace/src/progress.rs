@@ -4,8 +4,9 @@
 //! until the end; [`ProgressMeter`] is a background thread that reads the
 //! metric registry at a fixed interval and paints one status line —
 //! current phase, first-level items mined, itemsets/s rate, steal count,
-//! resume watermark and partition progress (when active), and the
-//! budget pool's high-water mark. It writes to stderr only, so stdout
+//! resume watermark and partition progress (when active: partitions
+//! done and the share of the item domain they cover), and the budget
+//! pool's high-water mark. It writes to stderr only, so stdout
 //! (the mining output) stays byte-identical.
 //!
 //! On a TTY the line repaints in place with a carriage return; when
@@ -13,8 +14,9 @@
 //! limited and only when something changed, so log files are not flooded.
 
 use crate::counters::{
-    CORE_FIRST_LEVEL_ITEMS, CORE_ITEMS_MINED, CORE_PATTERNS, CORE_RESUME_WATERMARK,
-    CORE_SPILL_PARTITIONS, CORE_SPILL_PARTS_DONE, CORE_TASKS_STOLEN, MEMMAN_POOL_PEAK,
+    CORE_FIRST_LEVEL_ITEMS, CORE_ITEMS_MINED, CORE_PARTITION_ITEMS, CORE_PARTITION_ITEMS_DONE,
+    CORE_PATTERNS, CORE_RESUME_WATERMARK, CORE_SPILL_PARTS_DONE, CORE_TASKS_STOLEN,
+    MEMMAN_POOL_PEAK,
 };
 use crate::span;
 use std::io::{IsTerminal, Write};
@@ -64,9 +66,15 @@ fn status_line(rate: &mut RateState) -> String {
     if resume > 0 {
         line.push_str(&format!("  resumed @{resume}"));
     }
-    let partitions = CORE_SPILL_PARTITIONS.get();
-    if partitions > 0 {
-        line.push_str(&format!("  partition {}/{partitions}", CORE_SPILL_PARTS_DONE.get()));
+    // Ranges are cut as the run goes, so the partition count has no
+    // total; the covered share of the item domain does.
+    let items = CORE_PARTITION_ITEMS.get();
+    if items > 0 {
+        line.push_str(&format!(
+            "  partition {}, items {}/{items}",
+            CORE_SPILL_PARTS_DONE.get(),
+            CORE_PARTITION_ITEMS_DONE.get()
+        ));
     }
     let pool_peak = MEMMAN_POOL_PEAK.get();
     if pool_peak > 0 {
@@ -152,10 +160,21 @@ mod tests {
         // needs to contain whatever the counters currently read.
         let mut rate = RateState { last_patterns: 0, last_at: Instant::now() };
         std::thread::sleep(Duration::from_millis(2));
+        CORE_PARTITION_ITEMS.record(1508);
+        CORE_PARTITION_ITEMS_DONE.record(448);
         let line = status_line(&mut rate);
         assert!(line.contains("items"), "{line}");
         assert!(line.contains("steals"), "{line}");
         assert!(line.contains("sets"), "{line}");
+        // A partitioned run shows partitions done and the covered share
+        // of the item domain, not a partition total.
+        let partitions = format!(
+            "  partition {}, items {}/{}",
+            CORE_SPILL_PARTS_DONE.get(),
+            CORE_PARTITION_ITEMS_DONE.get(),
+            CORE_PARTITION_ITEMS.get()
+        );
+        assert!(line.contains(&partitions), "{line}");
     }
 
     #[test]
