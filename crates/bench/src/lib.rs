@@ -1,5 +1,6 @@
-//! The benchmark harness regenerating every table and figure of the
-//! paper's evaluation (§4).
+//! The reproduction harness regenerating every table and figure of the
+//! paper's evaluation (§4). Performance regressions are measured by the
+//! standalone `perfbench/` package, not here.
 //!
 //! Each experiment is a pure function returning a [`report::Table`]; the
 //! `cfp-repro` binary prints them, and `EXPERIMENTS.md` records the
@@ -19,7 +20,6 @@
 
 pub mod experiments;
 pub mod report;
-pub mod snapshot;
 
 use cfp_data::miner::CountingSink;
 use cfp_data::{MineStats, Miner, TransactionDb};

@@ -778,13 +778,8 @@ fn dump_blackbox(error: &str, code: i32) {
         return;
     }
     let degradation = BLACKBOX_DEGRADATION.lock().unwrap().take();
-    let report = cfp_trace::BlackboxReport::capture(
-        error,
-        code as i64,
-        arm.context.clone(),
-        None,
-        degradation,
-    );
+    let report =
+        cfp_trace::BlackboxReport::capture(error, code as i64, arm.context.clone(), degradation);
     match report.write(&arm.dir) {
         Ok(path) => eprintln!("cfp-mine: blackbox report written to {}", path.display()),
         Err(e) => eprintln!("cfp-mine: cannot write blackbox report: {e}"),

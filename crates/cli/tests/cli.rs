@@ -262,13 +262,19 @@ fn bad_output_mode_exits_2_with_usage_text() {
 
 /// The engine's condensed modes agree end to end with the brute-force
 /// oracles over a baseline's full output, and each mode is byte-identical
-/// across thread counts.
+/// across thread counts. Each mode's pruning counter is positive, and the
+/// closed and maximal ones, which depend only on the itemsets, are equal
+/// at every thread count; top-k's depends on how fast its threshold rises.
 #[test]
 fn output_modes_are_deterministic_across_schedules_and_threads() {
     use cfp_core::{ItemsetSink, TopKSink};
+    use cfp_trace::{json, Json};
 
     let path = write_skewed();
     let p = path.to_str().unwrap();
+    let dir = std::env::temp_dir().join(format!("cfp_cli_modes_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let profile = dir.join("run.json");
     let sorted = |bytes: &[u8]| {
         let mut lines: Vec<String> =
             String::from_utf8_lossy(bytes).lines().map(str::to_string).collect();
@@ -293,6 +299,15 @@ fn output_modes_are_deterministic_across_schedules_and_threads() {
         assert!(out.status.success(), "{extra:?}: {}", String::from_utf8_lossy(&out.stderr));
         out.stdout
     };
+    // A run with `--profile`, and the value of `counter` in its profile.
+    let profiled = |extra: &[&str], counter: &str| {
+        let mut args = extra.to_vec();
+        args.extend(["--profile", profile.to_str().unwrap()]);
+        let stdout = run(&args);
+        let doc = json::parse(&std::fs::read_to_string(&profile).unwrap()).unwrap();
+        let value = doc.get("counters").and_then(|c| c.get(counter)).and_then(Json::as_u64);
+        (stdout, value.unwrap_or_else(|| panic!("{extra:?}: no {counter} in the profile")))
+    };
 
     let full = run(&[]);
     // The full frequent set from a baseline algorithm, parsed back.
@@ -309,21 +324,28 @@ fn output_modes_are_deterministic_across_schedules_and_threads() {
         top.emit(items, *support);
     }
     let oracles = [
-        ("closed", cfp_baselines::oracle::closed_itemsets(&lcm)),
-        ("maximal", cfp_baselines::oracle::maximal_itemsets(&lcm)),
-        ("topk:25", top.into_sorted()),
+        ("closed", "core.closed_pruned", cfp_baselines::oracle::closed_itemsets(&lcm)),
+        ("maximal", "core.maximal_pruned", cfp_baselines::oracle::maximal_itemsets(&lcm)),
+        ("topk:25", "core.topk_pruned", top.into_sorted()),
     ];
-    for (mode, oracle) in oracles {
+    for (mode, counter, oracle) in oracles {
         let output = format!("--output={mode}");
-        let seq = run(&[&output]);
+        let (seq, seq_pruned) = profiled(&[&output], counter);
         assert_ne!(seq, full, "{mode} must actually condense the skewed dataset");
         assert_eq!(sorted(&seq), fimi_lines(oracle), "{mode} diverges from the oracle");
+        assert!(seq_pruned > 0, "{mode}: {counter} is 0");
 
         for threads in ["2", "4"] {
-            let par = run(&[&output, "--threads", threads, "--schedule=dynamic"]);
+            let (par, pruned) =
+                profiled(&[&output, "--threads", threads, "--schedule=dynamic"], counter);
             assert_eq!(par, seq, "{mode} dynamic x{threads} is not byte-identical");
+            assert!(pruned > 0, "{mode} x{threads}: {counter} is 0");
+            if !mode.starts_with("topk") {
+                assert_eq!(pruned, seq_pruned, "{mode} x{threads}: {counter} moved");
+            }
         }
     }
+    std::fs::remove_dir_all(&dir).ok();
 
     // topk:N returns exactly N lines when the full set is larger.
     let top = run(&["--output=topk:25"]);
@@ -1228,6 +1250,9 @@ fn checkpointed_run_matches_plain_output_and_clears_its_manifest() {
 /// partition goes through the mining driver, so the profile carries
 /// `count`, `build` and `convert` spans and `--stats` sums real phase
 /// times. A `--checkpoint-dir` run takes the direct out-of-core path.
+/// Its manifest commits are not spill files: every spill file is written
+/// once and read back once, each under one `spill` span, so the spill
+/// bytes balance while the commits count only as commits.
 #[test]
 fn out_of_core_runs_report_their_work() {
     use cfp_trace::{json, Json};
@@ -1259,6 +1284,17 @@ fn out_of_core_runs_report_their_work() {
         let count = phase.get("count").and_then(Json::as_u64).unwrap();
         assert!(count >= 1, "out-of-core run recorded no {name} span: {phase:?}");
     }
+    let counter = |name: &str| {
+        let value = doc.get("counters").and_then(|c| c.get(name)).and_then(Json::as_u64);
+        value.unwrap_or_else(|| panic!("no counter {name}"))
+    };
+    let files = counter("data.spill_files");
+    assert!(files >= partitions, "{files} spill files for {partitions} partitions");
+    assert_eq!(counter("data.spill_bytes_written"), counter("data.spill_bytes_read"));
+    let spill = phases.iter().find(|p| p.get("name").and_then(Json::as_str) == Some("spill"));
+    let spill_spans = spill.and_then(|p| p.get("count")).and_then(Json::as_u64).unwrap();
+    assert_eq!(spill_spans, 2 * files, "one write and one read span per spill file");
+    assert!(counter("core.ckpt_commits") > 0, "the checkpointed run committed no manifest");
 
     let line = stderr.lines().find(|l| l.starts_with("itemsets ")).expect("--stats line");
     let build: f64 = line

@@ -12,7 +12,7 @@
 //!
 //! The manifest is hand-rolled JSON (the workspace builds without
 //! network access, so no serde) written through
-//! [`cfp_data::spill::write_atomic`] — tmp → fsync → rename — and
+//! [`cfp_trace::write_atomic`] — tmp → fsync → rename — and
 //! sealed with the workspace's JSON checksum envelope
 //! ([`cfp_trace::fnv::seal`]: a `checksum` member, FNV-1a over the
 //! compact serialisation of the other members), so a torn or
@@ -22,10 +22,11 @@
 //! support-ordered item counts) guards against resuming one dataset's
 //! watermark into a different run.
 
-use cfp_data::spill::write_atomic;
+use cfp_data::spill::with_retry;
 use cfp_data::{CfpError, ItemRecoder};
 use cfp_trace::fnv::{self, fnv1a, FNV_OFFSET};
 use cfp_trace::json::{parse, Json};
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// The manifest format tag; bump on any incompatible schema change.
@@ -310,8 +311,10 @@ impl Manifest {
 }
 
 /// Commits `manifest` into `dir` crash-safely (tmp → fsync → rename via
-/// [`write_atomic`]) and returns its byte size. The `core.ckpt.write`
-/// failpoint injects a permanent write failure here.
+/// [`cfp_trace::write_atomic`], transient errors retried) and returns its
+/// byte size. A commit is not a spill file: it counts only in
+/// `core.ckpt_*`. The `core.ckpt.write` failpoint injects a permanent
+/// write failure here.
 pub fn save(dir: &Path, manifest: &Manifest) -> Result<u64, CfpError> {
     let _t = cfp_trace::hist::timer(&cfp_trace::hist::CORE_CKPT_COMMIT_NANOS);
     let path = manifest_path(dir);
@@ -322,8 +325,9 @@ pub fn save(dir: &Path, manifest: &Manifest) -> Result<u64, CfpError> {
         ));
     }
     let text = manifest.to_json_text();
-    let bytes = write_atomic(&path, |w| w.write_all(text.as_bytes()))
+    with_retry(|| cfp_trace::write_atomic(&path, |f| f.write_all(text.as_bytes())))
         .map_err(|e| ckpt_err(&path, e.to_string()))?;
+    let bytes = text.len() as u64;
     if cfp_trace::enabled() {
         cfp_trace::counters::CORE_CKPT_COMMITS.inc();
         cfp_trace::counters::CORE_CKPT_BYTES.add(bytes);

@@ -12,8 +12,8 @@
 //!
 //! The FP-tree baseline figures come from a different crate
 //! (`cfp-fptree` is not a dependency of `cfp-core`), so callers pass
-//! them in as a plain [`FpBaselineBytes`] value; the CLI and bench
-//! layers compute it with `cfp_fptree::analysis::baselines`.
+//! them in as a plain [`FpBaselineBytes`] value; the CLI, the one
+//! caller, computes it with `cfp_fptree::analysis::baselines`.
 
 use crate::growth::{try_build_tree_with, ArrayCharge};
 use cfp_array::convert;
@@ -62,10 +62,10 @@ pub struct MemStatRun<'a> {
 ///
 /// `pool` should be the pool the mining run charged (its per-component
 /// peaks and pool peak then describe the real run); a fresh unlimited
-/// pool also works and describes the analytics pass alone, which is what
-/// `cfp-repro inspect` does. The analytics pass is observational: it
-/// never affects mining output (the pool charge is metered but the pool
-/// is the caller's — an unlimited pool admits everything).
+/// pool also works and describes the analytics pass alone. The analytics
+/// pass is observational: it never affects mining output (the pool
+/// charge is metered but the pool is the caller's — an unlimited pool
+/// admits everything).
 pub fn collect_memstat(
     db: &TransactionDb,
     min_support: u64,
@@ -245,7 +245,7 @@ pub fn collect_memstat(
     ];
 
     // Mine-phase distributions from the trace registry (empty when the
-    // run was not traced — `inspect` without a mining run reports zero
+    // run was not traced — a report without a mining run has zero
     // counts, which consumers treat as "not recorded").
     let dist = |name: &str, s: Log2Summary| DistRow {
         name: name.into(),

@@ -6,10 +6,11 @@
 //! scenario). This module owns the raw file discipline that makes that
 //! safe:
 //!
-//! - **Atomic visibility**: a spill file is written to a `.tmp` sibling,
-//!   fsynced, and atomically renamed into place. A reader can therefore
-//!   never observe a torn file under its final name; whatever survives a
-//!   crash mid-write is a `.tmp` that the next cleanup removes.
+//! - **Atomic visibility**: a spill file is written through
+//!   [`cfp_trace::write_atomic`] — a `.tmp` sibling, fsynced and
+//!   atomically renamed into place. A reader can therefore never observe
+//!   a torn file under its final name; whatever survives a crash
+//!   mid-write is a `.tmp` that the next cleanup removes.
 //! - **RAII cleanup**: all spill state lives in one [`SpillDir`] whose
 //!   `Drop` removes the directory recursively — on success, on error
 //!   returns, and on unwind from a panicking worker alike.
@@ -138,16 +139,14 @@ fn is_transient(e: &io::Error) -> bool {
 
 /// Runs `op` up to [`RETRY_ATTEMPTS`] times, backing off briefly between
 /// attempts, retrying only [transient](is_transient) failures. The last
-/// error escalates to the caller.
+/// error escalates to the caller. Counts nothing: the spill operations
+/// below count their retries, a checkpoint commit does not.
 pub fn with_retry<T>(mut op: impl FnMut() -> io::Result<T>) -> io::Result<T> {
     let mut attempt = 1;
     loop {
         match op() {
             Ok(v) => return Ok(v),
             Err(e) if attempt < RETRY_ATTEMPTS && is_transient(&e) => {
-                if cfp_trace::enabled() {
-                    tc::DATA_SPILL_RETRIES.inc();
-                }
                 std::thread::sleep(RETRY_BACKOFF * attempt);
                 attempt += 1;
             }
@@ -156,53 +155,39 @@ pub fn with_retry<T>(mut op: impl FnMut() -> io::Result<T>) -> io::Result<T> {
     }
 }
 
-fn tmp_path(path: &Path) -> PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".tmp");
-    path.with_file_name(name)
+/// [`with_retry`] for a spill operation: each retry counts in
+/// `data.spill_retries`.
+fn spill_retry<T>(mut op: impl FnMut() -> io::Result<T>) -> io::Result<T> {
+    let mut first = true;
+    with_retry(|| {
+        if !std::mem::take(&mut first) && cfp_trace::enabled() {
+            tc::DATA_SPILL_RETRIES.inc();
+        }
+        op()
+    })
 }
 
-/// Writes one spill file crash-safely and returns its byte size:
-/// `payload` streams into `<path>.tmp`, the file is fsynced, then
-/// atomically renamed to `path`. On any failure the temporary is
-/// removed, so a fault never leaves a stray or half-visible file.
-/// Transient errors retry the whole protocol (the payload closure must
-/// be re-runnable); permanent ones escalate after cleanup.
+/// Writes one spill file crash-safely through [`cfp_trace::write_atomic`]
+/// and returns its byte size: `payload` streams into `<path>.tmp` through
+/// the failpoint writer, the file is fsynced, then atomically renamed to
+/// `path`. On any failure the temporary is removed, so a fault never
+/// leaves a stray or half-visible file. Transient errors retry the whole
+/// protocol (the payload closure must be re-runnable); permanent ones
+/// escalate after cleanup.
 pub fn write_atomic(
     path: &Path,
     mut payload: impl FnMut(&mut dyn Write) -> io::Result<()>,
 ) -> io::Result<u64> {
     let _span = cfp_trace::span(Phase::Spill);
-    let bytes = with_retry(|| {
-        let tmp = tmp_path(path);
-        let result = (|| {
-            let file = File::create(&tmp)?;
+    let bytes = spill_retry(|| {
+        cfp_trace::write_atomic(path, |file| {
             let mut w =
                 BufWriter::with_capacity(WRITE_BUF, FaultWriter { inner: file, written: 0 });
             payload(&mut w)?;
             let mut fw = w.into_inner().map_err(io::IntoInnerError::into_error)?;
             fw.flush()?;
-            let written = fw.written;
-            // fsync *before* rename: the final name must never point at
-            // bytes the disk has not accepted.
-            fw.inner.sync_all()?;
-            drop(fw);
-            fs::rename(&tmp, path)?;
-            // Durability of the *name* is best-effort only — spill files
-            // are transient scratch state, not a database. What matters
-            // is never reading a torn file, which fsync-then-rename plus
-            // the format checksum already guarantee.
-            if let Some(dir) = path.parent() {
-                if let Ok(d) = File::open(dir) {
-                    let _ = d.sync_all();
-                }
-            }
-            Ok(written)
-        })();
-        if result.is_err() {
-            let _ = fs::remove_file(&tmp);
-        }
-        result
+            Ok(fw.written)
+        })
     })?;
     if cfp_trace::enabled() {
         tc::DATA_SPILL_FILES.inc();
@@ -221,7 +206,7 @@ pub fn write_atomic(
 /// the caller's checksum catches torn reads.
 pub fn read_back(path: &Path) -> io::Result<Arc<[u8]>> {
     let _span = cfp_trace::span(Phase::Spill);
-    let mut buf = with_retry(|| {
+    let mut buf = spill_retry(|| {
         if cfp_fault::should_fail("data.spill.read") {
             return Err(io::Error::other("injected read failure (failpoint data.spill.read)"));
         }

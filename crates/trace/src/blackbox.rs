@@ -10,13 +10,13 @@
 //!
 //! The document embeds the same registry [`Snapshot`] as a run report
 //! and is sealed with the workspace's one JSON checksum envelope
-//! ([`crate::fnv::seal`]):
+//! ([`crate::fnv::seal`]). It carries no memory block of its own: its
+//! memory figures are the snapshot's `mem.*` and `memman.*` counters.
 //!
 //! ```json
 //! { "schema": "cfp-blackbox/2", "error": ..., "exit_code": ...,
 //!   "context": {...}, "phases": [...], "counters": {...},
-//!   "histograms": {...}, "hists": {...}, "memstat": {...}?,
-//!   "degradation": {...}?,
+//!   "histograms": {...}, "hists": {...}, "degradation": {...}?,
 //!   "tracks": [ { "name", "tid", "recorded", "dropped",
 //!                 "events": [{ "t_nanos", "kind", "detail" }] } ],
 //!   "checksum": "fnv1a:<16 hex digits over the other members>" }
@@ -26,12 +26,12 @@
 //! pretty-prints a report for `cfp-repro postmortem`.
 
 use std::fs;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use crate::events::{self, Event, EventKind, TrackDump};
 use crate::fnv;
 use crate::json::Json;
-use crate::memstat::MemSummary;
 use crate::snapshot::Snapshot;
 
 /// Schema identifier of the post-mortem document.
@@ -55,8 +55,6 @@ pub struct BlackboxReport {
     /// Per-thread ring-buffer dumps, truncated to the newest
     /// [`LAST_EVENTS_PER_TRACK`] events each.
     pub tracks: Vec<TrackDump>,
-    /// Space-domain summary, when the run had a metered pool.
-    pub memstat: Option<MemSummary>,
     /// The supervisor's recovery report (`RecoveryReport::to_json` in
     /// `cfp-core`), when the supervisor climbed its ladder.
     pub degradation: Option<Json>,
@@ -69,7 +67,6 @@ impl BlackboxReport {
         error: impl Into<String>,
         exit_code: i64,
         context: Vec<(String, String)>,
-        memstat: Option<MemSummary>,
         degradation: Option<Json>,
     ) -> Self {
         events::set_capture(false);
@@ -86,7 +83,6 @@ impl BlackboxReport {
             context,
             snapshot: Snapshot::capture(),
             tracks,
-            memstat,
             degradation,
         }
     }
@@ -101,9 +97,6 @@ impl BlackboxReport {
             ("context".into(), Json::Obj(context)),
         ];
         doc.extend(self.snapshot.members());
-        if let Some(m) = &self.memstat {
-            doc.push(("memstat".into(), m.to_json()));
-        }
         if let Some(d) = &self.degradation {
             doc.push(("degradation".into(), d.clone()));
         }
@@ -117,7 +110,7 @@ impl BlackboxReport {
         fs::create_dir_all(dir)?;
         let path = dir.join("blackbox.json");
         let text = format!("{}\n", self.to_json().to_pretty());
-        crate::metrics::write_atomic_small(&path, text.as_bytes())?;
+        crate::atomic::write_atomic(&path, |f| f.write_all(text.as_bytes()))?;
         Ok(path)
     }
 }
@@ -319,7 +312,6 @@ mod tests {
                 ..Snapshot::default()
             },
             tracks: vec![],
-            memstat: None,
             degradation: None,
         }
     }

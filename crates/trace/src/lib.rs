@@ -46,6 +46,9 @@
 //! - [`fnv`]: FNV-1a, the one checksum of every persisted format, and
 //!   the sealed JSON envelope of the checkpoint manifest and the
 //!   post-mortem.
+//! - [`atomic`]: [`write_atomic`], the one temp → fsync → rename write
+//!   of every file the workspace replaces in place (spill partitions,
+//!   checkpoint manifests, the metrics exposition, the post-mortem).
 //!
 //! # Cost when disabled
 //!
@@ -71,6 +74,7 @@
 
 #![warn(missing_docs)]
 
+pub mod atomic;
 pub mod blackbox;
 pub mod chrome;
 pub mod counters;
@@ -87,6 +91,7 @@ pub mod sampler;
 pub mod snapshot;
 pub mod span;
 
+pub use atomic::write_atomic;
 pub use blackbox::BlackboxReport;
 pub use counters::{Counter, Histogram, MaxGauge};
 pub use events::{Event, EventKind, EventsSummary, Rung, TrackDump};

@@ -1,7 +1,7 @@
 //! The versioned space-domain report (`cfp-memstat/1`).
 //!
-//! `cfp-mine --mem-report out.json` and `cfp-repro inspect` serialise a
-//! [`MemStatReport`] — one JSON document answering the questions the
+//! `cfp-mine --mem-report out.json` serialises a [`MemStatReport`] —
+//! one JSON document answering the questions the
 //! paper's memory claims raise: *where did the bytes go* (per-component
 //! attribution through the budget pool), *does the accounting reconcile*
 //! (the audit section), *how is each structure built* (per-structure
@@ -12,10 +12,10 @@
 //!
 //! Like `cfp-profile`, the document is self-describing via its `schema`
 //! field and hand-rolled on the [`Json`] value type — no dependencies.
-//! This module holds only the data model and its writer (no code reads
-//! a memstat document back); assembling a report from a live run
-//! happens in the CLI and bench layers, which can see the pool, the
-//! trees, and the baselines at once.
+//! This module holds only the data model and its writer: no code reads
+//! a memstat document, or the [`MemSummary`] block a profile carries,
+//! back. `cfp_core::collect_memstat` assembles a report from a live run,
+//! and the CLI is its one caller.
 
 use crate::json::Json;
 
@@ -165,9 +165,9 @@ pub struct MemStatReport {
     pub distributions: Vec<DistRow>,
 }
 
-/// Compact per-component summary folded into `cfp-profile/3` reports
-/// and `cfp-bench/1` snapshots, so time-domain consumers can diff
-/// memory without parsing a full memstat document.
+/// Compact per-component summary folded into `cfp-profile/3` reports,
+/// so a time-domain consumer sees memory without parsing a full memstat
+/// document.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MemSummary {
     /// High-water mark of metered pool bytes.
@@ -179,8 +179,7 @@ pub struct MemSummary {
 }
 
 impl MemSummary {
-    /// Serialises the summary block (shared by profile and memstat
-    /// consumers).
+    /// Serialises the summary block (the profile's `memstat` member).
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("pool_peak".into(), Json::u64(self.pool_peak)),
@@ -195,22 +194,6 @@ impl MemSummary {
                 ),
             ),
         ])
-    }
-
-    /// Reads a summary block back. Unknown fields are ignored; missing
-    /// fields default to zero so older documents stay readable.
-    pub fn from_json(doc: &Json) -> MemSummary {
-        let component_peaks = match doc.get("component_peaks") {
-            Some(Json::Obj(members)) => {
-                members.iter().filter_map(|(k, v)| v.as_u64().map(|p| (k.clone(), p))).collect()
-            }
-            _ => Vec::new(),
-        };
-        MemSummary {
-            pool_peak: doc.get("pool_peak").and_then(Json::as_u64).unwrap_or(0),
-            reconciled: matches!(doc.get("reconciled"), Some(Json::Bool(true))),
-            component_peaks,
-        }
     }
 }
 
@@ -320,8 +303,7 @@ impl MemStatReport {
         ])
     }
 
-    /// The compact summary folded into profile reports and bench
-    /// snapshots.
+    /// The compact summary folded into profile reports.
     pub fn summary(&self) -> MemSummary {
         MemSummary {
             pool_peak: self.attribution.pool_peak,
@@ -436,9 +418,6 @@ mod tests {
             sum.component_peaks,
             vec![("build-tree".into(), 8000), ("cond-arrays".into(), 1500)]
         );
-        // And the summary block itself round-trips.
-        let back = MemSummary::from_json(&sum.to_json());
-        assert_eq!(back, sum);
     }
 
     #[test]

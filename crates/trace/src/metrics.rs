@@ -6,16 +6,10 @@
 //! `--progress` meter): every `--metrics-every` interval it captures a
 //! [`MetricsSnapshot`] and
 //!
-//! * rewrites `<path>` with the full Prometheus exposition via a local
-//!   write-to-temp + fsync + rename, so a scraper never observes a torn
-//!   file, and
+//! * rewrites `<path>` with the full Prometheus exposition through
+//!   [`write_atomic`], so a scraper never observes a torn file, and
 //! * appends one self-contained JSON line to `<path>.jsonl` (schema
 //!   [`SCHEMA`]), giving a replayable time series of the whole registry.
-//!
-//! `cfp-trace` sits at the bottom of the crate graph (it has zero
-//! dependencies), so the atomic-write helper here is a deliberate,
-//! minimal sibling of `cfp_data::spill::write_atomic` rather than a
-//! reuse of it.
 
 use std::fs;
 use std::io::Write as _;
@@ -24,6 +18,7 @@ use std::sync::mpsc::{self, RecvTimeoutError, Sender};
 use std::thread::JoinHandle;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
+use crate::atomic::write_atomic;
 use crate::json::Json;
 use crate::snapshot::Snapshot;
 
@@ -113,25 +108,6 @@ pub fn escape_label_value(v: &str) -> String {
     out
 }
 
-/// Write `bytes` to `path` atomically: temp file in the same directory,
-/// fsync, rename over the target.
-pub(crate) fn write_atomic_small(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-    let file_name =
-        path.file_name().ok_or_else(|| std::io::Error::other("metrics path has no file name"))?;
-    let tmp_name = format!(".{}.tmp", file_name.to_string_lossy());
-    let tmp = match dir {
-        Some(d) => d.join(&tmp_name),
-        None => PathBuf::from(&tmp_name),
-    };
-    let mut f = fs::File::create(&tmp)?;
-    f.write_all(bytes)?;
-    f.sync_all()?;
-    drop(f);
-    fs::rename(&tmp, path)?;
-    Ok(())
-}
-
 /// Background exporter; see the module docs for the file layout.
 pub struct MetricsExporter {
     stop: Sender<()>,
@@ -160,7 +136,7 @@ impl MetricsExporter {
                     seq += 1;
                     let snap = MetricsSnapshot::capture(seq);
                     let prom = snap.to_prometheus(&labels);
-                    if let Err(e) = write_atomic_small(&path, prom.as_bytes()) {
+                    if let Err(e) = write_atomic(&path, |f| f.write_all(prom.as_bytes())) {
                         if !warned {
                             eprintln!(
                                 "cfp-trace: metrics export to {} failed: {e}",

@@ -1,7 +1,7 @@
 //! The versioned machine-readable run report.
 //!
-//! `cfp-mine --profile out.json` (and `cfp-bench`'s per-run profiles)
-//! serialise a [`RunReport`] — one JSON document per mining run: the run
+//! `cfp-mine --profile out.json` (and `cfp-repro skew`'s profile of its
+//! dynamic run) serialise a [`RunReport`] — one JSON document per mining run: the run
 //! parameters, the registry [`Snapshot`] every telemetry document embeds
 //! (phases, counters, bucket histograms, latency summaries), and the
 //! memory time series. The document is self-describing via its `schema`

@@ -248,7 +248,6 @@ fn blackbox_round_trips_with_a_valid_checksum_and_renders() {
         4,
         vec![("dataset".into(), "kosarak-like".into())],
         None,
-        None,
     );
     let doc = report.to_json();
     let reparsed = json::parse(&doc.to_pretty()).expect("blackbox JSON parses");
@@ -300,7 +299,6 @@ fn one_snapshot_serialises_identically_in_all_three_documents() {
         context: vec![],
         snapshot,
         tracks: vec![],
-        memstat: None,
         degradation: None,
     }
     .to_json();
