@@ -32,11 +32,10 @@
 //!   --rules CONF       print association rules with confidence ≥ CONF
 //!   --image PATH       also save a reusable mining image (cfp only)
 //!   --stats            print phase times and peak memory to stderr
-//!   --profile PATH     enable tracing and write a cfp-profile/3 JSON
+//!   --profile PATH     enable tracing and write a cfp-profile/4 JSON
 //!                      run report to PATH: the registry snapshot
-//!                      (phase spans, counters, bucket histograms,
-//!                      latency summaries), the memory time series and
-//!                      the event summary
+//!                      (phase spans, counters, histogram summaries),
+//!                      the memory time series and the event summary
 //!   --trace-out PATH   capture the event timeline and write Chrome
 //!                      trace-event JSON (open in Perfetto or
 //!                      chrome://tracing; one track per worker plus
@@ -56,10 +55,10 @@
 //!                      byte-identical with the flag on
 //!   --metrics-out PATH export the registry snapshot every
 //!                      --metrics-every interval (default 1s): Prometheus
-//!                      text rewritten at PATH, one cfp-metrics/2 JSON
+//!                      text rewritten at PATH, one cfp-metrics/3 JSON
 //!                      record appended to PATH.jsonl
 //!   --blackbox DIR     on an exit of 3–10 or a panic, write a
-//!                      checksummed cfp-blackbox/2 post-mortem (the
+//!                      checksummed cfp-blackbox/3 post-mortem (the
 //!                      registry snapshot plus each thread's last
 //!                      events) to DIR/blackbox.json
 //!   --recover POLICY   escalation ladder on failure: off (default),
@@ -609,12 +608,16 @@ struct CheckpointSink<'a> {
     /// Commit cadence in completed top-level items; spill partitions
     /// always commit.
     every: u64,
-    /// Config fingerprint stamped into every manifest.
+    /// Config fingerprint stamped into every manifest; the miner's count
+    /// fills `counts` and `num_items` ([`ItemsetSink::counted`]).
     input: String,
     min_support: u64,
     counts: String,
     num_items: u64,
     output: String,
+    /// The manifest a `--resume` run continues from, checked against the
+    /// miner's count before the first itemset.
+    resumed: Option<cfp_core::Manifest>,
     /// Output bytes and itemsets carried over from the segment(s) this
     /// run resumed; manifests record cumulative totals so a crashed
     /// appended-to output file can be truncated to `output_bytes`.
@@ -629,9 +632,10 @@ struct CheckpointSink<'a> {
 }
 
 impl CheckpointSink<'_> {
-    /// Flushes output and commits the latest watermark. An error from
-    /// the manifest write (e.g. the `core.ckpt.write` failpoint) is
-    /// structured and aborts the run through [`ItemsetSink::progress`].
+    /// Flushes output and commits the latest watermark, the whole commit
+    /// timed by `core.ckpt_commit_nanos`. An error from the manifest
+    /// write (e.g. the `core.ckpt.write` failpoint) is structured and
+    /// aborts the run through [`ItemsetSink::progress`].
     fn commit(&mut self) -> Result<(), CfpError> {
         let Some((progress, itemsets)) = self.latest.clone() else {
             return Ok(());
@@ -641,6 +645,7 @@ impl CheckpointSink<'_> {
             // claiming otherwise would corrupt a later resume.
             return Ok(());
         }
+        let _t = cfp_trace::hist::timer(&cfp_trace::hist::CORE_CKPT_COMMIT_NANOS);
         if let Err(e) = self.out.flush() {
             self.err = Some(e);
             return Ok(());
@@ -690,6 +695,39 @@ impl ItemsetSink for CheckpointSink<'_> {
         }
         Ok(())
     }
+
+    /// Fingerprints the miner's count for the manifests and, on
+    /// `--resume`, rejects a manifest whose config or watermark does not
+    /// fit it (exit 9) before anything is emitted.
+    fn counted(&mut self, recoder: &cfp_core::ItemRecoder) -> Result<(), CfpError> {
+        use cfp_core::{ckpt, CkptProgress};
+        self.counts = ckpt::counts_fingerprint(recoder);
+        self.num_items = recoder.num_items() as u64;
+        let Some(m) = self.resumed.take() else {
+            return Ok(());
+        };
+        m.ensure_matches(&self.dir, &self.input, self.min_support, &self.counts, &self.output)?;
+        let n = self.num_items;
+        let outside = match &m.progress {
+            CkptProgress::Mono { items_done } => (*items_done > n).then(|| {
+                format!("watermark of {items_done} item(s) exceeds the {n}-item universe")
+            }),
+            CkptProgress::Spill { remaining, .. } => remaining
+                .iter()
+                .find(|r| r.1 as u64 > n)
+                .map(|(lo, hi)| format!("range {lo}..{hi} exceeds the {n}-item universe")),
+        };
+        if let Some(message) = outside {
+            let path = ckpt::manifest_path(&self.dir).display().to_string();
+            return Err(CfpError::Checkpoint { path, message });
+        }
+        eprintln!(
+            "resuming from checkpoint: {} unit(s) done, {} output byte(s) committed",
+            m.progress.done(),
+            m.output_bytes
+        );
+        Ok(())
+    }
 }
 
 fn report_stats(stats: &MineStats, n_itemsets: u64) {
@@ -736,7 +774,7 @@ fn report_trace_stats() {
         "mine   conditional trees {}  single-path shortcuts {}  max depth {}  patterns {}",
         tc::CORE_CONDITIONAL_TREES.get(),
         tc::CORE_SINGLE_PATH_SHORTCUTS.get(),
-        tc::CORE_MAX_DEPTH.get(),
+        cfp_trace::hist::CORE_RECURSION_DEPTH.snapshot().max,
         tc::CORE_PATTERNS.get(),
     );
 }
@@ -768,7 +806,7 @@ fn stash_blackbox_degradation(report: &RecoveryReport) {
 /// process code the Rust runtime uses for unwound panics).
 const PANIC_EXIT_CODE: i32 = 101;
 
-/// Dumps a `cfp-blackbox/2` post-mortem if `--blackbox` is armed and the
+/// Dumps a `cfp-blackbox/3` post-mortem if `--blackbox` is armed and the
 /// exit code is one the flight recorder covers: the structured pipeline
 /// failures (3–10) and panics. Usage (2) and plain I/O (1) exits carry
 /// no mining state worth a report.
@@ -825,10 +863,11 @@ fn exit_for_mine_error(e: CfpError) -> ! {
 
 /// Runs a `--checkpoint-dir` mining run end to end: resolve the resume
 /// watermark from the manifest (if `--resume`), mine through a
-/// [`CheckpointSink`], and handle the three outcomes — completed
-/// (manifest cleared), interrupted at a watermark (final manifest
-/// committed, exit 8), or failed (structured exit). Exits the process on
-/// every error path; returns the run's stats on success.
+/// [`CheckpointSink`], which checks the manifest against the miner's
+/// count, and handle the three outcomes — completed (manifest cleared),
+/// interrupted at a watermark (final manifest committed, exit 8), or
+/// failed (structured exit). Exits the process on every error path;
+/// returns the run's stats on success.
 fn run_checkpointed(
     opts: &Options,
     db: &TransactionDb,
@@ -838,15 +877,11 @@ fn run_checkpointed(
 ) -> MineStats {
     use cfp_core::{ckpt, CkptProgress};
     let dir = std::path::Path::new(opts.checkpoint_dir.as_deref().expect("checkpoint dir set"));
-    let recoder = cfp_core::ItemRecoder::scan(db, min_support);
-    let counts = ckpt::counts_fingerprint(&recoder);
-    let num_items = recoder.num_items() as u64;
     let spill_mode = opts.recover == RecoveryPolicy::Spill;
 
     let mut resume_skip = 0u64;
     let mut spill_resume: Option<(u64, Vec<(u32, u32)>)> = None;
-    let mut base_bytes = 0u64;
-    let mut base_itemsets = 0u64;
+    let mut resumed = None;
     if opts.resume {
         match ckpt::load(dir) {
             // No manifest is a fresh start, not an error: the previous
@@ -854,42 +889,13 @@ fn run_checkpointed(
             // and cleared it.
             Ok(None) => eprintln!("no checkpoint manifest in {}; starting fresh", dir.display()),
             Ok(Some(m)) => {
-                if let Err(e) = m.ensure_matches(
-                    dir,
-                    &opts.input,
-                    min_support,
-                    &counts,
-                    &opts.output.to_string(),
-                ) {
-                    exit_for_mine_error(e);
-                }
-                let manifest_path = ckpt::manifest_path(dir).display().to_string();
                 match (&m.progress, spill_mode) {
-                    (CkptProgress::Mono { items_done }, false) => {
-                        if *items_done > num_items {
-                            exit_for_mine_error(CfpError::Checkpoint {
-                                path: manifest_path,
-                                message: format!(
-                                    "watermark of {items_done} item(s) exceeds the \
-                                     {num_items}-item universe"
-                                ),
-                            });
-                        }
-                        resume_skip = *items_done;
-                    }
+                    (CkptProgress::Mono { items_done }, false) => resume_skip = *items_done,
                     (CkptProgress::Spill { parts_done, remaining }, true) => {
-                        if let Some((lo, hi)) = remaining.iter().find(|r| r.1 as u64 > num_items) {
-                            exit_for_mine_error(CfpError::Checkpoint {
-                                path: manifest_path,
-                                message: format!(
-                                    "range {lo}..{hi} exceeds the {num_items}-item universe"
-                                ),
-                            });
-                        }
                         spill_resume = Some((*parts_done, remaining.clone()));
                     }
                     (p, _) => exit_for_mine_error(CfpError::Checkpoint {
-                        path: manifest_path,
+                        path: ckpt::manifest_path(dir).display().to_string(),
                         message: format!(
                             "manifest records a '{}' run; resume it with the matching \
                              --recover policy",
@@ -897,13 +903,7 @@ fn run_checkpointed(
                         ),
                     }),
                 }
-                base_bytes = m.output_bytes;
-                base_itemsets = m.itemsets;
-                eprintln!(
-                    "resuming from checkpoint: {} unit(s) done, {} output byte(s) committed",
-                    m.progress.done(),
-                    m.output_bytes
-                );
+                resumed = Some(m);
             }
             Err(e) => exit_for_mine_error(e),
         }
@@ -924,11 +924,12 @@ fn run_checkpointed(
         every: opts.checkpoint_every,
         input: opts.input.clone(),
         min_support,
-        counts,
-        num_items,
+        counts: String::new(),
+        num_items: 0,
         output: opts.output.to_string(),
-        base_bytes,
-        base_itemsets,
+        base_bytes: resumed.as_ref().map_or(0, |m| m.output_bytes),
+        base_itemsets: resumed.as_ref().map_or(0, |m| m.itemsets),
+        resumed,
         emitted: 0,
         latest: None,
         last_committed: resume_skip.max(spill_resume.as_ref().map_or(0, |(done, _)| *done)),
@@ -1017,10 +1018,10 @@ fn main() {
     }
     let profiling = opts.profile.is_some();
     let tracing = opts.trace_out.is_some() || opts.flame_out.is_some();
-    // --mem-report needs the counter registry live for its distribution
-    // summaries; counters are observational and never change output.
-    // --metrics-out and --blackbox read the same registry (and the
-    // latency histograms), so they arm it too.
+    // --mem-report needs the registry live for its distribution rows
+    // (the mine-phase histograms); the registry is observational and
+    // never changes output. --metrics-out and --blackbox read the same
+    // registry, so they arm it too.
     if profiling
         || tracing
         || opts.progress

@@ -469,14 +469,13 @@ fn metrics_and_blackbox_leave_output_byte_identical() {
     assert!(prom.contains("cfp_run_info"), "{prom}");
     let jsonl = std::fs::read_to_string(dir.join("metrics.prom.jsonl")).unwrap();
     let last = jsonl.lines().last().expect("at least one JSONL record");
-    assert!(last.contains("\"schema\":\"cfp-metrics/2\""), "{last}");
+    assert!(last.contains("\"schema\":\"cfp-metrics/3\""), "{last}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// One run with both `--profile` and `--metrics-out`: the profile and the
 /// last JSONL record embed the same registry snapshot, so they carry the
-/// same phase names and the same counter, bucket-histogram and
-/// latency-summary names.
+/// same phase names and the same counter and histogram names.
 #[test]
 fn profile_and_metrics_record_share_one_snapshot() {
     use cfp_trace::{json, Json};
@@ -500,20 +499,23 @@ fn profile_and_metrics_record_share_one_snapshot() {
         phases.iter().map(|p| p.get("name").and_then(Json::as_str).unwrap().to_string()).collect()
     };
     assert_eq!(phase_names(&profile), phase_names(&record));
-    for member in ["counters", "histograms", "hists"] {
+    for member in ["counters", "hists"] {
         let keys = |doc: &Json| match doc.get(member) {
             Some(Json::Obj(m)) => m.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
             other => panic!("{member} is not an object: {other:?}"),
         };
         assert_eq!(keys(&profile), keys(&record), "{member}");
     }
+    assert!(profile.get("histograms").is_none(), "one histogram type, summarised in hists");
     let hists = profile.get("hists").expect("hists");
-    assert!(hists.get("core.mine_task_nanos").is_some(), "the profile carries percentiles");
+    for name in ["core.mine_task_nanos", "core.recursion_depth", "core.pattern_base_size"] {
+        assert!(hists.get(name).is_some(), "the profile carries {name}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Golden test for the machine-readable run report: `--profile` must emit
-/// a valid `cfp-profile/3` document whose structure downstream tooling can
+/// a valid `cfp-profile/4` document whose structure downstream tooling can
 /// rely on. Parsed with the same zero-dependency parser shipped in
 /// `cfp-trace`, so writer and reader are exercised together.
 #[test]
@@ -539,7 +541,7 @@ fn profile_report_is_valid_and_complete() {
     let text = std::fs::read_to_string(&report_path).unwrap();
     let doc = json::parse(&text).expect("profile must be valid JSON");
 
-    assert_eq!(doc.get("schema").and_then(Json::as_str), Some("cfp-profile/3"));
+    assert_eq!(doc.get("schema").and_then(Json::as_str), Some("cfp-profile/4"));
 
     let run = doc.get("run").expect("run object");
     assert_eq!(run.get("transactions").and_then(Json::as_u64), Some(9));
@@ -1192,8 +1194,21 @@ fn mem_report_is_valid_and_audit_reconciles() {
     let count = dist.get("cond_tree_bytes").and_then(|d| d.get("count")).and_then(Json::as_u64);
     assert!(count.unwrap() > 0, "{dist:?}");
 
-    // And the profile folded the summary in.
+    // Each distribution is the profile's histogram of the same name: the
+    // same exact count and maximum, and percentiles in order.
     let profile = json::parse(&std::fs::read_to_string(&profile_path).unwrap()).unwrap();
+    let hists = profile.get("hists").expect("hists");
+    let field = |doc: &Json, k: &str| doc.get(k).and_then(Json::as_u64).unwrap();
+    for name in ["cond_tree_bytes", "recursion_depth", "pattern_base_size"] {
+        let row = dist.get(name).unwrap_or_else(|| panic!("no {name} row: {dist:?}"));
+        let hist = hists.get(&format!("core.{name}")).unwrap_or_else(|| panic!("no core.{name}"));
+        assert_eq!(field(row, "count"), field(hist, "count"), "{name} count");
+        assert_eq!(field(row, "max"), field(hist, "max"), "{name} max");
+        let (p50, p95, max) = (field(row, "p50"), field(row, "p95"), field(row, "max"));
+        assert!(p50 <= p95 && p95 <= max, "{name}: {row:?}");
+    }
+
+    // And the profile folded the summary in.
     let memstat = profile.get("memstat").expect("profile carries the memstat summary");
     assert_eq!(memstat.get("reconciled"), Some(&Json::Bool(true)));
     assert!(memstat.get("pool_peak").and_then(Json::as_u64).unwrap() > 0);

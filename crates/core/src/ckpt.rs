@@ -316,7 +316,6 @@ impl Manifest {
 /// `core.ckpt_*`. The `core.ckpt.write` failpoint injects a permanent
 /// write failure here.
 pub fn save(dir: &Path, manifest: &Manifest) -> Result<u64, CfpError> {
-    let _t = cfp_trace::hist::timer(&cfp_trace::hist::CORE_CKPT_COMMIT_NANOS);
     let path = manifest_path(dir);
     if cfp_fault::should_fail("core.ckpt.write") {
         return Err(ckpt_err(

@@ -73,7 +73,8 @@ pub(crate) fn by_support(db: &TransactionDb, min_support: u64) -> (ItemRecoder, 
 }
 
 /// Count, build, convert, mine: one whole run over `db`, whose items
-/// `rank` counts and orders (under the count span).
+/// `rank` counts and orders (under the count span). The sink hears the
+/// count ([`ItemsetSink::counted`]) before the build.
 pub(crate) fn run(
     db: &TransactionDb,
     rank: Rank<'_>,
@@ -88,6 +89,7 @@ pub(crate) fn run(
         let _s = span(Phase::Count);
         rank(db, min_support)
     };
+    sink.counted(&recoder)?;
     stats.scan_time = sw.lap();
     let tree = {
         let _s = span(Phase::Build);
@@ -734,6 +736,58 @@ mod tests {
             }
             self.inner.emit(itemset, support);
         }
+    }
+
+    /// Records each [`ItemsetSink::counted`] call: the itemsets emitted
+    /// before it and the fingerprint of the count it was given.
+    #[derive(Default)]
+    struct CountWatch {
+        emitted: u64,
+        counted: Vec<(u64, String)>,
+    }
+
+    impl ItemsetSink for CountWatch {
+        fn emit(&mut self, _itemset: &[Item], _support: u64) {
+            self.emitted += 1;
+        }
+
+        fn counted(&mut self, recoder: &ItemRecoder) -> Result<(), CfpError> {
+            self.counted.push((self.emitted, crate::ckpt::counts_fingerprint(recoder)));
+            Ok(())
+        }
+    }
+
+    /// Every run that streams into the caller's sink tells it the
+    /// whole database's count exactly once, before its first itemset:
+    /// the sequential and parallel miners, and the resumable spill rung,
+    /// whose partitions count only their projections.
+    #[test]
+    fn a_streaming_run_reports_its_count_once_before_the_first_itemset() {
+        use crate::{CfpGrowthMiner, ParallelCfpGrowthMiner, RecoveryPolicy, Supervisor};
+        use cfp_data::rng::{Rng, StdRng};
+        use cfp_data::Miner;
+        let mut rng = StdRng::seed_from_u64(21);
+        let mut db = TransactionDb::new();
+        for _ in 0..300 {
+            let row: Vec<Item> = (0..40).filter(|_| rng.gen_bool(0.2)).collect();
+            db.push(&row);
+        }
+        let min_support = 20;
+        let want = crate::ckpt::counts_fingerprint(&ItemRecoder::scan(&db, min_support));
+        let check = |what: &str, sink: CountWatch| {
+            assert!(sink.emitted > 0, "{what} emitted nothing");
+            assert_eq!(sink.counted, [(0, want.clone())], "{what}");
+        };
+        let mut sink = CountWatch::default();
+        CfpGrowthMiner::new().try_mine(&db, min_support, &mut sink).expect("sequential");
+        check("sequential", sink);
+        let mut sink = CountWatch::default();
+        ParallelCfpGrowthMiner::new(2).try_mine(&db, min_support, &mut sink).expect("parallel");
+        check("parallel", sink);
+        let mut sink = CountWatch::default();
+        let sup = Supervisor::new(RecoveryPolicy::Spill);
+        sup.mine_out_of_core_resumable(&db, min_support, &mut sink, None).0.expect("spill");
+        check("spill", sink);
     }
 
     /// A run that mines from item `first` up is finished once `first` is

@@ -907,7 +907,7 @@ fn conditional(
     }
 
     if traced {
-        cfp_trace::counters::CORE_COND_TREE_BYTES.record_log2(cond_tree.arena_used());
+        cfp_trace::hist::CORE_COND_TREE_BYTES.record(cond_tree.arena_used());
     }
     ctx.scratch.gauge.alloc(cond_tree.heap_bytes());
     drop(held);

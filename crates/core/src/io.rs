@@ -44,6 +44,7 @@ pub fn mine_file(
     })?;
     let recoder = ItemRecoder::from_supports(&counts, min_support);
     drop(counts);
+    sink.counted(&recoder).map_err(io::Error::from)?;
     stats.scan_time = sw.lap();
 
     // Pass 2: stream again, building the CFP-tree.

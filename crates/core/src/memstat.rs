@@ -1,7 +1,7 @@
 //! Assembles the `cfp-memstat/1` space-domain report.
 //!
 //! The data model lives in [`cfp_trace::memstat`] (so the trace crate
-//! can fold summaries into `cfp-profile/3` documents without depending
+//! can fold summaries into `cfp-profile/4` documents without depending
 //! on the mining layers); *assembling* a report needs the pool, the
 //! tree, the array, and the analytics passes at once, which only this
 //! crate can see. [`collect_memstat`] runs a post-mining analytics pass:
@@ -19,11 +19,13 @@ use crate::growth::{try_build_tree_with, ArrayCharge};
 use cfp_array::convert;
 use cfp_data::{CfpError, TransactionDb};
 use cfp_memman::{ArenaOptions, BudgetPool, Component};
-use cfp_metrics::{summarize_linear, summarize_log2, HeapSize, Log2Summary};
+use cfp_metrics::HeapSize;
+use cfp_trace::hist::{CORE_COND_TREE_BYTES, CORE_PATTERN_BASE_SIZE, CORE_RECURSION_DEPTH};
 use cfp_trace::memstat::{
     rss_bytes, Attribution, Audit, ComponentRow, CompressionRow, DistRow, MemStatReport,
     SavingsRow, StructureReport,
 };
+use cfp_trace::Histogram;
 
 /// Arena capacity slack the audit tolerates: the backing `Vec` grows
 /// geometrically (at most doubling), so OS-reserved capacity may exceed
@@ -247,21 +249,20 @@ pub fn collect_memstat(
     // Mine-phase distributions from the trace registry (empty when the
     // run was not traced — a report without a mining run has zero
     // counts, which consumers treat as "not recorded").
-    let dist = |name: &str, s: Log2Summary| DistRow {
-        name: name.into(),
-        count: s.count,
-        p50: s.p50,
-        p95: s.p95,
-        max: s.max,
+    let dist = |name: &str, h: &Histogram| {
+        let s = h.snapshot();
+        DistRow {
+            name: name.into(),
+            count: s.count,
+            p50: s.percentile(0.50),
+            p95: s.percentile(0.95),
+            max: s.max,
+        }
     };
-    let tc = &cfp_trace::counters::CORE_COND_TREE_BYTES;
     let distributions = vec![
-        dist("cond_tree_bytes", summarize_log2(&tc.snapshot())),
-        dist("recursion_depth", summarize_linear(&cfp_trace::counters::CORE_DEPTH.snapshot())),
-        dist(
-            "pattern_base_size",
-            summarize_log2(&cfp_trace::counters::CORE_PATTERN_BASE_LOG2.snapshot()),
-        ),
+        dist("cond_tree_bytes", &CORE_COND_TREE_BYTES),
+        dist("recursion_depth", &CORE_RECURSION_DEPTH),
+        dist("pattern_base_size", &CORE_PATTERN_BASE_SIZE),
     ];
 
     Ok(MemStatReport {

@@ -29,8 +29,8 @@
 //! stream mixed into a complete one. Every rung emits a
 //! [`Phase::Recover`] span and a [`RungReport`]; the collected
 //! [`RecoveryReport`] writes itself ([`RecoveryReport::to_json`]) as the
-//! `degradation` section of the `cfp-profile/3` run report and the
-//! `cfp-blackbox/2` post-mortem.
+//! `degradation` section of the `cfp-profile/4` run report and the
+//! `cfp-blackbox/3` post-mortem.
 //!
 //! Exactness of rung 3 follows Grahne & Zhu's range projection argument,
 //! spelled out in [`cfp_data::partition`]: every frequent itemset has
@@ -423,9 +423,11 @@ impl Supervisor {
         (r, report)
     }
 
-    /// The range loop. Each step pops a range, projects it, and runs the
-    /// projection through the driver into a buffer of its own, under a
-    /// fresh pool of the budget. The projection's recoder ranks the
+    /// The range loop. After one count of the whole database, which
+    /// `sink` hears ([`ItemsetSink::counted`]), each step pops a range,
+    /// projects it, and runs the projection through the driver into a
+    /// buffer of its own, under a fresh pool of the budget. The
+    /// projection's recoder ranks the
     /// range's items after its context items and the driver mines from
     /// the first range item up, so the partition emits exactly the
     /// itemsets whose maximal item is in the range. A range that exhausts
@@ -454,6 +456,7 @@ impl Supervisor {
         tally: &mut Tally,
     ) -> Result<MineStats, CfpError> {
         let recoder = ItemRecoder::scan(db, min_support);
+        sink.counted(&recoder)?;
         let n = recoder.num_items();
         if n == 0 {
             // Nothing frequent: the empty result is exact. (A failure

@@ -8,9 +8,8 @@
 use cfp_core::{CfpGrowthMiner, CollectSink, Item, Miner, TransactionDb};
 use cfp_data::rng::{Rng, StdRng};
 use cfp_fptree::FpGrowthMiner;
-use cfp_trace::counters::{
-    ARRAY_PAIR_TABLES, CORE_CONDITIONAL_TREES, CORE_COND_TREE_BYTES, CORE_PAIR_ROWS,
-};
+use cfp_trace::counters::{ARRAY_PAIR_TABLES, CORE_CONDITIONAL_TREES, CORE_PAIR_ROWS};
+use cfp_trace::hist::CORE_COND_TREE_BYTES;
 
 /// `rows` seeded rows over `items` items, each item present with
 /// probability `density`.
@@ -39,7 +38,7 @@ struct Regimes {
 /// Mines `db` with tracing on, checks the output against FP-growth, and
 /// returns the run's regime counters.
 fn mine_traced(db: &TransactionDb, min_support: u64) -> Regimes {
-    cfp_trace::counters::reset_all();
+    cfp_trace::reset();
     cfp_trace::set_enabled(true);
     let mut got = CollectSink::new();
     CfpGrowthMiner::new().mine(db, min_support, &mut got);
@@ -51,7 +50,7 @@ fn mine_traced(db: &TransactionDb, min_support: u64) -> Regimes {
         tables: ARRAY_PAIR_TABLES.get(),
         rows: CORE_PAIR_ROWS.get(),
         bases: CORE_CONDITIONAL_TREES.get(),
-        built: CORE_COND_TREE_BYTES.snapshot().iter().sum(),
+        built: CORE_COND_TREE_BYTES.count(),
     }
 }
 

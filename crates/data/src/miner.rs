@@ -10,6 +10,7 @@
 //! Itemsets are always emitted with *original* item identifiers, sorted
 //! ascending, so results from different algorithms are directly comparable.
 
+use crate::count::ItemRecoder;
 use crate::types::{Item, TransactionDb};
 use cfp_fault::CfpError;
 use std::collections::BinaryHeap;
@@ -116,6 +117,17 @@ pub trait ItemsetSink {
     /// output and commit a manifest. An `Err` aborts the run.
     fn progress(&mut self, progress: MineProgress<'_>) -> Result<(), CfpError> {
         let _ = progress;
+        Ok(())
+    }
+
+    /// Called once by a run that streams into this sink, after it has
+    /// counted the database and before its first itemset, with the
+    /// recoder of that count (the frequent-item universe and its order).
+    /// The default ignores it; checkpointing sinks fingerprint the counts
+    /// for their manifest and check a resumed one against them. An `Err`
+    /// stops the run before anything is emitted.
+    fn counted(&mut self, recoder: &ItemRecoder) -> Result<(), CfpError> {
+        let _ = recoder;
         Ok(())
     }
 }

@@ -5,7 +5,9 @@
 //! report, for every node field of the FP-tree and the CFP-tree, the
 //! fraction of nodes whose field has 0, 1, 2, 3, or 4 leading zero bytes
 //! (4 leading zero bytes means the value is 0). [`LeadingZeroHistogram`]
-//! accumulates those distributions.
+//! accumulates those distributions. They are field analytics of a built
+//! structure, not run telemetry: a run's distributions are the trace
+//! registry's log-linear histograms.
 
 /// Number of leading zero *bytes* in a 32-bit value (0..=4).
 ///
@@ -97,73 +99,6 @@ impl LeadingZeroHistogram {
     }
 }
 
-/// Percentile summary of a log2-bucketed histogram.
-///
-/// The trace registry's `Histogram::record_log2` puts value 0 in bucket 0
-/// and value `v > 0` in bucket `64 - v.leading_zeros()`, so bucket `k > 0`
-/// covers `[2^(k-1), 2^k)`. A percentile over such buckets is only known
-/// up to a bucket, so the summary reports each percentile as the bucket's
-/// *upper bound* (`2^k - 1`; 0 for bucket 0) — a conservative "at most"
-/// figure that is stable across runs, unlike an ad-hoc maximum.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Log2Summary {
-    /// Number of recorded samples.
-    pub count: u64,
-    /// Upper bound of the bucket holding the 50th percentile.
-    pub p50: u64,
-    /// Upper bound of the bucket holding the 95th percentile.
-    pub p95: u64,
-    /// Upper bound of the highest non-empty bucket.
-    pub max: u64,
-}
-
-/// Summarizes a dense log2-bucket vector (as produced by the trace
-/// registry's histogram snapshots) into count / p50 / p95 / max.
-pub fn summarize_log2(buckets: &[u64]) -> Log2Summary {
-    summarize_by(buckets, |k| {
-        if k == 0 {
-            0
-        } else if k >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << k) - 1
-        }
-    })
-}
-
-/// Summarizes a *linear*-bucketed histogram (bucket `k` holds the exact
-/// value `k`, e.g. recursion depths): percentiles report the bucket
-/// index itself, which is exact rather than an upper bound.
-pub fn summarize_linear(buckets: &[u64]) -> Log2Summary {
-    summarize_by(buckets, |k| k as u64)
-}
-
-fn summarize_by(buckets: &[u64], upper: impl Fn(usize) -> u64) -> Log2Summary {
-    let count: u64 = buckets.iter().sum();
-    if count == 0 {
-        return Log2Summary::default();
-    }
-    let percentile = |q_num: u64, q_den: u64| -> u64 {
-        // Smallest bucket whose cumulative count reaches ceil(q * count).
-        let target = count.saturating_mul(q_num).div_ceil(q_den);
-        let mut cum = 0u64;
-        for (k, &c) in buckets.iter().enumerate() {
-            cum += c;
-            if cum >= target {
-                return upper(k);
-            }
-        }
-        upper(buckets.len() - 1)
-    };
-    let max_bucket = buckets.iter().rposition(|&c| c > 0).unwrap_or(0);
-    Log2Summary {
-        count,
-        p50: percentile(50, 100),
-        p95: percentile(95, 100),
-        max: upper(max_bucket),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,55 +172,5 @@ mod tests {
         let row = h.paper_row();
         assert!(row.starts_with("2%"), "row was {row}");
         assert!(row.ends_with("98%"), "row was {row}");
-    }
-
-    #[test]
-    fn summarize_log2_empty_is_zero() {
-        assert_eq!(summarize_log2(&[]), Log2Summary::default());
-        assert_eq!(summarize_log2(&[0, 0, 0]), Log2Summary::default());
-    }
-
-    #[test]
-    fn summarize_linear_reports_bucket_indexes() {
-        assert_eq!(summarize_linear(&[]), Log2Summary::default());
-        // 50 depth-1 events, 45 depth-2, 5 depth-7: the median is depth 1
-        // exactly (not an upper bound), p95 depth 2, max depth 7.
-        let s = summarize_linear(&[0, 50, 45, 0, 0, 0, 0, 5]);
-        assert_eq!(s, Log2Summary { count: 100, p50: 1, p95: 2, max: 7 });
-    }
-
-    #[test]
-    fn summarize_log2_single_bucket() {
-        // 10 samples of value 0 (bucket 0).
-        let s = summarize_log2(&[10]);
-        assert_eq!(s, Log2Summary { count: 10, p50: 0, p95: 0, max: 0 });
-        // 10 samples in bucket 3, i.e. values in [4, 8): upper bound 7.
-        let s = summarize_log2(&[0, 0, 0, 10]);
-        assert_eq!(s, Log2Summary { count: 10, p50: 7, p95: 7, max: 7 });
-    }
-
-    #[test]
-    fn summarize_log2_percentiles_split_buckets() {
-        // 60 samples in bucket 1 ([1,2)), 30 in bucket 4 ([8,16)),
-        // 10 in bucket 6 ([32,64)).
-        let mut buckets = vec![0u64; 8];
-        buckets[1] = 60;
-        buckets[4] = 30;
-        buckets[6] = 10;
-        let s = summarize_log2(&buckets);
-        assert_eq!(s.count, 100);
-        assert_eq!(s.p50, 1, "50th sample is still in bucket 1");
-        assert_eq!(s.p95, 63, "95th sample lands in bucket 6");
-        assert_eq!(s.max, 63);
-    }
-
-    #[test]
-    fn summarize_log2_p95_on_boundary() {
-        // Exactly 95 of 100 in the low bucket: the 95th sample is the
-        // last low one, so p95 reports the low bucket.
-        let s = summarize_log2(&[95, 5]);
-        assert_eq!(s.p50, 0);
-        assert_eq!(s.p95, 0);
-        assert_eq!(s.max, 1);
     }
 }

@@ -12,7 +12,8 @@
 //! - [`HeapSize`]: a trait reporting the exact heap footprint of a structure.
 //! - [`LeadingZeroHistogram`]: per-field distribution of leading zero bytes
 //!   in 32-bit values (Tables 1 and 2).
-//! - [`Stopwatch`] / [`PhaseTimes`]: simple phase timing.
+//! - [`Stopwatch`]: simple phase timing; the miners keep each phase's
+//!   time in their `MineStats`.
 //! - [`fmt_bytes`] / [`fmt_count`]: human-readable formatting for reports.
 
 #![warn(missing_docs)]
@@ -24,8 +25,8 @@ pub mod timer;
 
 pub use gauge::MemGauge;
 pub use heapsize::HeapSize;
-pub use hist::{summarize_linear, summarize_log2, LeadingZeroHistogram, Log2Summary};
-pub use timer::{PhaseTimes, Stopwatch};
+pub use hist::LeadingZeroHistogram;
+pub use timer::Stopwatch;
 
 /// Formats a byte count with a binary-prefixed unit (`1.50 MiB`).
 pub fn fmt_bytes(bytes: u64) -> String {

@@ -1,4 +1,5 @@
-//! Phase timing for the build / convert / mine phases of the algorithms.
+//! A restartable stopwatch for the build / convert / mine phases of the
+//! algorithms.
 
 use std::time::{Duration, Instant};
 
@@ -34,46 +35,6 @@ impl Default for Stopwatch {
     }
 }
 
-/// Named accumulated durations for an algorithm's phases.
-///
-/// CFP-growth reports scan, build, convert, and mine times separately
-/// (Figure 7(a) plots scan vs. build+convert).
-#[derive(Clone, Debug, Default)]
-pub struct PhaseTimes {
-    phases: Vec<(&'static str, Duration)>,
-}
-
-impl PhaseTimes {
-    /// An empty set of phases.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `d` to the accumulated time of `name`, creating it if needed.
-    pub fn add(&mut self, name: &'static str, d: Duration) {
-        if let Some((_, acc)) = self.phases.iter_mut().find(|(n, _)| *n == name) {
-            *acc += d;
-        } else {
-            self.phases.push((name, d));
-        }
-    }
-
-    /// Accumulated time of `name`, or zero if never recorded.
-    pub fn get(&self, name: &str) -> Duration {
-        self.phases.iter().find(|(n, _)| *n == name).map(|(_, d)| *d).unwrap_or_default()
-    }
-
-    /// All phases in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, Duration)> + '_ {
-        self.phases.iter().copied()
-    }
-
-    /// Sum of all phases.
-    pub fn total(&self) -> Duration {
-        self.phases.iter().map(|(_, d)| *d).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,26 +53,5 @@ mod tests {
         let second = sw.elapsed();
         assert!(first >= Duration::ZERO);
         assert!(second <= first + Duration::from_secs(1));
-    }
-
-    #[test]
-    fn phases_accumulate_by_name() {
-        let mut p = PhaseTimes::new();
-        p.add("build", Duration::from_millis(5));
-        p.add("build", Duration::from_millis(7));
-        p.add("mine", Duration::from_millis(3));
-        assert_eq!(p.get("build"), Duration::from_millis(12));
-        assert_eq!(p.get("mine"), Duration::from_millis(3));
-        assert_eq!(p.get("missing"), Duration::ZERO);
-        assert_eq!(p.total(), Duration::from_millis(15));
-    }
-
-    #[test]
-    fn iter_preserves_insertion_order() {
-        let mut p = PhaseTimes::new();
-        p.add("scan", Duration::from_millis(1));
-        p.add("build", Duration::from_millis(2));
-        let names: Vec<_> = p.iter().map(|(n, _)| n).collect();
-        assert_eq!(names, vec!["scan", "build"]);
     }
 }

@@ -1,8 +1,8 @@
-//! The flight recorder: checksummed `cfp-blackbox/2` post-mortem
+//! The flight recorder: checksummed `cfp-blackbox/3` post-mortem
 //! reports dumped when a run dies.
 //!
 //! The richest diagnostic state of a failing run — the per-thread event
-//! ring buffers, the counter registry, the latency histograms — normally
+//! ring buffers, the counter registry, the histograms — normally
 //! evaporates with the process. When `--blackbox <dir>` is armed, the
 //! CLI captures a [`BlackboxReport`] on any error exit (stable exit
 //! codes 3–10), on a main-thread panic, or after a recovery-rung
@@ -14,9 +14,9 @@
 //! memory figures are the snapshot's `mem.*` and `memman.*` counters.
 //!
 //! ```json
-//! { "schema": "cfp-blackbox/2", "error": ..., "exit_code": ...,
+//! { "schema": "cfp-blackbox/3", "error": ..., "exit_code": ...,
 //!   "context": {...}, "phases": [...], "counters": {...},
-//!   "histograms": {...}, "hists": {...}, "degradation": {...}?,
+//!   "hists": {...}, "degradation": {...}?,
 //!   "tracks": [ { "name", "tid", "recorded", "dropped",
 //!                 "events": [{ "t_nanos", "kind", "detail" }] } ],
 //!   "checksum": "fnv1a:<16 hex digits over the other members>" }
@@ -34,8 +34,10 @@ use crate::fnv;
 use crate::json::Json;
 use crate::snapshot::Snapshot;
 
-/// Schema identifier of the post-mortem document.
-pub const SCHEMA: &str = "cfp-blackbox/2";
+/// Schema identifier of the post-mortem document. `/3` drops the
+/// snapshot's `histograms` bucket member, whose distributions are now
+/// `hists` entries.
+pub const SCHEMA: &str = "cfp-blackbox/3";
 
 /// Events kept per track: the newest `LAST_EVENTS_PER_TRACK` survive
 /// into the report (the rings already drop oldest-first, this just
@@ -212,7 +214,7 @@ pub fn render(doc: &Json) -> String {
 
     if let Some(Json::Obj(hists)) = doc.get("hists") {
         if !hists.is_empty() {
-            out.push_str("\nlatency histograms (nanos):\n");
+            out.push_str("\nhistograms:\n");
             for (name, h) in hists {
                 let g = |k: &str| h.get(k).and_then(Json::as_u64).unwrap_or(0);
                 out.push_str(&format!(
@@ -343,7 +345,7 @@ mod tests {
         let text = render(&doc);
         assert!(text.contains("memory exhausted: test"));
         assert!(text.contains("core.items_mined"));
-        assert!(text.contains("cfp-blackbox/2 post-mortem"));
+        assert!(text.contains("cfp-blackbox/3 post-mortem"));
         assert!(text.contains("peak 4096 B"), "memory is read from the counters: {text}");
     }
 }

@@ -1,6 +1,7 @@
-//! The global metric registry: atomic counters, gauges, and histograms.
+//! The global metric registry: atomic counters, gauges, and max-gauges;
+//! its histograms are declared the same way in [`crate::hist`].
 //!
-//! Every metric in the workspace is *defined* here, in one place, and
+//! Every metric in the workspace is *defined* in these two modules and
 //! bumped from the producer crates. That inverts the usual "each crate
 //! registers its own metrics" design on purpose: with no inventory/ctor
 //! machinery available offline, a central static list is the only way to
@@ -140,59 +141,6 @@ impl MaxGauge {
     }
 }
 
-/// A fixed-bucket histogram of `u64` counts.
-///
-/// Out-of-range observations land in the last bucket, so totals are
-/// preserved (the report marks the last bucket as `+inf`-ish).
-#[derive(Debug)]
-pub struct Histogram<const N: usize> {
-    name: &'static str,
-    buckets: [AtomicU64; N],
-}
-
-impl<const N: usize> Histogram<N> {
-    /// A new zeroed histogram (const, for statics).
-    pub const fn new(name: &'static str) -> Self {
-        Histogram { name, buckets: [const { AtomicU64::new(0) }; N] }
-    }
-
-    /// The registry name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Records one observation in `bucket` (clamped to the last bucket).
-    #[inline]
-    pub fn record(&self, bucket: usize) {
-        self.buckets[bucket.min(N - 1)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one observation of `value` in its log2 bucket
-    /// (`0 → bucket 0`, `1 → 1`, `2..=3 → 2`, `4..=7 → 3`, ...).
-    #[inline]
-    pub fn record_log2(&self, value: u64) {
-        let bucket = if value == 0 { 0 } else { 64 - value.leading_zeros() as usize };
-        self.record(bucket);
-    }
-
-    /// Bucket counts as a plain vector.
-    pub fn snapshot(&self) -> Vec<u64> {
-        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect()
-    }
-
-    /// Sum over all buckets.
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Back to zero.
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The registry. Grouped by producer crate; names are `<group>.<metric>`.
 // ---------------------------------------------------------------------------
@@ -240,8 +188,6 @@ pub static TREE_EMBEDDED_LEAVES: Counter = Counter::new("tree.embedded_leaves");
 pub static TREE_CHAIN_SPLITS: Counter = Counter::new("tree.chain_splits");
 /// `cfp-tree`: embedded leaves promoted to real nodes.
 pub static TREE_UNEMBEDS: Counter = Counter::new("tree.unembeds");
-/// `cfp-tree`: distribution of compression-mask bytes written.
-pub static TREE_MASK_BYTES: Histogram<256> = Histogram::new("tree.mask_bytes");
 
 /// `cfp-array`: tree→array conversions performed.
 pub static ARRAY_CONVERSIONS: Counter = Counter::new("array.conversions");
@@ -266,15 +212,6 @@ pub static CORE_PATTERNS: Counter = Counter::new("core.patterns_emitted");
 pub static CORE_PAIR_ROWS: Counter = Counter::new("core.pair_rows");
 /// `cfp-core`: worker threads used by the parallel miner (0 = sequential).
 pub static CORE_WORKERS: MaxGauge = MaxGauge::new("core.workers");
-/// `cfp-core`: deepest conditional-tree recursion reached.
-pub static CORE_MAX_DEPTH: MaxGauge = MaxGauge::new("core.max_depth");
-/// `cfp-core`: recursion events per depth (clamped at 63).
-pub static CORE_DEPTH: Histogram<64> = Histogram::new("core.recursion_depth");
-/// `cfp-core`: log2 histogram of conditional pattern-base sizes.
-pub static CORE_PATTERN_BASE_LOG2: Histogram<33> = Histogram::new("core.pattern_base_log2");
-/// `cfp-core`: log2 histogram of conditional-tree arena bytes at the
-/// moment each conditional tree finishes building (per-task peaks).
-pub static CORE_COND_TREE_BYTES: Histogram<64> = Histogram::new("core.cond_tree_bytes");
 /// `cfp-core`: worker panics contained by the parallel miner.
 pub static CORE_WORKER_PANICS: Counter = Counter::new("core.worker_panics");
 /// `cfp-core`: heartbeat ticks from parallel workers (one per first-level
@@ -397,7 +334,6 @@ static MAX_GAUGES: &[&MaxGauge] = &[
     &MEMMAN_POOL_PEAK,
     &MEM_PEAK_BYTES,
     &CORE_WORKERS,
-    &CORE_MAX_DEPTH,
     &CORE_PARTITIONS,
     &CORE_PARTITION_ITEMS,
     &CORE_PARTITION_ITEMS_DONE,
@@ -417,18 +353,6 @@ pub fn snapshot() -> Vec<(&'static str, u64)> {
     out
 }
 
-/// Name/buckets pairs for every histogram, sorted by name.
-pub fn histogram_snapshot() -> Vec<(&'static str, Vec<u64>)> {
-    let mut out = vec![
-        (TREE_MASK_BYTES.name(), TREE_MASK_BYTES.snapshot()),
-        (CORE_DEPTH.name(), CORE_DEPTH.snapshot()),
-        (CORE_PATTERN_BASE_LOG2.name(), CORE_PATTERN_BASE_LOG2.snapshot()),
-        (CORE_COND_TREE_BYTES.name(), CORE_COND_TREE_BYTES.snapshot()),
-    ];
-    out.sort_unstable_by_key(|&(name, _)| name);
-    out
-}
-
 /// Zeroes every registered metric.
 pub fn reset_all() {
     for c in COUNTERS {
@@ -440,10 +364,6 @@ pub fn reset_all() {
     for g in MAX_GAUGES {
         g.reset();
     }
-    TREE_MASK_BYTES.reset();
-    CORE_DEPTH.reset();
-    CORE_PATTERN_BASE_LOG2.reset();
-    CORE_COND_TREE_BYTES.reset();
 }
 
 #[cfg(test)]
@@ -491,31 +411,11 @@ mod tests {
     }
 
     #[test]
-    fn histogram_clamps_and_totals() {
-        let h: Histogram<4> = Histogram::new("test.hist");
-        h.record(0);
-        h.record(3);
-        h.record(99); // clamps into the last bucket
-        assert_eq!(h.snapshot(), vec![1, 0, 0, 2]);
-        assert_eq!(h.total(), 3);
-    }
-
-    #[test]
-    fn histogram_log2_buckets() {
-        let h: Histogram<8> = Histogram::new("test.log2");
-        for v in [0u64, 1, 2, 3, 4, 7, 8, 1 << 40] {
-            h.record_log2(v);
-        }
-        // 0→b0, 1→b1, {2,3}→b2, {4,7}→b3, 8→b4, 2^40→clamped b7
-        assert_eq!(h.snapshot(), vec![1, 1, 2, 2, 1, 0, 0, 1]);
-    }
-
-    #[test]
     fn snapshot_contains_all_registered_names() {
         let _g = lock();
         let snap = snapshot();
         let names: Vec<_> = snap.iter().map(|(n, _)| *n).collect();
-        for expected in ["memman.allocs", "tree.standard_nodes", "core.max_depth"] {
+        for expected in ["memman.allocs", "tree.standard_nodes", "core.workers"] {
             assert!(names.contains(&expected), "{expected} missing from {names:?}");
         }
         // Names are unique.
@@ -532,20 +432,15 @@ mod tests {
         let mut sorted = names.clone();
         sorted.sort_unstable();
         assert_eq!(names, sorted, "counter snapshot must iterate in name order");
-        let hist_names: Vec<_> = histogram_snapshot().iter().map(|(n, _)| *n).collect();
-        let mut hist_sorted = hist_names.clone();
-        hist_sorted.sort_unstable();
-        assert_eq!(hist_names, hist_sorted);
     }
 
     #[test]
     fn reset_all_zeroes_the_registry() {
         let _g = lock();
         MEMMAN_ALLOCS.add(3);
-        CORE_MAX_DEPTH.record(12);
-        TREE_MASK_BYTES.record(0xAB);
+        CORE_WORKERS.record(12);
+        MEM_CURRENT_BYTES.add(7);
         reset_all();
         assert!(snapshot().iter().all(|&(_, v)| v == 0));
-        assert_eq!(TREE_MASK_BYTES.total(), 0);
     }
 }

@@ -304,7 +304,7 @@ pub struct TrackDump {
     pub dropped: u64,
 }
 
-/// The `events` summary block of the `cfp-profile/3` report.
+/// The `events` summary block of the `cfp-profile/4` report.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EventsSummary {
     /// Threads that recorded at least one event.

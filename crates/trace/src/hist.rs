@@ -1,23 +1,27 @@
-//! Log-linear (HDR-style) latency histograms with lock-free atomic buckets.
+//! Log-linear (HDR-style) histograms with lock-free atomic buckets: the
+//! one histogram type of the registry.
 //!
-//! Each [`LatencyHisto`] is a fixed-memory, const-constructible histogram
-//! recording `u64` samples (nanoseconds by convention). Values are binned
-//! into power-of-two octaves, each split into `2^SUB_BITS` linear
-//! sub-buckets, so the bucket containing a value `v >= 2^SUB_BITS` has
-//! width `<= v / 2^SUB_BITS`: any reported percentile is within a
+//! Each [`Histogram`] is a fixed-memory, const-constructible histogram
+//! recording `u64` samples — nanoseconds for the latency histograms,
+//! depths, node counts or bytes for the mine-phase distributions. Values
+//! are binned into power-of-two octaves, each split into `2^SUB_BITS`
+//! linear sub-buckets, so the bucket containing a value `v >= 2^SUB_BITS`
+//! has width `<= v / 2^SUB_BITS`: any reported percentile is within a
 //! relative error of `2^-SUB_BITS` (6.25% for `SUB_BITS = 4`) of the
 //! exact order statistic at the same rank. Values below `2^SUB_BITS`
-//! are stored exactly (one bucket per integer).
+//! are stored exactly (one bucket per integer), and the count, sum and
+//! maximum are exact at any magnitude.
 //!
 //! All state is plain `AtomicU64`s bumped with relaxed ordering, so
 //! many worker threads can record into one static histogram without a
-//! lock, and [`LatencyHisto::merge_from`] folds one histogram (or a
+//! lock, and [`Histogram::merge_from`] folds one histogram (or a
 //! drained [`HistSnapshot`]) into another — merge is associative and
 //! commutative, which the integration suite checks.
 //!
-//! Producers never call `record` directly on hot paths; they go through
-//! [`timer`] / [`maybe_now`] + [`record_since`], which collapse to a
-//! single relaxed load of the global trace gate when tracing is off.
+//! Timed producers go through [`timer`] / [`maybe_now`] +
+//! [`record_since`], which collapse to a single relaxed load of the
+//! global trace gate when tracing is off; the mine-phase distributions
+//! record behind a [`crate::enabled`] check.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -75,7 +79,7 @@ fn bucket_mid(i: usize) -> u64 {
 ///
 /// Const-constructible so instances can live in the static registry
 /// alongside the counters; one instance is ~7.7 KiB.
-pub struct LatencyHisto {
+pub struct Histogram {
     name: &'static str,
     count: AtomicU64,
     sum: AtomicU64,
@@ -83,13 +87,13 @@ pub struct LatencyHisto {
     buckets: [AtomicU64; NUM_BUCKETS],
 }
 
-impl LatencyHisto {
+impl Histogram {
     /// Create an empty histogram (usable in `static` position).
     pub const fn new(name: &'static str) -> Self {
         // `AtomicU64` is not Copy; build the array via a const block.
         #[allow(clippy::declare_interior_mutable_const)]
         const ZERO: AtomicU64 = AtomicU64::new(0);
-        LatencyHisto {
+        Histogram {
             name,
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
@@ -115,7 +119,7 @@ impl LatencyHisto {
     /// Fold another histogram's contents into this one (cross-worker
     /// merge). Bucket-wise addition plus a max-merge: associative and
     /// commutative.
-    pub fn merge_from(&self, other: &LatencyHisto) {
+    pub fn merge_from(&self, other: &Histogram) {
         self.merge_snapshot(&other.snapshot());
     }
 
@@ -243,33 +247,47 @@ pub struct HistSummary {
 // Static registry
 // ---------------------------------------------------------------------------
 
-/// Per-task mine latency: one top-level item mined to completion
-/// (sequential `mine_array` top loop and parallel `mine_one_item`).
-pub static CORE_MINE_TASK_NANOS: LatencyHisto = LatencyHisto::new("core.mine_task_nanos");
+/// Per-task mine latency: one first-level item mined to completion
+/// (`mine_one_item`, the unit the driver's workers claim).
+pub static CORE_MINE_TASK_NANOS: Histogram = Histogram::new("core.mine_task_nanos");
 /// Per-watermark emit latency: duration of a `sink.progress(..)` call
 /// (includes checkpoint commit when a `CheckpointSink` is attached).
-pub static CORE_EMIT_NANOS: LatencyHisto = LatencyHisto::new("core.emit_nanos");
-/// Checkpoint commit latency: one atomic manifest save in `ckpt::save`.
-pub static CORE_CKPT_COMMIT_NANOS: LatencyHisto = LatencyHisto::new("core.ckpt_commit_nanos");
+pub static CORE_EMIT_NANOS: Histogram = Histogram::new("core.emit_nanos");
+/// Checkpoint commit latency: one whole commit of `cfp-mine
+/// --checkpoint-dir` — flushing the output, syncing it, and the atomic
+/// manifest save.
+pub static CORE_CKPT_COMMIT_NANOS: Histogram = Histogram::new("core.ckpt_commit_nanos");
 /// Partitioned-run projection latency: projecting the database onto one
 /// item range.
-pub static CORE_SPILL_PROJECT_NANOS: LatencyHisto = LatencyHisto::new("core.spill_project_nanos");
+pub static CORE_SPILL_PROJECT_NANOS: Histogram = Histogram::new("core.spill_project_nanos");
 /// Partitioned-run per-attempt latency: one projection's whole driver
 /// run — count, build, convert (with the spill round trip out of core)
 /// and mine — including attempts that exhaust the budget and are halved.
-pub static CORE_SPILL_MINE_NANOS: LatencyHisto = LatencyHisto::new("core.spill_mine_nanos");
+pub static CORE_SPILL_MINE_NANOS: Histogram = Histogram::new("core.spill_mine_nanos");
 /// Spill-partition serialize + atomic-write latency.
-pub static DATA_SPILL_WRITE_NANOS: LatencyHisto = LatencyHisto::new("data.spill_write_nanos");
+pub static DATA_SPILL_WRITE_NANOS: Histogram = Histogram::new("data.spill_write_nanos");
 /// Spill-partition read + decode latency.
-pub static DATA_SPILL_LOAD_NANOS: LatencyHisto = LatencyHisto::new("data.spill_load_nanos");
+pub static DATA_SPILL_LOAD_NANOS: Histogram = Histogram::new("data.spill_load_nanos");
 /// Double-buffered reader: consumer wait for the next filled buffer.
-pub static DATA_BUFFER_WAIT_NANOS: LatencyHisto = LatencyHisto::new("data.buffer_wait_nanos");
+pub static DATA_BUFFER_WAIT_NANOS: Histogram = Histogram::new("data.buffer_wait_nanos");
+/// Mine-phase recursion depth (suffix length) of each conditional
+/// pattern base examined.
+pub static CORE_RECURSION_DEPTH: Histogram = Histogram::new("core.recursion_depth");
+/// Mine-phase pattern-base size: the nodes of each conditional pattern
+/// base examined.
+pub static CORE_PATTERN_BASE_SIZE: Histogram = Histogram::new("core.pattern_base_size");
+/// Mine-phase arena bytes of each conditional tree the moment it
+/// finishes building (per-task peaks).
+pub static CORE_COND_TREE_BYTES: Histogram = Histogram::new("core.cond_tree_bytes");
 
 /// Every histogram in the registry, sorted by name.
-static ALL: &[&LatencyHisto] = &[
+static ALL: &[&Histogram] = &[
     &CORE_CKPT_COMMIT_NANOS,
+    &CORE_COND_TREE_BYTES,
     &CORE_EMIT_NANOS,
     &CORE_MINE_TASK_NANOS,
+    &CORE_PATTERN_BASE_SIZE,
+    &CORE_RECURSION_DEPTH,
     &CORE_SPILL_MINE_NANOS,
     &CORE_SPILL_PROJECT_NANOS,
     &DATA_BUFFER_WAIT_NANOS,
@@ -307,7 +325,7 @@ pub fn maybe_now() -> Option<Instant> {
 /// Record the elapsed nanoseconds since a [`maybe_now`] capture. A `None`
 /// start (tracing disabled at capture time) records nothing.
 #[inline]
-pub fn record_since(h: &LatencyHisto, start: Option<Instant>) {
+pub fn record_since(h: &Histogram, start: Option<Instant>) {
     if let Some(t0) = start {
         let nanos = t0.elapsed().as_nanos();
         h.record(nanos.min(u64::MAX as u128) as u64);
@@ -317,13 +335,13 @@ pub fn record_since(h: &LatencyHisto, start: Option<Instant>) {
 /// RAII variant: records into `h` when dropped. `None` when tracing is
 /// disabled, so `let _t = hist::timer(&H);` is free in the off state.
 #[inline]
-pub fn timer(h: &'static LatencyHisto) -> Option<HistTimer> {
+pub fn timer(h: &'static Histogram) -> Option<HistTimer> {
     maybe_now().map(|start| HistTimer { h, start })
 }
 
 /// Guard returned by [`timer`].
 pub struct HistTimer {
-    h: &'static LatencyHisto,
+    h: &'static Histogram,
     start: Instant,
 }
 
@@ -404,7 +422,7 @@ mod tests {
 
     #[test]
     fn percentiles_and_max() {
-        let h = LatencyHisto::new("test");
+        let h = Histogram::new("test");
         for v in 1..=1000u64 {
             h.record(v);
         }
@@ -419,8 +437,8 @@ mod tests {
 
     #[test]
     fn merge_adds() {
-        let a = LatencyHisto::new("a");
-        let b = LatencyHisto::new("b");
+        let a = Histogram::new("a");
+        let b = Histogram::new("b");
         a.record(5);
         a.record(500);
         b.record(70_000);
@@ -432,8 +450,17 @@ mod tests {
     }
 
     #[test]
+    fn registry_is_sorted_by_name() {
+        let names: Vec<_> = ALL.iter().map(|h| h.name()).collect();
+        let mut sorted = names.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        assert_eq!(names, sorted, "the registry lists unique names in name order");
+    }
+
+    #[test]
     fn empty_histogram_is_all_zero() {
-        let h = LatencyHisto::new("empty");
+        let h = Histogram::new("empty");
         let s = h.summary();
         assert_eq!((s.count, s.p50, s.p999, s.max), (0, 0, 0, 0));
     }

@@ -7,14 +7,19 @@
 //! `tracing` ecosystem — the workspace must build fully offline — and
 //! without perturbing the numbers it measures:
 //!
-//! - [`counters`]: a static registry of atomic [`Counter`]s,
-//!   [`MaxGauge`]s, and [`Histogram`]s. All metrics are defined centrally
-//!   here; producer crates (`cfp-memman`, `cfp-tree`, `cfp-array`,
+//! - [`counters`]: a static registry of atomic [`Counter`]s and
+//!   [`MaxGauge`]s. All metrics are defined centrally here and in
+//!   [`hist`]; producer crates (`cfp-memman`, `cfp-tree`, `cfp-array`,
 //!   `cfp-core`) bump them directly.
+//! - [`hist`]: the one histogram type, [`Histogram`]: log-linear
+//!   (HDR-style), fixed-memory, with lock-free atomic buckets, an exact
+//!   count, sum and maximum, and percentiles within 6.25%; mergeable
+//!   across workers. The registry's eleven instances time latencies and
+//!   record the mine phase's distributions.
 //! - [`span`]: phase spans ([`Phase`], [`span()`]) accumulating wall time
 //!   per mining phase into atomics, plus aggregate recursion events for
-//!   the conditional-tree descent (depth histogram, pattern-base sizes,
-//!   single-path short-circuits).
+//!   the conditional-tree descent (depth and pattern-base size
+//!   histograms, single-path short-circuits).
 //! - [`sampler`]: a background [`MemSampler`] thread snapshotting the
 //!   memory gauges at a configurable interval into a time series.
 //! - [`events`]: the event timeline — lock-free per-thread ring buffers
@@ -27,20 +32,18 @@
 //! - [`progress`]: a live status heartbeat on stderr.
 //! - [`json`]: a hand-rolled JSON value type, writer, and parser.
 //! - [`snapshot`]: one capture of the registry — phases, counters,
-//!   bucket histograms, latency summaries — and its one serialiser; the
-//!   run report, the metrics export and the flight recorder all embed it.
+//!   histogram summaries — and its one serialiser; the run report, the
+//!   metrics export and the flight recorder all embed it.
 //! - [`report`]: the versioned machine-readable run report
-//!   (`"cfp-profile/3"`) emitted by `cfp-mine --profile`.
+//!   (`"cfp-profile/4"`) emitted by `cfp-mine --profile`.
 //! - [`memstat`]: the versioned space-domain report (`"cfp-memstat/1"`)
 //!   emitted by `cfp-mine --mem-report` — per-component attribution,
 //!   reconciliation audit, structure analytics, and the compression
 //!   table.
-//! - [`hist`]: log-linear (HDR-style) fixed-memory latency histograms
-//!   with lock-free atomic buckets, mergeable across workers.
 //! - [`metrics`]: live export of the registry — Prometheus text
-//!   exposition plus a `"cfp-metrics/2"` JSONL stream, rewritten
+//!   exposition plus a `"cfp-metrics/3"` JSONL stream, rewritten
 //!   atomically every `--metrics-every` interval.
-//! - [`blackbox`]: the flight recorder — checksummed `"cfp-blackbox/2"`
+//! - [`blackbox`]: the flight recorder — checksummed `"cfp-blackbox/3"`
 //!   post-mortems dumped on error exits, rendered by
 //!   `cfp-repro postmortem`.
 //! - [`fnv`]: FNV-1a, the one checksum of every persisted format, and
@@ -93,9 +96,9 @@ pub mod span;
 
 pub use atomic::write_atomic;
 pub use blackbox::BlackboxReport;
-pub use counters::{Counter, Histogram, MaxGauge};
+pub use counters::{Counter, MaxGauge};
 pub use events::{Event, EventKind, EventsSummary, Rung, TrackDump};
-pub use hist::{HistSnapshot, HistSummary, LatencyHisto};
+pub use hist::{HistSnapshot, HistSummary, Histogram};
 pub use json::Json;
 pub use memstat::{MemStatReport, MemSummary};
 pub use metrics::{MetricsExporter, MetricsSnapshot};

@@ -122,19 +122,21 @@ pub struct SavingsRow {
     pub bytes: i64,
 }
 
-/// One distribution summary (count / p50 / p95 / max over log2
-/// buckets), replacing the ad-hoc single maxima of earlier reports.
+/// One mine-phase distribution summary, read from the registry
+/// [`Histogram`](crate::Histogram) of the same name: the count and
+/// maximum are exact, the percentiles within 6.25% (see [`crate::hist`]).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DistRow {
-    /// Distribution name (`"recursion_depth"`, `"cond_tree_bytes"`).
+    /// Distribution name (`"recursion_depth"`, `"cond_tree_bytes"`,
+    /// `"pattern_base_size"`).
     pub name: String,
     /// Recorded samples.
     pub count: u64,
-    /// Upper bound of the median bucket.
+    /// Median.
     pub p50: u64,
-    /// Upper bound of the 95th-percentile bucket.
+    /// 95th percentile.
     pub p95: u64,
-    /// Upper bound of the highest non-empty bucket.
+    /// Largest recorded value.
     pub max: u64,
 }
 
@@ -165,7 +167,7 @@ pub struct MemStatReport {
     pub distributions: Vec<DistRow>,
 }
 
-/// Compact per-component summary folded into `cfp-profile/3` reports,
+/// Compact per-component summary folded into `cfp-profile/4` reports,
 /// so a time-domain consumer sees memory without parsing a full memstat
 /// document.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]

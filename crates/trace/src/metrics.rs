@@ -1,5 +1,5 @@
 //! Live metrics export: periodic registry [`Snapshot`]s, serialized as
-//! Prometheus text exposition format and as a versioned `cfp-metrics/2`
+//! Prometheus text exposition format and as a versioned `cfp-metrics/3`
 //! JSONL stream.
 //!
 //! The [`MetricsExporter`] runs a background thread (same shape as the
@@ -22,9 +22,10 @@ use crate::atomic::write_atomic;
 use crate::json::Json;
 use crate::snapshot::Snapshot;
 
-/// Schema tag carried by every JSONL record. `/2` embeds the shared
-/// registry [`Snapshot`], adding `phases` and `histograms`.
-pub const SCHEMA: &str = "cfp-metrics/2";
+/// Schema tag carried by every JSONL record. `/2` embedded the shared
+/// registry [`Snapshot`]; `/3` drops its `histograms` bucket member,
+/// whose distributions are now `hists` entries.
+pub const SCHEMA: &str = "cfp-metrics/3";
 
 /// One numbered, timestamped registry [`Snapshot`].
 pub struct MetricsSnapshot {
@@ -46,7 +47,7 @@ impl MetricsSnapshot {
         MetricsSnapshot { seq, at_ms, snapshot: Snapshot::capture() }
     }
 
-    /// One `cfp-metrics/2` record (callers emit `to_compact()` + `\n`).
+    /// One `cfp-metrics/3` record (callers emit `to_compact()` + `\n`).
     pub fn to_json(&self) -> Json {
         let mut doc = vec![
             ("schema".into(), Json::str(SCHEMA)),

@@ -3,9 +3,9 @@
 //! `cfp-mine --profile out.json` (and `cfp-repro skew`'s profile of its
 //! dynamic run) serialise a [`RunReport`] — one JSON document per mining run: the run
 //! parameters, the registry [`Snapshot`] every telemetry document embeds
-//! (phases, counters, bucket histograms, latency summaries), and the
-//! memory time series. The document is self-describing via its `schema`
-//! field; consumers must check it before reading anything else.
+//! (phases, counters, histogram summaries), and the memory time series.
+//! The document is self-describing via its `schema` field; consumers
+//! must check it before reading anything else.
 
 use crate::events::EventsSummary;
 use crate::json::Json;
@@ -13,11 +13,12 @@ use crate::memstat::MemSummary;
 use crate::sampler::Sample;
 use crate::snapshot::Snapshot;
 
-/// Schema identifier of the current report layout. `/3` embeds the
-/// shared registry [`Snapshot`] (adding the `hists` latency summaries)
-/// and drops `memory.peak_bytes`/`memory.final_bytes`, which restated
-/// the `mem.peak_bytes`/`mem.current_bytes` counters.
-pub const SCHEMA: &str = "cfp-profile/3";
+/// Schema identifier of the current report layout. `/3` embedded the
+/// shared registry [`Snapshot`] and dropped `memory.peak_bytes` /
+/// `memory.final_bytes`, which restated the `mem.peak_bytes` /
+/// `mem.current_bytes` counters; `/4` drops the `histograms` bucket
+/// member, whose distributions are now `hists` entries.
+pub const SCHEMA: &str = "cfp-profile/4";
 
 /// Everything `--profile` writes about one mining run.
 #[derive(Clone, Debug)]
@@ -87,7 +88,7 @@ impl RunReport {
         }
     }
 
-    /// Serialises to the `cfp-profile/3` JSON document.
+    /// Serialises to the `cfp-profile/4` JSON document.
     pub fn to_json(&self) -> Json {
         let mut run_fields = vec![
             ("dataset".into(), Json::str(self.dataset.clone())),
@@ -209,29 +210,13 @@ mod tests {
     }
 
     #[test]
-    fn histograms_are_sparse_pairs() {
-        crate::counters::TREE_MASK_BYTES.record(0x0F);
-        let report = RunReport::capture("d", 1, 1, "cfp", 1, 0, 1, vec![]);
-        let doc = json::parse(&report.to_json().to_compact()).unwrap();
-        let mask = doc
-            .get("histograms")
-            .and_then(|h| h.get("tree.mask_bytes"))
-            .and_then(Json::as_arr)
-            .expect("mask histogram");
-        assert!(mask
-            .iter()
-            .any(|pair| pair.as_arr().map(|p| p[0].as_u64() == Some(0x0F)) == Some(true)));
-        crate::counters::TREE_MASK_BYTES.reset();
-    }
-
-    #[test]
     fn counters_appear_by_name() {
         let report = RunReport::capture("d", 1, 1, "cfp", 1, 0, 1, vec![]);
         let doc = json::parse(&report.to_json().to_compact()).unwrap();
         let counters = doc.get("counters").expect("counters object");
         assert!(counters.get("memman.allocs").is_some());
         assert!(counters.get("core.conditional_trees").is_some());
-        assert!(doc.get("hists").is_some(), "latency summaries ride along");
+        assert!(doc.get("hists").is_some(), "histogram summaries ride along");
     }
 
     #[test]
@@ -248,7 +233,7 @@ mod tests {
         };
         let with = RunReport { events: Some(events), ..base };
         let doc = json::parse(&with.to_json().to_pretty()).unwrap();
-        assert_eq!(doc.get("schema").and_then(Json::as_str), Some("cfp-profile/3"));
+        assert_eq!(doc.get("schema").and_then(Json::as_str), Some("cfp-profile/4"));
         let events = doc.get("events").expect("events section");
         assert_eq!(events.get("tracks").and_then(Json::as_u64), Some(4));
         assert_eq!(events.get("dropped_events").and_then(Json::as_u64), Some(12));

@@ -9,13 +9,11 @@
 //! The conditional-tree descent of the mine phase would produce millions
 //! of events if logged individually; instead [`conditional_tree`] and
 //! [`single_path`] fold each event into the aggregate registry metrics
-//! (depth histogram, max depth, pattern-base size histogram, short-circuit
-//! counter) in a few relaxed atomic ops.
+//! (conditional-tree and short-circuit counters, depth and pattern-base
+//! size histograms) in a few relaxed atomic ops.
 
-use crate::counters::{
-    CORE_CONDITIONAL_TREES, CORE_DEPTH, CORE_MAX_DEPTH, CORE_PATTERN_BASE_LOG2,
-    CORE_SINGLE_PATH_SHORTCUTS,
-};
+use crate::counters::{CORE_CONDITIONAL_TREES, CORE_SINGLE_PATH_SHORTCUTS};
+use crate::hist::{CORE_PATTERN_BASE_SIZE, CORE_RECURSION_DEPTH};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -175,16 +173,15 @@ pub fn reset() {
 }
 
 /// Records one conditional-tree recursion at `depth` (length of the
-/// current suffix) over a pattern base of `pattern_base_size` paths.
+/// current suffix) over a pattern base of `pattern_base_size` nodes.
 ///
 /// Callers must check [`crate::enabled()`] first — this is the per-item
 /// hot path of the mine phase.
 #[inline]
 pub fn conditional_tree(depth: usize, pattern_base_size: usize) {
     CORE_CONDITIONAL_TREES.inc();
-    CORE_DEPTH.record(depth);
-    CORE_MAX_DEPTH.record(depth as u64);
-    CORE_PATTERN_BASE_LOG2.record_log2(pattern_base_size as u64);
+    CORE_RECURSION_DEPTH.record(depth as u64);
+    CORE_PATTERN_BASE_SIZE.record(pattern_base_size as u64);
 }
 
 /// Records one recursion answered by the single-path short-circuit

@@ -690,8 +690,6 @@ impl CfpTree {
         std.encode(self.arena.bytes_mut(off, size));
         if cfp_trace::enabled() {
             tc::TREE_STANDARD_NODES.inc();
-            // First byte of a standard node is its compression mask.
-            tc::TREE_MASK_BYTES.record(self.arena.byte(off) as usize);
         }
         Ok(off)
     }

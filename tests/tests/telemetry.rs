@@ -9,7 +9,7 @@
 //! sub-bucket (relative error ≤ 2^-SUB_BITS = 6.25%) of the exact
 //! order-statistic computed from a sorted copy of the same samples.
 
-use cfp_trace::hist::{self, LatencyHisto};
+use cfp_trace::hist::{self, Histogram};
 use cfp_trace::{blackbox, json, metrics, Json, RunReport, Snapshot};
 
 /// xorshift64* — a tiny seeded generator so distributions are
@@ -37,7 +37,7 @@ fn exact_percentile(sorted: &[u64], q: f64) -> u64 {
 /// Asserts every tracked quantile of `samples` is within the log-linear
 /// error bound of the exact oracle.
 fn check_against_oracle(samples: &[u64], what: &str) {
-    let h = LatencyHisto::new("test.oracle");
+    let h = Histogram::new("test.oracle");
     for &s in samples {
         h.record(s);
     }
@@ -104,7 +104,7 @@ fn merge_is_associative_and_order_independent() {
         (0..4).map(|_| (0..2_500).map(|_| rng.next() % 10_000_000).collect()).collect();
 
     // One histogram fed everything, in order.
-    let all = LatencyHisto::new("test.all");
+    let all = Histogram::new("test.all");
     for chunk in &chunks {
         for &s in chunk {
             all.record(s);
@@ -112,18 +112,18 @@ fn merge_is_associative_and_order_independent() {
     }
 
     // Per-chunk histograms merged left-to-right ((a+b)+c)+d ...
-    let left = LatencyHisto::new("test.left");
+    let left = Histogram::new("test.left");
     // ... and in reverse order d+(c+(b+a)) via snapshots.
-    let right = LatencyHisto::new("test.right");
+    let right = Histogram::new("test.right");
     for chunk in &chunks {
-        let part = LatencyHisto::new("test.part");
+        let part = Histogram::new("test.part");
         for &s in chunk {
             part.record(s);
         }
         left.merge_from(&part);
     }
     for chunk in chunks.iter().rev() {
-        let part = LatencyHisto::new("test.part");
+        let part = Histogram::new("test.part");
         for &s in chunk {
             part.record(s);
         }
@@ -236,9 +236,10 @@ fn metrics_snapshot_json_carries_schema_and_histograms() {
     let doc = json::parse(&snap.to_json().to_pretty()).expect("snapshot JSON parses");
     assert_eq!(doc.get("schema").and_then(|j| j.as_str()), Some(metrics::SCHEMA));
     assert_eq!(doc.get("seq").and_then(|j| j.as_u64()), Some(3));
-    for member in ["phases", "counters", "histograms", "hists"] {
+    for member in ["phases", "counters", "hists"] {
         assert!(doc.get(member).is_some(), "{member} missing");
     }
+    assert!(doc.get("histograms").is_none(), "every histogram is summarised in hists");
 }
 
 #[test]
@@ -263,17 +264,20 @@ fn blackbox_round_trips_with_a_valid_checksum_and_renders() {
 }
 
 /// The run report, a metrics record and a post-mortem built around one
-/// registry snapshot carry byte-identical `phases`, `counters`,
-/// `histograms` and `hists` members: one serialiser writes all three.
+/// registry snapshot carry byte-identical `phases`, `counters` and
+/// `hists` members: one serialiser writes all three.
 #[test]
 fn one_snapshot_serialises_identically_in_all_three_documents() {
-    let emit = LatencyHisto::new("core.emit_nanos");
+    let emit = Histogram::new("core.emit_nanos");
     emit.record(1_500);
+    let depth = Histogram::new("core.recursion_depth");
+    for d in [1, 1, 1, 1, 1, 2, 2] {
+        depth.record(d);
+    }
     let snapshot = Snapshot {
         phases: cfp_trace::span::phase_snapshot(),
         counters: vec![("core.patterns_emitted", 13), ("mem.peak_bytes", 4096)],
-        histograms: vec![("core.recursion_depth", vec![0, 5, 2])],
-        hists: vec![emit.summary()],
+        hists: vec![emit.summary(), depth.summary()],
     };
     let profile = RunReport {
         dataset: "d".into(),
@@ -302,7 +306,7 @@ fn one_snapshot_serialises_identically_in_all_three_documents() {
         degradation: None,
     }
     .to_json();
-    for member in ["phases", "counters", "histograms", "hists"] {
+    for member in ["phases", "counters", "hists"] {
         let text = |doc: &Json| doc.get(member).expect(member).to_compact();
         assert_eq!(text(&profile), text(&record), "{member}: profile vs metrics record");
         assert_eq!(text(&profile), text(&postmortem), "{member}: profile vs post-mortem");
