@@ -13,7 +13,7 @@
 //!   parallel                  mine-phase scaling with worker threads
 //!   skew                      round-robin deal vs dynamic scheduling on
 //!                             a skewed dataset; with --csv also writes
-//!                             the dynamic run's cfp-profile/4 JSON
+//!                             the dynamic run's cfp-profile/5 JSON
 //!   all                       everything above
 //!
 //! cfp-repro ckpt-trim OUTPUT CKPT_DIR
@@ -29,7 +29,7 @@
 //!   error (exit 9 on a torn/corrupt manifest, 1 when none exists).
 //!
 //! cfp-repro postmortem BLACKBOX
-//!   Verifies a `cfp-blackbox/3` flight-recorder dump's checksum and
+//!   Verifies a `cfp-blackbox/4` flight-recorder dump's checksum and
 //!   renders it as a readable report: the fatal error and exit code,
 //!   run context, phase times, histogram percentiles, memory state,
 //!   degradation rungs, counters, and the last events per thread.
@@ -126,7 +126,7 @@ fn run(name: &str, csv_dir: Option<&std::path::Path>) {
         "parallel" => emit("parallel", &experiments::parallel_scaling(), csv_dir),
         "skew" => {
             emit("skew", &experiments::skew(), csv_dir);
-            // A cfp-profile/4 document of the dynamic run, so the steal
+            // A cfp-profile/5 document of the dynamic run, so the steal
             // and arena-reset counters are inspectable machine-readably.
             let p = cfp_data::profiles::by_name("kosarak-like").expect("profile exists");
             let db = p.generate();

@@ -1,5 +1,5 @@
 //! Plain-text table rendering for experiment reports, plus traced runs
-//! producing machine-readable `cfp-profile/4` documents.
+//! producing machine-readable `cfp-profile/5` documents.
 
 use cfp_data::miner::CountingSink;
 use cfp_data::{Miner, TransactionDb};

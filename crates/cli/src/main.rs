@@ -32,7 +32,7 @@
 //!   --rules CONF       print association rules with confidence ≥ CONF
 //!   --image PATH       also save a reusable mining image (cfp only)
 //!   --stats            print phase times and peak memory to stderr
-//!   --profile PATH     enable tracing and write a cfp-profile/4 JSON
+//!   --profile PATH     enable tracing and write a cfp-profile/5 JSON
 //!                      run report to PATH: the registry snapshot
 //!                      (phase spans, counters, histogram summaries),
 //!                      the memory time series and the event summary
@@ -58,15 +58,16 @@
 //!                      text rewritten at PATH, one cfp-metrics/3 JSON
 //!                      record appended to PATH.jsonl
 //!   --blackbox DIR     on an exit of 3–10 or a panic, write a
-//!                      checksummed cfp-blackbox/3 post-mortem (the
+//!                      checksummed cfp-blackbox/4 post-mortem (the
 //!                      registry snapshot plus each thread's last
 //!                      events) to DIR/blackbox.json
 //!   --recover POLICY   escalation ladder on failure: off (default),
-//!                      retry (compact-and-retry), degrade (… then
-//!                      sequential), partition (… then item-range
-//!                      partitioned fallback mining), spill (… then
-//!                      out-of-core: partition arrays go through
-//!                      crash-safe disk files; cfp only)
+//!                      degrade (rerun on one mine-phase worker; needs
+//!                      --threads > 1, else it fails like off),
+//!                      partition (… then item-range partitioned
+//!                      mining), spill (the same partitions, with their
+//!                      arrays round-tripped through crash-safe disk
+//!                      files; cfp only)
 //!   --spill-dir PATH   parent directory for the spill rung's scratch
 //!                      files (default: the system temp directory; a
 //!                      per-run subdirectory is created and removed on
@@ -173,7 +174,7 @@ fn print_usage() {
     eprintln!("  --count | --rules CONF | --image PATH | --stats | --profile PATH");
     eprintln!("  --trace-out PATH | --flame-out PATH | --progress | --mem-report PATH");
     eprintln!("  --metrics-out PATH [--metrics-every DUR] | --blackbox DIR");
-    eprintln!("  --recover off|retry|degrade|partition|spill | --spill-dir PATH");
+    eprintln!("  --recover off|degrade|partition|spill | --spill-dir PATH");
     eprintln!("  --worker-timeout SECONDS");
     eprintln!("  --checkpoint-dir PATH | --checkpoint-every N | --resume | --deadline SECONDS");
 }
@@ -806,7 +807,7 @@ fn stash_blackbox_degradation(report: &RecoveryReport) {
 /// process code the Rust runtime uses for unwound panics).
 const PANIC_EXIT_CODE: i32 = 101;
 
-/// Dumps a `cfp-blackbox/3` post-mortem if `--blackbox` is armed and the
+/// Dumps a `cfp-blackbox/4` post-mortem if `--blackbox` is armed and the
 /// exit code is one the flight recorder covers: the structured pipeline
 /// failures (3–10) and panics. Usage (2) and plain I/O (1) exits carry
 /// no mining state worth a report.
@@ -1425,10 +1426,14 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("--recover=spill"), "{err}");
 
-        // The policy list in the parse error names spill.
+        // The parse error lists every policy; `retry` is not one.
         let err =
             parse_args(&args(&["in.dat", "--support", "2", "--recover", "disk"])).unwrap_err();
         assert!(err.contains("spill"), "{err}");
+        let err =
+            parse_args(&args(&["in.dat", "--support", "2", "--recover", "retry"])).unwrap_err();
+        assert!(err.contains("unknown recovery policy 'retry'"), "{err}");
+        assert!(err.contains("(off|degrade|partition|spill)"), "{err}");
 
         // --recover=spill applies to the cfp algorithm only.
         let err = parse_args(&args(&[

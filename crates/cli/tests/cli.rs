@@ -515,7 +515,7 @@ fn profile_and_metrics_record_share_one_snapshot() {
 }
 
 /// Golden test for the machine-readable run report: `--profile` must emit
-/// a valid `cfp-profile/4` document whose structure downstream tooling can
+/// a valid `cfp-profile/5` document whose structure downstream tooling can
 /// rely on. Parsed with the same zero-dependency parser shipped in
 /// `cfp-trace`, so writer and reader are exercised together.
 #[test]
@@ -541,7 +541,7 @@ fn profile_report_is_valid_and_complete() {
     let text = std::fs::read_to_string(&report_path).unwrap();
     let doc = json::parse(&text).expect("profile must be valid JSON");
 
-    assert_eq!(doc.get("schema").and_then(Json::as_str), Some("cfp-profile/4"));
+    assert_eq!(doc.get("schema").and_then(Json::as_str), Some("cfp-profile/5"));
 
     let run = doc.get("run").expect("run object");
     assert_eq!(run.get("transactions").and_then(Json::as_u64), Some(9));
@@ -764,7 +764,7 @@ fn recovery_rungs_appear_on_the_event_timeline() {
         .filter(|e| e.get("cat").and_then(Json::as_str) == Some("recover"))
         .filter_map(|e| e.get("name").and_then(Json::as_str))
         .collect();
-    assert_eq!(rungs, ["rung retry", "rung partition"], "threads=1 skips the degrade rung");
+    assert_eq!(rungs, ["rung partition"], "threads=1 skips the degrade rung");
     std::fs::remove_file(&trace_path).ok();
 }
 
@@ -1038,7 +1038,7 @@ fn partitioned_recovery_matches_unconstrained_output() {
     assert!(partitions >= 2, "expected a real split, got {partitions}");
     let rungs = deg.get("rungs").and_then(Json::as_arr).expect("rungs array");
     let names: Vec<&str> = rungs.iter().filter_map(|r| r.get("rung")?.as_str()).collect();
-    assert_eq!(names, ["retry", "partition"], "threads=1 skips the degrade rung");
+    assert_eq!(names, ["partition"], "threads=1 skips the degrade rung");
     let last = rungs.last().unwrap();
     assert_eq!(last.get("succeeded"), Some(&Json::Bool(true)));
 

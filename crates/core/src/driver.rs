@@ -706,10 +706,7 @@ impl<'a> OrderedEmitter<'a> {
             self.next -= 1;
             self.entered = false;
             if live {
-                let emit_t0 = cfp_trace::hist::maybe_now();
-                let emitted = self.sink.progress(cfp_data::MineProgress::Items { done });
-                cfp_trace::hist::record_since(&cfp_trace::hist::CORE_EMIT_NANOS, emit_t0);
-                emitted?;
+                self.sink.progress(cfp_data::MineProgress::Items { done })?;
             }
         }
         Ok(())

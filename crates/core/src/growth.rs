@@ -46,24 +46,23 @@ use std::sync::{Arc, Mutex};
 /// Options threaded through the mine phase's conditional-tree recursion.
 ///
 /// The defaults reproduce the classic behaviour exactly: conditional
-/// trees are uncapped and never compact. The recovery ladder
-/// ([`crate::supervisor::Supervisor`]) passes a shared [`BudgetPool`] so
-/// that *every* arena of a run — the initial tree and all conditional
-/// trees — answers to one limit, and turns on compact-on-pressure so a
-/// denied allocation first reclaims trailing free chunks and retries.
+/// trees are uncapped. The recovery ladder
+/// ([`crate::supervisor::Supervisor`]) passes a shared [`BudgetPool`]
+/// so that *every* arena of a run — the initial tree and all
+/// conditional trees — answers to one limit.
 #[derive(Clone, Debug, Default)]
 pub struct MineOpts {
     /// Shared byte pool charged by the initial and conditional tree
     /// arenas. Exhaustion surfaces as [`CfpError::MemoryExhausted`].
     pub pool: Option<BudgetPool>,
-    /// Compact an arena and retry once before reporting exhaustion.
-    pub compact_on_pressure: bool,
     /// Mine out of core through spill files ([`CondSpill`]): the
     /// first-level CFP-array and every conditional array at or above the
-    /// hook's threshold round-trip through a file and are mined from a
-    /// zero-copy view, leaving their data bytes outside pool-metered
-    /// memory. Armed by the supervisor's spill placement; `None` keeps
-    /// every structure in RAM (classic behaviour).
+    /// hook's threshold make a checksummed write, fsync and read round
+    /// trip through a crash-safe file and are mined from one shared
+    /// buffer. Arrays are unmetered charges in RAM and on disk alike, so
+    /// the round trip never changes admission. Armed by the supervisor's
+    /// spill placement; `None` keeps every structure in RAM (classic
+    /// behaviour).
     pub cond_spill: Option<CondSpill>,
     /// Cooperative cancellation, polled by the workers at task boundaries
     /// and by the ordered emitter between first-level items. When it
@@ -91,11 +90,7 @@ pub struct MineOpts {
 
 impl MineOpts {
     pub(crate) fn arena_options(&self, component: Component) -> ArenaOptions {
-        ArenaOptions {
-            pool: self.pool.clone(),
-            compact_on_pressure: self.compact_on_pressure,
-            component,
-        }
+        ArenaOptions { pool: self.pool.clone(), component }
     }
 }
 
@@ -467,16 +462,12 @@ pub fn try_build_tree(
     try_build_tree_with(
         db,
         min_support,
-        ArenaOptions {
-            pool: budget.map(BudgetPool::new),
-            component: Component::BuildTree,
-            ..Default::default()
-        },
+        ArenaOptions { pool: budget.map(BudgetPool::new), component: Component::BuildTree },
     )
 }
 
 /// [`try_build_tree`] with full [`ArenaOptions`]: the initial tree can
-/// draw from a shared [`BudgetPool`] and compact under pressure.
+/// draw from a shared [`BudgetPool`].
 pub fn try_build_tree_with(
     db: &TransactionDb,
     min_support: u64,
@@ -598,8 +589,8 @@ impl Miner for CfpGrowthMiner {
 impl CfpGrowthMiner {
     /// [`Miner::try_mine`] with explicit [`MineOpts`]: a shared budget
     /// pool covering the initial *and* every conditional tree,
-    /// compact-on-pressure retry, cancellation, resume, and the output
-    /// mode. `try_mine` delegates here with the defaults.
+    /// cancellation, resume, and the output mode. `try_mine` delegates
+    /// here with the defaults.
     pub fn try_mine_with(
         &self,
         db: &TransactionDb,
@@ -869,8 +860,8 @@ fn conditional(
     // frequencies, walking the base for the first and only time. That
     // walk streams rather than records: a dense base kept in memory
     // would cost megabytes (3.9 MB on connect-like at 80%).
-    // Conditional arenas share the run's budget pool (when one is set) and
-    // may compact-and-retry; exhaustion surfaces with the "mine" phase.
+    // Conditional arenas share the run's budget pool (when one is set);
+    // exhaustion surfaces with the "mine" phase.
     // A worker rebuilds inside its long-lived arena instead of allocating
     // a fresh one per conditional tree.
     let mut cond_tree = match ctx.scratch.arena.take() {
@@ -920,10 +911,11 @@ fn conditional(
     arena.reset_with(StatsReset::ClearPeaks);
     ctx.scratch.arena = Some(arena);
     // Out-of-core hook: an oversized conditional array round-trips
-    // through a spill file and comes back as a shared view, so its data
-    // block leaves pool-metered memory. The checksum on the file proves
-    // the round trip intact; mining a view is byte-identical to mining
-    // the owned original, whose pair table the view keeps.
+    // through a spill file and comes back as a shared view. The array is
+    // an unmetered charge either way, so admission does not change. The
+    // checksum on the file proves the round trip intact; mining a view
+    // is byte-identical to mining the owned original, whose pair table
+    // the view keeps.
     let cond_array = match &ctx.opts.cond_spill {
         Some(cs) if cond_array.data_bytes() >= cs.threshold() => cs.round_trip(cond_array)?,
         _ => cond_array,
@@ -1292,11 +1284,7 @@ mod tests {
         drop(tree);
         let globals: Vec<Item> =
             (0..recoder.num_items() as u32).map(|i| recoder.original(i)).collect();
-        let opts = MineOpts {
-            pool: Some(BudgetPool::new(4)),
-            compact_on_pressure: true,
-            ..Default::default()
-        };
+        let opts = MineOpts { pool: Some(BudgetPool::new(4)), ..Default::default() };
         let mut sink = CountingSink::new();
         let last = recoder.num_items() as u32 - 1;
         let err = mine_one_item(

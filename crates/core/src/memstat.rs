@@ -1,7 +1,7 @@
 //! Assembles the `cfp-memstat/1` space-domain report.
 //!
 //! The data model lives in [`cfp_trace::memstat`] (so the trace crate
-//! can fold summaries into `cfp-profile/4` documents without depending
+//! can fold summaries into `cfp-profile/5` documents without depending
 //! on the mining layers); *assembling* a report needs the pool, the
 //! tree, the array, and the analytics passes at once, which only this
 //! crate can see. [`collect_memstat`] runs a post-mining analytics pass:
@@ -81,11 +81,7 @@ pub fn collect_memstat(
     let (_recoder, tree) = try_build_tree_with(
         db,
         min_support,
-        ArenaOptions {
-            pool: Some(pool.clone()),
-            component: Component::BuildTree,
-            ..Default::default()
-        },
+        ArenaOptions { pool: Some(pool.clone()), component: Component::BuildTree },
     )?;
     let tr = cfp_tree::analysis::tree_report(&tree);
     let array = convert(&tree);

@@ -48,12 +48,13 @@ pub(crate) fn load_spill_array(path: &Path) -> Result<(CfpArray, u64), CfpError>
 /// [`MineOpts`](crate::growth::MineOpts).
 ///
 /// When set, the first-level CFP-array, and any conditional CFP-array
-/// whose data block reaches `threshold` bytes, is round-tripped through a
-/// spill file: written with the atomic protocol, read back, and replaced
-/// by a zero-copy shared view whose data bytes no longer live in
-/// pool-metered memory. The supervisor's spill policy arms this with a
-/// quarter of the budget as the threshold (no conditional array spills
-/// without a budget).
+/// whose data block reaches `threshold` bytes, makes a checksummed
+/// write, fsync and read round trip through a crash-safe spill file and
+/// is replaced by a view over one shared buffer. Arrays are unmetered
+/// charges whether owned or shared, so the round trip never changes what
+/// the budget pool admits; a disk fault surfaces as [`CfpError::Spill`].
+/// The supervisor's spill policy arms this with a quarter of the budget
+/// as the threshold (no conditional array spills without a budget).
 #[derive(Clone, Debug)]
 pub struct CondSpill {
     dir: Arc<cfp_data::spill::SpillDir>,

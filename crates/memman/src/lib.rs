@@ -36,12 +36,9 @@
 //! [`alloc`](Arena::alloc)/[`realloc`](Arena::realloc) wrappers remain
 //! for contexts that treat exhaustion as fatal (tests, ad-hoc tools).
 //!
-//! Two recovery hooks build on that: [`Arena::compact`] returns trailing
-//! free chunks to the OS-facing footprint (live chunks never move, so
-//! offsets stay valid), and a [`BudgetPool`] shares one byte limit
-//! between several arenas — together they let the mining layers retry,
-//! degrade, or partition a run instead of aborting it (see
-//! [`ArenaOptions`]).
+//! A [`BudgetPool`] builds on that: it shares one byte limit between
+//! several arenas (see [`ArenaOptions`]), so the mining layers can
+//! degrade or partition a run that exhausts it instead of aborting.
 //!
 //! Misuse, by contrast, stays a programming error: freeing the same
 //! chunk twice corrupts the free queue into a cycle, so debug builds
@@ -196,7 +193,7 @@ impl PoolSnapshot {
 /// allocation leaves the arena usable.
 ///
 /// Clones share the same pool (`Arc` inside). Reservations are released
-/// when an arena is dropped or compacted, and the high-water mark is
+/// when an arena is dropped or reset, and the high-water mark is
 /// recorded in [`peak`](BudgetPool::peak).
 #[derive(Clone, Debug)]
 pub struct BudgetPool {
@@ -211,7 +208,6 @@ struct PoolInner {
     used: AtomicU64,
     peak: AtomicU64,
     reserved_total: AtomicU64,
-    compact_reclaimed: AtomicU64,
     /// Unmetered attribution charges (never count against `limit`).
     external_used: AtomicU64,
     /// Per-component live bytes (metered + external).
@@ -229,7 +225,6 @@ impl BudgetPool {
                 used: AtomicU64::new(0),
                 peak: AtomicU64::new(0),
                 reserved_total: AtomicU64::new(0),
-                compact_reclaimed: AtomicU64::new(0),
                 external_used: AtomicU64::new(0),
                 comp_used: Default::default(),
                 comp_peak: Default::default(),
@@ -354,12 +349,6 @@ impl BudgetPool {
         self.inner.reserved_total.load(Ordering::Relaxed)
     }
 
-    /// Total bytes returned to the pool by [`Arena::compact`] calls, for
-    /// degradation reports.
-    pub fn compact_reclaimed(&self) -> u64 {
-        self.inner.compact_reclaimed.load(Ordering::Relaxed)
-    }
-
     /// Live bytes currently attributed to `component` (metered carved
     /// bytes plus external charges).
     pub fn component_used(&self, component: Component) -> u64 {
@@ -395,23 +384,15 @@ impl BudgetPool {
                 .collect(),
         }
     }
-
-    fn release_reclaimed(&self, component: Component, bytes: u64) {
-        self.release_for(component, bytes);
-        self.inner.compact_reclaimed.fetch_add(bytes, Ordering::Relaxed);
-    }
 }
 
 /// Construction-time knobs for an [`Arena`], threaded down from the
-/// mining layers so recovery policies can arm them per run.
+/// mining layers so a run can share one budget across its arenas.
 #[derive(Clone, Debug, Default)]
 pub struct ArenaOptions {
     /// Shared pool this arena reserves its carved bytes from (see
     /// [`BudgetPool`]).
     pub pool: Option<BudgetPool>,
-    /// When an allocation is refused, [`Arena::compact`] once and retry
-    /// before reporting failure.
-    pub compact_on_pressure: bool,
     /// Attribution label for this arena's pool reservations (see
     /// [`Component`]); purely observational, never changes admission.
     pub component: Component,
@@ -505,11 +486,6 @@ pub struct ArenaStats {
     pub grows: u64,
     /// Reallocations that moved to a smaller chunk class.
     pub shrinks: u64,
-    /// [`Arena::compact`] calls (explicit or triggered by
-    /// [`ArenaOptions::compact_on_pressure`]).
-    pub compactions: u64,
-    /// Total bytes returned to the OS-facing footprint by compaction.
-    pub compact_reclaimed: u64,
     /// [`Arena::reset`] calls (arena recycled for a new structure).
     pub resets: u64,
     /// High-water mark of live (used) bytes in *this* arena since its
@@ -552,8 +528,6 @@ pub struct Arena {
     stats: ArenaStats,
     /// Optional shared pool carved bytes are reserved from.
     pool: Option<BudgetPool>,
-    /// Compact-and-retry once when an allocation is refused.
-    compact_on_pressure: bool,
     /// Attribution label for pool reservations.
     component: Component,
 }
@@ -582,17 +556,15 @@ impl Arena {
             live: 0,
             stats: ArenaStats::default(),
             pool: None,
-            compact_on_pressure: false,
             component: Component::Other,
         }
     }
 
     /// Creates an empty arena configured by `opts` (shared pool,
-    /// compact-on-pressure, attribution label).
+    /// attribution label).
     pub fn with_options(opts: ArenaOptions) -> Self {
         let mut a = Self::new();
         a.pool = opts.pool;
-        a.compact_on_pressure = opts.compact_on_pressure;
         a.component = opts.component;
         a
     }
@@ -652,22 +624,15 @@ impl Arena {
             self.free_heads[size] = next;
             return Ok(head);
         }
-        // Bump path: validate before touching any accounting. Under
-        // `compact_on_pressure`, a refusal triggers one compaction and
-        // one re-check before the failure is reported.
+        // Bump path: validate before touching any accounting.
         if let Err(e) = self.admit_bump(size) {
             if cfp_trace::events::capturing() {
                 cfp_trace::events::record(cfp_trace::EventKind::ArenaPressure {
                     requested: size as u64,
                 });
             }
-            if !self.compact_on_pressure || self.compact() == 0 {
-                return Err(e);
-            }
-            self.admit_bump(size)?;
+            return Err(e);
         }
-        // Compaction may have moved the bump pointer, so read it after
-        // admission.
         let off = self.buf.len() as u64;
         self.used += size as u64;
         self.live += 1;
@@ -718,71 +683,6 @@ impl Arena {
             }
         }
         Ok(())
-    }
-
-    /// Returns trailing free chunks to the OS-facing footprint.
-    ///
-    /// Live chunks never move (offsets handed out stay valid), so the
-    /// only memory compaction can return is the contiguous run of free
-    /// chunks ending exactly at the bump pointer. The surviving free
-    /// chunks are re-threaded into their per-size queues (lowest offset
-    /// first, improving locality of later recycling). Returns the bytes
-    /// reclaimed, released back to the budget/pool and subtracted from
-    /// the footprint gauges.
-    pub fn compact(&mut self) -> u64 {
-        let mut chunks: Vec<(u64, usize)> = Vec::new();
-        for size in MIN_CHUNK..=MAX_CHUNK {
-            let mut cur = self.free_heads[size];
-            while cur != 0 {
-                let next = read_raw40(&self.buf[cur as usize..cur as usize + PTR_BYTES]);
-                chunks.push((cur, size));
-                cur = next;
-            }
-        }
-        chunks.sort_unstable_by_key(|&(off, _)| off);
-        let mut end = self.buf.len() as u64;
-        let mut kept = chunks.len();
-        while kept > 0 {
-            let (off, size) = chunks[kept - 1];
-            if off + size as u64 != end {
-                break;
-            }
-            end = off;
-            kept -= 1;
-        }
-        let reclaimed = self.buf.len() as u64 - end;
-        self.stats.compactions += 1;
-        if reclaimed == 0 {
-            return 0;
-        }
-        self.buf.truncate(end as usize);
-        self.free_heads = [0; MAX_CHUNK + 1];
-        for &(off, size) in chunks[..kept].iter().rev() {
-            let head = self.free_heads[size];
-            write_raw40(&mut self.buf[off as usize..off as usize + PTR_BYTES], head);
-            self.free_heads[size] = off;
-        }
-        self.stats.compact_reclaimed += reclaimed;
-        if let Some(pool) = &self.pool {
-            pool.release_reclaimed(self.component, reclaimed);
-        }
-        if cfp_trace::enabled() {
-            tc::MEMMAN_COMPACTIONS.inc();
-            tc::MEMMAN_COMPACT_RECLAIMED.add(reclaimed);
-            tc::MEMMAN_FOOTPRINT_BYTES.sub(reclaimed);
-            if cfp_trace::events::capturing() {
-                cfp_trace::events::record(cfp_trace::EventKind::ArenaCompact { reclaimed });
-            }
-        }
-        reclaimed
-    }
-
-    /// [`compact`](Self::compact), then returns spare `Vec` capacity to
-    /// the OS. Returns the bytes compaction reclaimed.
-    pub fn shrink_to_fit(&mut self) -> u64 {
-        let reclaimed = self.compact();
-        self.buf.shrink_to_fit();
-        reclaimed
     }
 
     /// Empties the arena for reuse, keeping the buffer capacity.
@@ -1296,84 +1196,10 @@ mod tests {
     }
 
     #[test]
-    fn compact_reclaims_trailing_free_chunks_only() {
-        let mut a = Arena::new();
-        let x = a.alloc(8);
-        let y = a.alloc(12);
-        let _live = a.alloc(24); // pins y away from the tail
-        let z = a.alloc(16);
-        a.bytes_mut(x, 8).copy_from_slice(b"aaaaaaaa");
-        a.free(y, 12); // interior: must survive, queued
-        a.free(z, 16); // tail: reclaimable
-        let before = a.footprint();
-        let reclaimed = a.compact();
-        assert_eq!(reclaimed, 16);
-        assert_eq!(a.footprint(), before - 16);
-        assert_eq!(a.bytes(x, 8), b"aaaaaaaa", "live chunks never move");
-        assert_eq!(a.free_chunks(12), 1, "interior free chunk stays queued");
-        assert_eq!(a.free_chunks(16), 0);
-        assert_eq!(a.alloc(12), y, "surviving queue still recycles");
-        let s = a.stats();
-        assert_eq!(s.compactions, 1);
-        assert_eq!(s.compact_reclaimed, 16);
-    }
-
-    #[test]
-    fn compact_reclaims_a_chain_of_tail_chunks() {
-        let mut a = Arena::new();
-        let _x = a.alloc(8);
-        let y = a.alloc(12);
-        let z = a.alloc(16);
-        // Freed in either order, y and z form a contiguous run that ends
-        // at the bump pointer; both must go.
-        a.free(z, 16);
-        a.free(y, 12);
-        assert_eq!(a.compact(), 28);
-        assert_eq!(a.free_bytes(), 0);
-        // The arena keeps working: new allocations carve at the new end.
-        let w = a.alloc(12);
-        assert_eq!(w, y, "bump pointer moved back to the reclaimed region");
-    }
-
-    #[test]
-    fn compact_with_nothing_to_reclaim_is_a_noop() {
-        let mut a = Arena::new();
-        let x = a.alloc(8);
-        let _y = a.alloc(8);
-        a.free(x, 8); // interior only
-        let before = (a.used(), a.footprint(), a.free_chunks(8));
-        assert_eq!(a.compact(), 0);
-        assert_eq!((a.used(), a.footprint(), a.free_chunks(8)), before);
-    }
-
-    #[test]
-    fn compact_on_pressure_retries_within_budget() {
-        let mut a = Arena::with_options(ArenaOptions {
-            pool: Some(BudgetPool::new(40)),
-            compact_on_pressure: true,
-            component: Component::Other,
-        });
-        let x = a.alloc(16);
-        let y = a.alloc(24); // at the 40-byte cap
-        a.free(y, 24); // tail chunk: compactable
-                       // Without compaction this would be refused (carved stays 40);
-                       // with compact_on_pressure the tail is returned and re-carved.
-        let z = a.try_alloc(20).expect("compaction must free room under the budget");
-        assert_eq!(z, y, "re-carved at the reclaimed tail");
-        assert!(a.stats().compactions >= 1);
-        assert_eq!(a.bytes(x, 16).len(), 16);
-        // Still over-budget requests keep failing cleanly.
-        assert_eq!(a.try_alloc(24).unwrap_err().kind, AllocErrorKind::BudgetExceeded);
-    }
-
-    #[test]
     fn budget_pool_is_shared_across_arenas() {
         let pool = BudgetPool::new(64);
-        let opts = |p: &BudgetPool| ArenaOptions {
-            pool: Some(p.clone()),
-            compact_on_pressure: false,
-            component: Component::Other,
-        };
+        let opts =
+            |p: &BudgetPool| ArenaOptions { pool: Some(p.clone()), component: Component::Other };
         let mut a = Arena::with_options(opts(&pool));
         let mut b = Arena::with_options(opts(&pool));
         let _ = a.alloc(40);
@@ -1389,23 +1215,6 @@ mod tests {
         assert_eq!(pool.used(), 24, "dropping an arena releases its reservation");
         assert!(b.try_alloc(8).is_ok());
         assert_eq!(pool.peak(), 64, "peak keeps the high-water mark");
-    }
-
-    #[test]
-    fn compact_releases_reclaimed_bytes_to_the_pool() {
-        let pool = BudgetPool::new(100);
-        let mut a = Arena::with_options(ArenaOptions {
-            pool: Some(pool.clone()),
-            compact_on_pressure: false,
-            component: Component::Other,
-        });
-        let _x = a.alloc(8);
-        let y = a.alloc(32);
-        a.free(y, 32);
-        assert_eq!(pool.used(), 40);
-        assert_eq!(a.compact(), 32);
-        assert_eq!(pool.used(), 8);
-        assert_eq!(pool.compact_reclaimed(), 32);
     }
 
     #[test]
@@ -1433,7 +1242,6 @@ mod tests {
         let pool = BudgetPool::new(100);
         let mut a = Arena::with_options(ArenaOptions {
             pool: Some(pool.clone()),
-            compact_on_pressure: false,
             component: Component::Other,
         });
         let _x = a.alloc(8);
@@ -1465,12 +1273,10 @@ mod tests {
         let mut build = Arena::with_options(ArenaOptions {
             pool: Some(pool.clone()),
             component: Component::BuildTree,
-            ..Default::default()
         });
         let mut cond = Arena::with_options(ArenaOptions {
             pool: Some(pool.clone()),
             component: Component::CondTrees,
-            ..Default::default()
         });
         assert_eq!(build.component(), Component::BuildTree);
         let _b = build.alloc(24);
@@ -1510,7 +1316,6 @@ mod tests {
         let mut a = Arena::with_options(ArenaOptions {
             pool: Some(pool.clone()),
             component: Component::BuildTree,
-            ..Default::default()
         });
         let _x = a.alloc(17);
         pool.charge_external(Component::CondArrays, 123);

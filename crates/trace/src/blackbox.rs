@@ -1,4 +1,4 @@
-//! The flight recorder: checksummed `cfp-blackbox/3` post-mortem
+//! The flight recorder: checksummed `cfp-blackbox/4` post-mortem
 //! reports dumped when a run dies.
 //!
 //! The richest diagnostic state of a failing run — the per-thread event
@@ -14,7 +14,7 @@
 //! memory figures are the snapshot's `mem.*` and `memman.*` counters.
 //!
 //! ```json
-//! { "schema": "cfp-blackbox/3", "error": ..., "exit_code": ...,
+//! { "schema": "cfp-blackbox/4", "error": ..., "exit_code": ...,
 //!   "context": {...}, "phases": [...], "counters": {...},
 //!   "hists": {...}, "degradation": {...}?,
 //!   "tracks": [ { "name", "tid", "recorded", "dropped",
@@ -37,7 +37,7 @@ use crate::snapshot::Snapshot;
 /// Schema identifier of the post-mortem document. `/3` drops the
 /// snapshot's `histograms` bucket member, whose distributions are now
 /// `hists` entries.
-pub const SCHEMA: &str = "cfp-blackbox/3";
+pub const SCHEMA: &str = "cfp-blackbox/4";
 
 /// Events kept per track: the newest `LAST_EVENTS_PER_TRACK` survive
 /// into the report (the rings already drop oldest-first, this just
@@ -152,7 +152,6 @@ fn event_detail(e: &Event) -> String {
         }
         EventKind::RecExit { item } => format!("item {item}"),
         EventKind::ArenaPressure { requested } => format!("requested {requested} B"),
-        EventKind::ArenaCompact { reclaimed } => format!("reclaimed {reclaimed} B"),
         EventKind::ArenaReset => String::new(),
         EventKind::RecoveryRung(r) => r.name().to_string(),
         EventKind::BufferSwap { rows } => format!("{rows} rows"),
@@ -345,7 +344,7 @@ mod tests {
         let text = render(&doc);
         assert!(text.contains("memory exhausted: test"));
         assert!(text.contains("core.items_mined"));
-        assert!(text.contains("cfp-blackbox/3 post-mortem"));
+        assert!(text.contains("cfp-blackbox/4 post-mortem"));
         assert!(text.contains("peak 4096 B"), "memory is read from the counters: {text}");
     }
 }

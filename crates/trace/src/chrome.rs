@@ -151,15 +151,6 @@ fn emit_track(track: &TrackDump, out: &mut Vec<Json>) {
                     vec![("requested_bytes".into(), Json::u64(requested))],
                 ));
             }
-            EventKind::ArenaCompact { reclaimed } => {
-                out.push(instant(
-                    "arena compact",
-                    "arena",
-                    tid,
-                    ts,
-                    vec![("reclaimed_bytes".into(), Json::u64(reclaimed))],
-                ));
-            }
             EventKind::ArenaReset => {
                 out.push(instant("arena reset", "arena", tid, ts, vec![]));
             }

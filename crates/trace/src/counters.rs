@@ -163,10 +163,6 @@ pub static MEMMAN_USED_BYTES: Gauge = Gauge::new("memman.used_bytes");
 pub static MEMMAN_FOOTPRINT_BYTES: Gauge = Gauge::new("memman.footprint_bytes");
 /// `cfp-memman`: peak of [`MEMMAN_FOOTPRINT_BYTES`] over the run.
 pub static MEMMAN_PEAK_FOOTPRINT: MaxGauge = MaxGauge::new("memman.peak_footprint_bytes");
-/// `cfp-memman`: `Arena::compact` calls across all arenas.
-pub static MEMMAN_COMPACTIONS: Counter = Counter::new("memman.compactions");
-/// `cfp-memman`: bytes returned to the footprint by compaction.
-pub static MEMMAN_COMPACT_RECLAIMED: Counter = Counter::new("memman.compact_reclaimed_bytes");
 /// `cfp-memman`: arenas recycled via `Arena::reset` instead of reallocated.
 pub static MEMMAN_RESETS: Counter = Counter::new("memman.arena_resets");
 /// `cfp-memman`: high-water mark of reserved bytes in the shared budget
@@ -286,8 +282,6 @@ static COUNTERS: &[&Counter] = &[
     &MEMMAN_BUMP_ALLOCS,
     &MEMMAN_GROWS,
     &MEMMAN_SHRINKS,
-    &MEMMAN_COMPACTIONS,
-    &MEMMAN_COMPACT_RECLAIMED,
     &MEMMAN_RESETS,
     &TREE_STANDARD_NODES,
     &TREE_CHAIN_NODES,

@@ -70,16 +70,11 @@ pub enum EventKind {
         /// Item of the matching [`EventKind::RecEnter`].
         item: u32,
     },
-    /// An arena allocation hit memory pressure (budget or bump-space
-    /// exhaustion) and is about to attempt compaction.
+    /// An arena refused a bump allocation (budget or bump-space
+    /// exhaustion); the allocation fails.
     ArenaPressure {
         /// Bytes the failing allocation requested.
         requested: u64,
-    },
-    /// An arena compaction finished.
-    ArenaCompact {
-        /// Bytes returned to the footprint.
-        reclaimed: u64,
     },
     /// An arena was recycled via `reset` instead of reallocated.
     ArenaReset,
@@ -103,8 +98,6 @@ pub enum EventKind {
 /// Rungs of the supervisor's recovery ladder, in escalation order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Rung {
-    /// Compact-and-retry at full parallelism.
-    Retry,
     /// Sequential downshift.
     Degrade,
     /// Partitioned fallback mining.
@@ -117,7 +110,6 @@ impl Rung {
     /// Stable lower-case name, matching the degradation report.
     pub fn name(self) -> &'static str {
         match self {
-            Rung::Retry => "retry",
             Rung::Degrade => "degrade",
             Rung::Partition => "partition",
             Rung::Spill => "spill",
@@ -126,15 +118,14 @@ impl Rung {
 
     fn index(self) -> u32 {
         match self {
-            Rung::Retry => 0,
-            Rung::Degrade => 1,
-            Rung::Partition => 2,
-            Rung::Spill => 3,
+            Rung::Degrade => 0,
+            Rung::Partition => 1,
+            Rung::Spill => 2,
         }
     }
 
     fn from_index(i: u32) -> Option<Rung> {
-        [Rung::Retry, Rung::Degrade, Rung::Partition, Rung::Spill].get(i as usize).copied()
+        [Rung::Degrade, Rung::Partition, Rung::Spill].get(i as usize).copied()
     }
 }
 
@@ -148,7 +139,6 @@ impl EventKind {
             EventKind::RecEnter { .. } => "rec_enter",
             EventKind::RecExit { .. } => "rec_exit",
             EventKind::ArenaPressure { .. } => "arena_pressure",
-            EventKind::ArenaCompact { .. } => "arena_compact",
             EventKind::ArenaReset => "arena_reset",
             EventKind::RecoveryRung(_) => "recovery_rung",
             EventKind::BufferSwap { .. } => "buffer_swap",
@@ -178,11 +168,10 @@ const TAG_TASK_CLAIM: u64 = 3;
 const TAG_REC_ENTER: u64 = 4;
 const TAG_REC_EXIT: u64 = 5;
 const TAG_ARENA_PRESSURE: u64 = 6;
-const TAG_ARENA_COMPACT: u64 = 7;
-const TAG_ARENA_RESET: u64 = 8;
-const TAG_RECOVERY_RUNG: u64 = 9;
-const TAG_BUFFER_SWAP: u64 = 10;
-const TAG_SPILL_IO: u64 = 11;
+const TAG_ARENA_RESET: u64 = 7;
+const TAG_RECOVERY_RUNG: u64 = 8;
+const TAG_BUFFER_SWAP: u64 = 9;
+const TAG_SPILL_IO: u64 = 10;
 
 fn pack(tag: u64, a: u32, b: u16) -> u64 {
     tag | (a as u64) << 8 | (b as u64) << 40
@@ -200,7 +189,6 @@ fn encode(kind: EventKind) -> (u64, u64) {
         }
         EventKind::RecExit { item } => (pack(TAG_REC_EXIT, item, 0), 0),
         EventKind::ArenaPressure { requested } => (TAG_ARENA_PRESSURE, requested),
-        EventKind::ArenaCompact { reclaimed } => (TAG_ARENA_COMPACT, reclaimed),
         EventKind::ArenaReset => (TAG_ARENA_RESET, 0),
         EventKind::RecoveryRung(r) => (pack(TAG_RECOVERY_RUNG, r.index(), 0), 0),
         EventKind::BufferSwap { rows } => (pack(TAG_BUFFER_SWAP, rows, 0), 0),
@@ -218,7 +206,6 @@ fn decode(word1: u64, word2: u64) -> Option<EventKind> {
         TAG_REC_ENTER => Some(EventKind::RecEnter { item: a, depth: b, pattern_base: word2 }),
         TAG_REC_EXIT => Some(EventKind::RecExit { item: a }),
         TAG_ARENA_PRESSURE => Some(EventKind::ArenaPressure { requested: word2 }),
-        TAG_ARENA_COMPACT => Some(EventKind::ArenaCompact { reclaimed: word2 }),
         TAG_ARENA_RESET => Some(EventKind::ArenaReset),
         TAG_RECOVERY_RUNG => Rung::from_index(a).map(EventKind::RecoveryRung),
         TAG_BUFFER_SWAP => Some(EventKind::BufferSwap { rows: a }),
@@ -304,7 +291,7 @@ pub struct TrackDump {
     pub dropped: u64,
 }
 
-/// The `events` summary block of the `cfp-profile/4` report.
+/// The `events` summary block of the `cfp-profile/5` report.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EventsSummary {
     /// Threads that recorded at least one event.
@@ -467,8 +454,8 @@ mod tests {
             EventKind::RecEnter { item: u32::MAX >> 8, depth: 999, pattern_base: 1 << 40 },
             EventKind::RecExit { item: 7 },
             EventKind::ArenaPressure { requested: 4096 },
-            EventKind::ArenaCompact { reclaimed: 1 << 33 },
             EventKind::ArenaReset,
+            EventKind::RecoveryRung(Rung::Degrade),
             EventKind::RecoveryRung(Rung::Partition),
             EventKind::RecoveryRung(Rung::Spill),
             EventKind::BufferSwap { rows: 8192 },
@@ -540,7 +527,7 @@ mod tests {
             .name("events-test-worker".into())
             .spawn(|| {
                 if capturing() {
-                    record(EventKind::RecoveryRung(Rung::Retry));
+                    record(EventKind::RecoveryRung(Rung::Degrade));
                     record(EventKind::RecEnter { item: 3, depth: 1, pattern_base: 9 });
                     record(EventKind::RecExit { item: 3 });
                 }
@@ -557,7 +544,7 @@ mod tests {
         assert!(track.tid >= 1);
         assert_eq!(track.dropped, 0);
         assert_eq!(track.events.len(), 3);
-        assert_eq!(track.events[0].kind, EventKind::RecoveryRung(Rung::Retry));
+        assert_eq!(track.events[0].kind, EventKind::RecoveryRung(Rung::Degrade));
         assert!(track.events.windows(2).all(|w| w[0].t_nanos <= w[1].t_nanos));
         let summary = summarize(&tracks);
         assert!(summary.tracks >= 1);

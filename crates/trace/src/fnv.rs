@@ -1,6 +1,6 @@
 //! FNV-1a, the checksum of every persisted format in the workspace: the
 //! `CFPA` v2 array files, `CFPI` v2 mining images, `cfp-ckpt/1`
-//! manifests and `cfp-blackbox/3` post-mortems. It sits here, at the
+//! manifests and `cfp-blackbox/4` post-mortems. It sits here, at the
 //! bottom of the crate graph, so all of them share one copy.
 //!
 //! The two JSON formats share one envelope too: [`seal`] appends a

@@ -250,9 +250,6 @@ pub struct HistSummary {
 /// Per-task mine latency: one first-level item mined to completion
 /// (`mine_one_item`, the unit the driver's workers claim).
 pub static CORE_MINE_TASK_NANOS: Histogram = Histogram::new("core.mine_task_nanos");
-/// Per-watermark emit latency: duration of a `sink.progress(..)` call
-/// (includes checkpoint commit when a `CheckpointSink` is attached).
-pub static CORE_EMIT_NANOS: Histogram = Histogram::new("core.emit_nanos");
 /// Checkpoint commit latency: one whole commit of `cfp-mine
 /// --checkpoint-dir` — flushing the output, syncing it, and the atomic
 /// manifest save.
@@ -284,7 +281,6 @@ pub static CORE_COND_TREE_BYTES: Histogram = Histogram::new("core.cond_tree_byte
 static ALL: &[&Histogram] = &[
     &CORE_CKPT_COMMIT_NANOS,
     &CORE_COND_TREE_BYTES,
-    &CORE_EMIT_NANOS,
     &CORE_MINE_TASK_NANOS,
     &CORE_PATTERN_BASE_SIZE,
     &CORE_RECURSION_DEPTH,

@@ -35,7 +35,7 @@
 //!   histogram summaries — and its one serialiser; the run report, the
 //!   metrics export and the flight recorder all embed it.
 //! - [`report`]: the versioned machine-readable run report
-//!   (`"cfp-profile/4"`) emitted by `cfp-mine --profile`.
+//!   (`"cfp-profile/5"`) emitted by `cfp-mine --profile`.
 //! - [`memstat`]: the versioned space-domain report (`"cfp-memstat/1"`)
 //!   emitted by `cfp-mine --mem-report` — per-component attribution,
 //!   reconciliation audit, structure analytics, and the compression
@@ -43,7 +43,7 @@
 //! - [`metrics`]: live export of the registry — Prometheus text
 //!   exposition plus a `"cfp-metrics/3"` JSONL stream, rewritten
 //!   atomically every `--metrics-every` interval.
-//! - [`blackbox`]: the flight recorder — checksummed `"cfp-blackbox/3"`
+//! - [`blackbox`]: the flight recorder — checksummed `"cfp-blackbox/4"`
 //!   post-mortems dumped on error exits, rendered by
 //!   `cfp-repro postmortem`.
 //! - [`fnv`]: FNV-1a, the one checksum of every persisted format, and

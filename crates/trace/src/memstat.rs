@@ -167,7 +167,7 @@ pub struct MemStatReport {
     pub distributions: Vec<DistRow>,
 }
 
-/// Compact per-component summary folded into `cfp-profile/4` reports,
+/// Compact per-component summary folded into `cfp-profile/5` reports,
 /// so a time-domain consumer sees memory without parsing a full memstat
 /// document.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]

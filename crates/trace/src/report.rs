@@ -18,7 +18,7 @@ use crate::snapshot::Snapshot;
 /// `memory.final_bytes`, which restated the `mem.peak_bytes` /
 /// `mem.current_bytes` counters; `/4` drops the `histograms` bucket
 /// member, whose distributions are now `hists` entries.
-pub const SCHEMA: &str = "cfp-profile/4";
+pub const SCHEMA: &str = "cfp-profile/5";
 
 /// Everything `--profile` writes about one mining run.
 #[derive(Clone, Debug)]
@@ -88,7 +88,7 @@ impl RunReport {
         }
     }
 
-    /// Serialises to the `cfp-profile/4` JSON document.
+    /// Serialises to the `cfp-profile/5` JSON document.
     pub fn to_json(&self) -> Json {
         let mut run_fields = vec![
             ("dataset".into(), Json::str(self.dataset.clone())),
@@ -233,7 +233,7 @@ mod tests {
         };
         let with = RunReport { events: Some(events), ..base };
         let doc = json::parse(&with.to_json().to_pretty()).unwrap();
-        assert_eq!(doc.get("schema").and_then(Json::as_str), Some("cfp-profile/4"));
+        assert_eq!(doc.get("schema").and_then(Json::as_str), Some("cfp-profile/5"));
         let events = doc.get("events").expect("events section");
         assert_eq!(events.get("tracks").and_then(Json::as_u64), Some(4));
         assert_eq!(events.get("dropped_events").and_then(Json::as_u64), Some(12));

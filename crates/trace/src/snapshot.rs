@@ -1,9 +1,9 @@
 //! One capture of the telemetry registry, embedded by every telemetry
 //! document.
 //!
-//! The run report (`cfp-profile/4`), each metrics record
+//! The run report (`cfp-profile/5`), each metrics record
 //! (`cfp-metrics/3`, JSONL and Prometheus text) and the flight
-//! recorder's post-mortem (`cfp-blackbox/3`) all carry a [`Snapshot`]:
+//! recorder's post-mortem (`cfp-blackbox/4`) all carry a [`Snapshot`]:
 //! the phase spans, the counter registry and the histogram summaries,
 //! read by one [`Snapshot::capture`] and written by
 //! [`Snapshot::members`] (JSON) or [`Snapshot::to_prometheus`] (text
@@ -127,7 +127,7 @@ mod tests {
             counters: vec![("core.patterns_emitted", 13), ("mem.peak_bytes", 4096)],
             hists: vec![
                 HistSummary {
-                    name: "core.emit_nanos",
+                    name: "core.ckpt_commit_nanos",
                     count: 2,
                     sum: 300,
                     max: 200,
@@ -158,8 +158,8 @@ mod tests {
         assert_eq!(phases[1].get("count").and_then(Json::as_u64), Some(0));
         let counters = doc.get("counters").expect("counters");
         assert_eq!(counters.get("mem.peak_bytes").and_then(Json::as_u64), Some(4096));
-        let emit = doc.get("hists").and_then(|h| h.get("core.emit_nanos")).unwrap();
-        assert_eq!(emit.get("p90").and_then(Json::as_u64), Some(200));
+        let commit = doc.get("hists").and_then(|h| h.get("core.ckpt_commit_nanos")).unwrap();
+        assert_eq!(commit.get("p90").and_then(Json::as_u64), Some(200));
         let depth = doc.get("hists").and_then(|h| h.get("core.recursion_depth")).unwrap();
         assert_eq!(
             depth.to_compact(),
@@ -184,9 +184,9 @@ mod tests {
             "cfp_phase_nanos{phase=\"build\"} 2000",
             "cfp_phase_spans{phase=\"spill\"} 0",
             "cfp_core_patterns_emitted 13",
-            "cfp_core_emit_nanos{quantile=\"0.9\"} 200",
-            "cfp_core_emit_nanos_count 2",
-            "cfp_core_emit_nanos_max 200",
+            "cfp_core_ckpt_commit_nanos{quantile=\"0.9\"} 200",
+            "cfp_core_ckpt_commit_nanos_count 2",
+            "cfp_core_ckpt_commit_nanos_max 200",
             "# TYPE cfp_core_recursion_depth summary",
             "cfp_core_recursion_depth{quantile=\"0.5\"} 2",
             "cfp_core_recursion_depth_max 3",

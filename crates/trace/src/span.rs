@@ -30,8 +30,8 @@ pub enum Phase {
     Convert,
     /// Mining the CFP-array (conditional-tree recursion).
     Mine,
-    /// Recovery-ladder work after a failed attempt (compaction retry,
-    /// sequential downshift, partitioned fallback). Zero on healthy runs.
+    /// Recovery-ladder work after a failed attempt (sequential
+    /// downshift, partitioned fallback). Zero on healthy runs.
     Recover,
     /// Spill-file I/O: writing CFP-arrays (a partition's array, or an
     /// oversized conditional array) to crash-safe spill files and reading

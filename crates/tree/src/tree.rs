@@ -89,8 +89,8 @@ impl CfpTree {
 
     /// Creates an empty tree whose arena is configured by `opts`: a
     /// shared [`cfp_memman::BudgetPool`] (so several trees — e.g.
-    /// per-worker conditional trees — answer to one limit) and
-    /// compact-on-pressure retry. Once the pool is exhausted,
+    /// per-worker conditional trees — answer to one limit) and an
+    /// attribution label. Once the pool is exhausted,
     /// [`try_insert`](Self::try_insert) reports
     /// [`CfpError::MemoryExhausted`] instead of panicking. The recovery
     /// ladder threads these down from the run supervisor.
@@ -178,9 +178,8 @@ impl CfpTree {
     }
 
     /// [`try_from_db`](Self::try_from_db) with full [`ArenaOptions`]: the
-    /// build respects a shared [`cfp_memman::BudgetPool`] and may
-    /// compact under pressure. Exhaustion leaves the process (though not
-    /// the partial tree) fully usable.
+    /// build respects a shared [`cfp_memman::BudgetPool`]. Exhaustion
+    /// leaves the process (though not the partial tree) fully usable.
     pub fn try_from_db_with(
         db: &TransactionDb,
         recoder: &ItemRecoder,

@@ -243,7 +243,7 @@ fn persistent_alloc_fault_climbs_each_rung_exactly_once() {
     assert_eq!(err.exit_code(), 4, "{err:?}");
     assert!(!report.recovered);
     let rungs: Vec<&str> = report.rungs.iter().map(|r| r.rung).collect();
-    assert_eq!(rungs, ["retry", "degrade", "partition"], "each rung once, in order");
+    assert_eq!(rungs, ["degrade", "partition"], "each rung once, in order");
     assert!(report.rungs.iter().all(|r| !r.succeeded));
     assert_eq!(sink.count, 0, "failed attempts must not leak output to the caller");
 

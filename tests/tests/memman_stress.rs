@@ -1,7 +1,7 @@
 //! Randomized stress testing of the arena allocator against a shadow
 //! model.
 //!
-//! A seeded driver issues thousands of alloc/free/realloc/compact
+//! A seeded driver issues thousands of alloc/free/realloc
 //! operations against an [`Arena`] while a `BTreeMap` shadow (deterministic iteration keeps the op stream reproducible) records
 //! every live chunk's offset, size, and expected contents. After every
 //! operation the shadow contents are re-verified; periodically the
@@ -109,7 +109,7 @@ fn stress_pass(arena: &mut Arena, seed: u64) {
             let offset = *shadow.keys().nth(idx).unwrap();
             let entry = shadow.remove(&offset).unwrap();
             arena.free(offset, entry.size);
-        } else if roll < 95 {
+        } else {
             // Realloc a random live chunk to a new size; the common
             // prefix must survive the move (or non-move).
             let idx = rng.gen_range(0..shadow.len());
@@ -129,13 +129,6 @@ fn stress_pass(arena: &mut Arena, seed: u64) {
             arena.bytes_mut(new_offset, new_size).copy_from_slice(&contents);
             let prev = shadow.insert(new_offset, Shadow { size: new_size, contents });
             assert!(prev.is_none(), "realloc returned live offset {new_offset}");
-        } else {
-            // Compact. Live chunks must never move, so every shadow
-            // offset stays valid verbatim.
-            let before = arena.footprint();
-            let reclaimed = arena.compact();
-            assert_eq!(arena.footprint(), before - reclaimed);
-            check_contents(arena, &shadow);
         }
 
         if op % 64 == 0 {

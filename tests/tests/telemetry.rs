@@ -268,8 +268,8 @@ fn blackbox_round_trips_with_a_valid_checksum_and_renders() {
 /// `hists` members: one serialiser writes all three.
 #[test]
 fn one_snapshot_serialises_identically_in_all_three_documents() {
-    let emit = Histogram::new("core.emit_nanos");
-    emit.record(1_500);
+    let commit = Histogram::new("core.ckpt_commit_nanos");
+    commit.record(1_500);
     let depth = Histogram::new("core.recursion_depth");
     for d in [1, 1, 1, 1, 1, 2, 2] {
         depth.record(d);
@@ -277,7 +277,7 @@ fn one_snapshot_serialises_identically_in_all_three_documents() {
     let snapshot = Snapshot {
         phases: cfp_trace::span::phase_snapshot(),
         counters: vec![("core.patterns_emitted", 13), ("mem.peak_bytes", 4096)],
-        hists: vec![emit.summary(), depth.summary()],
+        hists: vec![commit.summary(), depth.summary()],
     };
     let profile = RunReport {
         dataset: "d".into(),
