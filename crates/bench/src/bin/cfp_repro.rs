@@ -12,8 +12,7 @@
 //!   capacity                  in-core capacity at a 64 MiB budget (§4.4)
 //!   parallel                  mine-phase scaling with worker threads
 //!   skew                      round-robin deal vs dynamic scheduling on
-//!                             a skewed dataset; with --csv also writes
-//!                             the dynamic run's cfp-profile/5 JSON
+//!                             a skewed dataset
 //!   all                       everything above
 //!
 //! cfp-repro ckpt-trim OUTPUT CKPT_DIR
@@ -124,29 +123,7 @@ fn run(name: &str, csv_dir: Option<&std::path::Path>) {
         "ablation" => emit("ablation", &experiments::ablation(), csv_dir),
         "capacity" => emit("capacity", &experiments::capacity(64 * 1024 * 1024), csv_dir),
         "parallel" => emit("parallel", &experiments::parallel_scaling(), csv_dir),
-        "skew" => {
-            emit("skew", &experiments::skew(), csv_dir);
-            // A cfp-profile/5 document of the dynamic run, so the steal
-            // and arena-reset counters are inspectable machine-readably.
-            let p = cfp_data::profiles::by_name("kosarak-like").expect("profile exists");
-            let db = p.generate();
-            let minsup = p.absolute_support(&db, 2);
-            let miner = cfp_core::ParallelCfpGrowthMiner::new(4);
-            let schedule = cfp_core::Schedule::Dynamic.name();
-            let mut report = cfp_bench::report::profile_run(&miner, &db, "kosarak-like", minsup, 4);
-            report.schedule = Some(schedule.into());
-            let name = format!("profile_skew_{schedule}.json");
-            let path = csv_dir.map(|d| d.join(&name)).unwrap_or_else(|| PathBuf::from(&name));
-            if let Err(e) = std::fs::write(&path, report.to_json().to_pretty()) {
-                eprintln!("cannot write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-            println!(
-                "profile: kosarak-like {schedule} schedule  itemsets {}  -> {}",
-                report.itemsets,
-                path.display()
-            );
-        }
+        "skew" => emit("skew", &experiments::skew(), csv_dir),
         "all" => {
             for e in [
                 "table1", "table2", "table3", "fig6a", "fig6b", "fig7", "fig8a", "fig8d",

@@ -1,44 +1,4 @@
-//! Plain-text table rendering for experiment reports, plus traced runs
-//! producing machine-readable `cfp-profile/5` documents.
-
-use cfp_data::miner::CountingSink;
-use cfp_data::{Miner, TransactionDb};
-use cfp_trace::{MemSampler, RunReport};
-use std::time::{Duration, Instant};
-
-/// Runs `miner` once with tracing enabled and returns the machine-readable
-/// run report ([`cfp_trace::report::SCHEMA`]). The global registry is reset
-/// first so the report covers exactly this run; the previous trace-enabled
-/// state is restored afterwards.
-pub fn profile_run(
-    miner: &dyn Miner,
-    db: &TransactionDb,
-    dataset: &str,
-    min_support: u64,
-    threads: u64,
-) -> RunReport {
-    let was_enabled = cfp_trace::enabled();
-    cfp_trace::set_enabled(true);
-    cfp_trace::reset();
-    let sampler = MemSampler::start(Duration::from_millis(10));
-    let started = Instant::now();
-    let mut sink = CountingSink::new();
-    let stats = miner.mine(db, min_support, &mut sink);
-    let wall_nanos = started.elapsed().as_nanos() as u64;
-    let samples = sampler.stop();
-    let report = RunReport::capture(
-        dataset,
-        db.len() as u64,
-        min_support,
-        miner.name(),
-        threads,
-        stats.itemsets,
-        wall_nanos,
-        samples,
-    );
-    cfp_trace::set_enabled(was_enabled);
-    report
-}
+//! Plain-text table rendering for experiment reports.
 
 /// A titled table with aligned columns.
 #[derive(Clone, Debug)]
@@ -179,27 +139,5 @@ mod tests {
     fn formatters() {
         assert_eq!(secs(std::time::Duration::from_millis(1500)), "1.500");
         assert_eq!(mib(3 * 1024 * 1024), "3.00");
-    }
-
-    #[test]
-    fn profile_run_produces_a_populated_report() {
-        let db = crate::bench_quest(400);
-        let miner = cfp_core::CfpGrowthMiner::new();
-        let report = profile_run(&miner, &db, "bench-quest-400", 15, 1);
-        assert_eq!(report.dataset, "bench-quest-400");
-        assert_eq!(report.transactions, 400);
-        assert!(report.itemsets > 0);
-        assert!(report.wall_nanos > 0);
-        assert!(report.samples.len() >= 2);
-        // Count/build/convert/mine all ran under tracing (read is the
-        // CLI's file pass; recover and spill belong to the supervisor's
-        // escalation ladder; all three stay zero here).
-        for p in &report.snapshot.phases {
-            if !matches!(p.name, "read" | "recover" | "spill") {
-                assert!(p.count > 0, "phase {} not recorded", p.name);
-            }
-        }
-        assert!(report.snapshot.counter("core.conditional_trees") > 0, "conditional trees counted");
-        assert!(!cfp_trace::enabled(), "previous enabled state restored");
     }
 }

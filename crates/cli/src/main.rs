@@ -30,6 +30,7 @@
 //!                      counts what the mode selects. cfp only
 //!   --count            print only the number of itemsets
 //!   --rules CONF       print association rules with confidence ≥ CONF
+//!                      (a fraction from 0 to 1)
 //!   --image PATH       also save a reusable mining image (cfp only)
 //!   --stats            print phase times and peak memory to stderr
 //!   --profile PATH     enable tracing and write a cfp-profile/5 JSON
@@ -266,6 +267,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 let v = value(arg)?;
                 opts.support = if let Some(pct) = v.strip_suffix('%') {
                     let p: f64 = pct.parse().map_err(|_| format!("bad percentage {v:?}"))?;
+                    if !p.is_finite() || p < 0.0 {
+                        return Err(format!("support {v:?} must be a finite percentage ≥ 0"));
+                    }
                     SupportSpec::Relative(p / 100.0)
                 } else {
                     SupportSpec::Absolute(v.parse().map_err(|_| format!("bad support {v:?}"))?)
@@ -284,7 +288,13 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--output" => opts.output = value(arg)?.parse()?,
             "--count" => opts.count_only = true,
             "--rules" => {
-                opts.rules = Some(value(arg)?.parse().map_err(|_| "bad confidence".to_string())?);
+                let v = value(arg)?;
+                let conf: f64 = v.parse().map_err(|_| "bad confidence".to_string())?;
+                // NaN is outside every range.
+                if !(0.0..=1.0).contains(&conf) {
+                    return Err(format!("confidence {v:?} must be between 0 and 1"));
+                }
+                opts.rules = Some(conf);
             }
             "--image" => opts.image = Some(value(arg)?),
             "--stats" => opts.stats = true,
@@ -741,11 +751,6 @@ fn report_stats(stats: &MineStats, n_itemsets: u64) {
         stats.mine_time.as_secs_f64(),
         cfp_metrics::fmt_bytes(stats.peak_bytes),
     );
-    if !stats.worker_peaks.is_empty() {
-        let peaks: Vec<String> =
-            stats.worker_peaks.iter().map(|&p| cfp_metrics::fmt_bytes(p)).collect();
-        eprintln!("worker peaks  {}", peaks.join("  "));
-    }
 }
 
 /// With tracing enabled (`--profile`), `--stats` additionally dumps the
@@ -757,11 +762,9 @@ fn report_trace_stats() {
     let hits = tc::MEMMAN_QUEUE_HITS.get();
     let hit_pct = if allocs > 0 { 100.0 * hits as f64 / allocs as f64 } else { 0.0 };
     eprintln!(
-        "arena  allocs {allocs}  frees {}  queue-hit {hit_pct:.1}%  grow {}  shrink {}  peak footprint {}",
+        "arena  allocs {allocs}  frees {}  queue-hit {hit_pct:.1}%  pool peak {}",
         tc::MEMMAN_FREES.get(),
-        tc::MEMMAN_GROWS.get(),
-        tc::MEMMAN_SHRINKS.get(),
-        cfp_metrics::fmt_bytes(tc::MEMMAN_PEAK_FOOTPRINT.get()),
+        cfp_metrics::fmt_bytes(tc::MEMMAN_POOL_PEAK.get()),
     );
     eprintln!(
         "tree   standard {}  chain {}  embedded {}  splits {}  unembeds {}",
@@ -1379,6 +1382,16 @@ mod tests {
         assert!(parse_args(&args(&["in.dat", "--support", "x"]))
             .unwrap_err()
             .contains("bad support"));
+        for pct in ["-5%", "nan%", "inf%"] {
+            assert!(parse_args(&args(&["in.dat", "--support", pct]))
+                .unwrap_err()
+                .contains("finite percentage"));
+        }
+        for conf in ["-3", "nan", "1.5"] {
+            assert!(parse_args(&args(&["in.dat", "--support", "2", "--rules", conf]))
+                .unwrap_err()
+                .contains("between 0 and 1"));
+        }
         assert!(parse_args(&args(&["in.dat", "--support", "2", "--bogus"]))
             .unwrap_err()
             .contains("unknown argument"));

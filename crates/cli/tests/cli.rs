@@ -148,6 +148,41 @@ fn profile_phases_mean_the_same_at_any_thread_count() {
     }
 }
 
+/// `--stats` and the profile report one peak at any thread count: the
+/// run's gauge, which the front half and every worker charge. On
+/// connect-like at 80% the workers' conditional trees are large and
+/// coexist only part of the time, so adding up each worker's own peak
+/// would overstate what the run held.
+#[test]
+fn stats_peak_is_the_profile_peak_at_any_thread_count() {
+    use cfp_trace::{json, Json};
+
+    let dir = std::env::temp_dir().join("cfp_cli_tests");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("connect-like.dat");
+    let db = cfp_data::profiles::by_name("connect-like").expect("profile exists").generate();
+    let mut text = Vec::new();
+    cfp_data::fimi::write(&db, &mut text).unwrap();
+    write_shared(&path, std::str::from_utf8(&text).unwrap());
+    for threads in ["1", "2", "4"] {
+        let report_path = dir.join(format!("peak-{threads}.json"));
+        let out = Command::new(bin())
+            .args([path.to_str().unwrap(), "--support", "80%", "--count", "--stats"])
+            .args(["--threads", threads, "--profile", report_path.to_str().unwrap()])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{stderr}");
+        let line = stderr.lines().find(|l| l.starts_with("itemsets ")).expect("--stats line");
+        let peak = line.split("  peak ").nth(1).expect("peak field");
+        let doc = json::parse(&std::fs::read_to_string(&report_path).unwrap()).unwrap();
+        let counter = doc.get("counters").and_then(|c| c.get("mem.peak_bytes"));
+        let counter = counter.and_then(Json::as_u64).expect("mem.peak_bytes");
+        assert_eq!(peak, cfp_metrics::fmt_bytes(counter), "--threads {threads}: {line}");
+        std::fs::remove_file(&report_path).ok();
+    }
+}
+
 #[test]
 fn top_k_orders_by_support() {
     let path = write_sample();

@@ -30,11 +30,13 @@
 //! arrives and no heartbeat advances fails the run with
 //! [`CfpError::WorkerTimeout`] instead of hanging.
 //!
-//! `peak_bytes` follows one formula at every thread count: the larger of
-//! tree + array (they coexist during conversion) and array + the sum of
-//! the workers' conditional-structure peaks (as if every worker peaked at
-//! once). `avg_bytes` averages the same quantity over every checkpoint:
-//! after the build, after the conversion, and at each conditional array.
+//! One [`MemGauge`] per run counts what the structures hold: the front
+//! half charges it with the tree and the array, and every worker with its
+//! conditional trees, arrays and recorded bases. `peak_bytes` is its
+//! high-water — at more than one worker the measured concurrent peak,
+//! which varies with scheduling — and `avg_bytes` its average over every
+//! checkpoint: after the build, after the conversion, and at each
+//! conditional array.
 
 use crate::growth::{
     charge_cond_array, drain_topk, mine_one_item, MineOpts, ModeCtx, Scratch, SubsumeIndex,
@@ -130,9 +132,15 @@ pub(crate) fn convert_and_mine(
     gauge.free(tree.heap_bytes());
     drop(tree);
     // Out of core: the array is mined from a zero-copy view of its spill
-    // file, which keeps the array's pair table.
+    // file, which keeps the array's pair table. The gauge holds the view
+    // from here on; its data block is the spill buffer's.
     let array = match &opts.cond_spill {
-        Some(cs) => cs.round_trip(array)?,
+        Some(cs) => {
+            gauge.free(array.heap_bytes());
+            let view = cs.round_trip(array)?;
+            gauge.alloc(view.heap_bytes());
+            view
+        }
         None => array,
     };
     let _array_charges = charge_cond_array(&opts.pool, &array);
@@ -140,7 +148,7 @@ pub(crate) fn convert_and_mine(
 
     let globals: Arc<[Item]> =
         (0..recoder.num_items() as u32).map(|i| recoder.original(i)).collect();
-    let mined = mine(Arc::new(array), globals, first, min_support, sink, plan, opts)?;
+    let mined = mine(Arc::new(array), globals, first, min_support, sink, plan, opts, &gauge)?;
     stats.mine_time = sw.lap();
     mined.record(&mut stats, &gauge);
     Ok(stats)
@@ -150,31 +158,17 @@ pub(crate) fn convert_and_mine(
 #[derive(Default)]
 pub(crate) struct Mined {
     itemsets: u64,
-    /// Bytes of the first-level array the workers shared.
-    array_bytes: u64,
-    worker_peaks: Vec<u64>,
     worker_tasks: Vec<u64>,
     worker_costs: Vec<u64>,
-    /// Summed live conditional bytes over every worker checkpoint, and
-    /// the number of checkpoints.
-    samples: (u64, u64),
 }
 
 impl Mined {
-    /// Fills `stats` with this back half's results. `front` gauged the
-    /// structures the caller built before mining (tree, array).
-    pub(crate) fn record(self, stats: &mut MineStats, front: &MemGauge) {
-        let conditional: u64 = self.worker_peaks.iter().sum();
+    /// Fills `stats` with this back half's results; `gauge` is the run's
+    /// one memory gauge.
+    pub(crate) fn record(self, stats: &mut MineStats, gauge: &MemGauge) {
         stats.itemsets = self.itemsets;
-        stats.peak_bytes = front.peak().max(self.array_bytes + conditional);
-        // Every worker checkpoint sees the shared array next to its own
-        // conditional structures.
-        let (front_sum, front_count) = front.samples();
-        let (sum, count) = self.samples;
-        stats.avg_bytes = (front_sum + sum + count * self.array_bytes)
-            .checked_div(front_count + count)
-            .unwrap_or(0);
-        stats.worker_peaks = self.worker_peaks;
+        stats.peak_bytes = gauge.peak();
+        stats.avg_bytes = gauge.average();
         stats.worker_tasks = self.worker_tasks;
         stats.worker_costs = self.worker_costs;
     }
@@ -183,6 +177,9 @@ impl Mined {
 /// The back half: mines the first-level items of `array` from `first` up
 /// (local ids mapped to original items by `globals`) into `sink`. Items
 /// below `first` appear only inside the itemsets of the items above.
+/// Every worker charges its conditional structures to `gauge`, the run's
+/// gauge, which already holds `array`.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn mine(
     array: Arc<CfpArray>,
     globals: Arc<[Item]>,
@@ -191,6 +188,7 @@ pub(crate) fn mine(
     sink: &mut dyn ItemsetSink,
     plan: Plan,
     opts: &MineOpts,
+    gauge: &MemGauge,
 ) -> Result<Mined, CfpError> {
     // Items are recoded by descending support, so the frequent ones are a
     // prefix; only an image mined above its build support has a tail.
@@ -207,7 +205,7 @@ pub(crate) fn mine(
         OutputMode::TopK(k) => Some(Arc::new(TopKState::new(k))),
         _ => None,
     };
-    let mut mined = Mined { array_bytes: array.heap_bytes(), ..Default::default() };
+    let mut mined = Mined::default();
     let threads = plan.threads.clamp(1, (n - first).max(1) as usize);
     if cfp_trace::enabled() {
         cfp_trace::counters::CORE_WORKERS.record(threads as u64);
@@ -223,6 +221,7 @@ pub(crate) fn mine(
         globals,
         min_support,
         opts: opts.clone(),
+        gauge: gauge.clone(),
         topk: topk.clone(),
         poison: AtomicBool::new(false),
         heartbeats: (0..threads).map(|_| AtomicU64::new(0)).collect(),
@@ -272,11 +271,8 @@ pub(crate) fn mine(
         });
         match joined {
             Ok(report) => {
-                mined.worker_peaks.push(report.peak);
                 mined.worker_tasks.push(report.tasks);
                 mined.worker_costs.push(report.cost);
-                mined.samples.0 += report.samples.0;
-                mined.samples.1 += report.samples.1;
             }
             Err(e) => {
                 first_error.get_or_insert(e);
@@ -304,6 +300,8 @@ struct Shared {
     queue: TaskQueue,
     min_support: u64,
     opts: MineOpts,
+    /// The run's memory gauge, which every worker charges.
+    gauge: MemGauge,
     topk: Option<Arc<TopKState>>,
     /// Set by the first failure; every worker stops at its next task.
     poison: AtomicBool,
@@ -315,13 +313,9 @@ struct Shared {
 
 /// What one worker did.
 struct WorkerReport {
-    /// Peak bytes of the worker's conditional structures.
-    peak: u64,
     tasks: u64,
     /// Summed estimated cost (encoded subarray bytes) of its tasks.
     cost: u64,
-    /// Its memory gauge's checkpoint samples.
-    samples: (u64, u64),
 }
 
 /// One worker: claims tasks until the queue drains, the run is poisoned,
@@ -336,7 +330,7 @@ fn work(shared: &Shared, w: usize, tx: &mpsc::SyncSender<Chunk>) -> Result<Worke
     // Each worker's mining wall time accumulates into the mine phase
     // (span count = worker count).
     let _s = span(Phase::Mine);
-    let mut scratch = Scratch::default();
+    let mut scratch = Scratch::new(shared.gauge.clone());
     let (mut tasks, mut cost) = (0u64, 0u64);
     let stopped = || {
         shared.poison.load(Ordering::Relaxed)
@@ -408,7 +402,7 @@ fn work(shared: &Shared, w: usize, tx: &mpsc::SyncSender<Chunk>) -> Result<Worke
             return Err(failure);
         }
     }
-    Ok(WorkerReport { peak: scratch.gauge.peak(), tasks, cost, samples: scratch.gauge.samples() })
+    Ok(WorkerReport { tasks, cost })
 }
 
 /// Per-task worker bookkeeping: the watchdog heartbeat, plus the

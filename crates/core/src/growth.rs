@@ -36,7 +36,7 @@ use cfp_data::miner::TopKSink;
 use cfp_data::{
     CfpError, Item, ItemRecoder, ItemsetSink, MineStats, Miner, OutputMode, TransactionDb,
 };
-use cfp_memman::{Arena, ArenaOptions, BudgetPool, Component, StatsReset};
+use cfp_memman::{Arena, ArenaOptions, BudgetPool, Component};
 use cfp_metrics::{HeapSize, MemGauge};
 use cfp_tree::{CfpTree, CfpTreeConfig};
 use std::collections::HashMap;
@@ -322,15 +322,21 @@ pub(crate) fn charge_cond_array(
 /// worker (`conditional` drops it before the recursion continues), so a
 /// single slot suffices. The same holds for the recorded pattern base,
 /// whose buffers every conditional reuses.
-#[derive(Default)]
 pub(crate) struct Scratch {
     /// The recycled arena (captured from the first conditional tree).
     arena: Option<Arena>,
     /// The pattern base the current conditional tree is built from.
     base: RecordedBase,
-    /// The worker's live conditional-structure bytes: its peak and its
-    /// checkpoint samples feed the run's `peak_bytes` and `avg_bytes`.
-    pub gauge: MemGauge,
+    /// The run's memory gauge, charged with the worker's conditional
+    /// trees, arrays and recorded bases.
+    gauge: MemGauge,
+}
+
+impl Scratch {
+    /// A worker's empty scratch, charging `gauge`.
+    pub(crate) fn new(gauge: MemGauge) -> Self {
+        Scratch { arena: None, base: RecordedBase::default(), gauge }
+    }
 }
 
 /// One walk of a conditional pattern base, recorded so that the tree
@@ -390,7 +396,7 @@ impl RecordedBase {
     }
 }
 
-/// A recorded base's bytes, held against the worker's gauge and, as an
+/// A recorded base's bytes, held against the run's gauge and, as an
 /// unmetered [`Component::Scratch`] charge, the run's pool until dropped.
 struct HeldBase {
     gauge: MemGauge,
@@ -606,7 +612,7 @@ impl CfpGrowthMiner {
 /// and recurses through its conditional structures. This is the unit of
 /// work the driver's workers claim
 /// (each first-level item is independent of the others). `scratch`
-/// carries the worker's recycled arena and memory gauge between calls.
+/// carries the worker's recycled arena and the run's memory gauge.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn mine_one_item(
     array: &CfpArray,
@@ -905,10 +911,7 @@ fn conditional(
     let cond_array = convert(&cond_tree);
     ctx.scratch.gauge.free(cond_tree.heap_bytes());
     let mut arena = cond_tree.into_arena();
-    // ClearPeaks: each task gets a fresh per-instance high-water window,
-    // so one early giant conditional tree cannot smear its peak across
-    // every later task (the run-level peak stays in the budget pool).
-    arena.reset_with(StatsReset::ClearPeaks);
+    arena.reset();
     ctx.scratch.arena = Some(arena);
     // Out-of-core hook: an oversized conditional array round-trips
     // through a spill file and comes back as a shared view. The array is
@@ -1294,7 +1297,7 @@ mod tests {
             1,
             &mut sink,
             &opts,
-            &mut Scratch::default(),
+            &mut Scratch::new(MemGauge::new()),
             &mut ModeCtx::All,
         )
         .expect_err("a 4-byte pool cannot hold a conditional tree root");
@@ -1418,7 +1421,8 @@ mod tests {
         let globals: Vec<Item> =
             (0..recoder.num_items() as u32).map(|i| recoder.original(i)).collect();
         let mut reference = CollectSink::new();
-        let (opts, mut scratch, mut mode) = (MineOpts::default(), Scratch::default(), ModeCtx::All);
+        let (opts, mut mode) = (MineOpts::default(), ModeCtx::All);
+        let mut scratch = Scratch::new(MemGauge::new());
         let mut ctx = Ctx::new(&mut reference, 8, &opts, &mut scratch, &mut mode);
         mine_array(&array, &globals, &mut ctx).unwrap();
         let last = recoder.original(recoder.num_items() as u32 - 1);

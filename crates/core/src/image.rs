@@ -75,8 +75,8 @@ impl MiningImage {
         );
         let mut stats = MineStats::default();
         let mut sw = Stopwatch::start();
-        let array_gauge = MemGauge::new();
-        array_gauge.alloc(self.array.heap_bytes());
+        let gauge = MemGauge::new();
+        gauge.alloc(self.array.heap_bytes());
         let mined = crate::driver::mine(
             Arc::clone(&self.array),
             Arc::clone(&self.globals),
@@ -85,10 +85,11 @@ impl MiningImage {
             sink,
             CfpGrowthMiner::new().plan(),
             &MineOpts::default(),
+            &gauge,
         )
         .unwrap_or_else(|e| panic!("{e}"));
         stats.mine_time = sw.lap();
-        mined.record(&mut stats, &array_gauge);
+        mined.record(&mut stats, &gauge);
         stats.tree_nodes = self.array.num_nodes();
         stats
     }

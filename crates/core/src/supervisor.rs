@@ -597,7 +597,6 @@ impl Supervisor {
         if traced {
             cfp_trace::counters::CORE_PARTITIONS.record(tally.mined);
         }
-        stats.worker_peaks = tally.peaks.clone();
         Ok(stats)
     }
 

@@ -284,20 +284,19 @@ pub struct MineStats {
     pub convert_time: Duration,
     /// Time of the mine phase.
     pub mine_time: Duration,
-    /// Peak bytes of the algorithm's data structures.
+    /// Peak bytes of the algorithm's data structures: the run's
+    /// high-water, with every mine-phase worker's structures counted
+    /// as they coexist.
     pub peak_bytes: u64,
     /// Average bytes across phase checkpoints (0 if not tracked).
     pub avg_bytes: u64,
     /// Logical nodes of the initial prefix tree (0 for tree-less miners).
     pub tree_nodes: u64,
-    /// Per-worker peak bytes of conditional structures: one entry per
+    /// First-level item tasks each worker claimed: one entry per
     /// mine-phase worker thread (empty for miners without workers).
-    pub worker_peaks: Vec<u64>,
-    /// First-level item tasks each worker claimed (entries as for
-    /// `worker_peaks`).
     pub worker_tasks: Vec<u64>,
     /// Summed estimated cost (encoded subarray bytes) of the tasks each
-    /// worker claimed (entries as for `worker_peaks`). The max/min ratio
+    /// worker claimed (entries as for `worker_tasks`). The max/min ratio
     /// across workers is the load-imbalance measure the skew benchmark
     /// reports.
     pub worker_costs: Vec<u64>,

@@ -27,13 +27,12 @@
 //! # Failure model
 //!
 //! Running out of memory is a runtime condition, not a bug, so the arena
-//! exposes fallible entry points: [`Arena::try_alloc`] and
-//! [`Arena::try_realloc`] return an [`AllocError`] when the 40-bit
-//! address space runs out, when the arena's [`BudgetPool`] has no room
-//! left, or when a `cfp-fault` failpoint (`"memman.alloc"`) injects the
-//! condition. A failed call leaves the arena fully usable: no
-//! accounting is touched before all checks pass. The panicking
-//! [`alloc`](Arena::alloc)/[`realloc`](Arena::realloc) wrappers remain
+//! exposes a fallible entry point: [`Arena::try_alloc`] returns an
+//! [`AllocError`] when the 40-bit address space runs out, when the
+//! arena's [`BudgetPool`] has no room left, or when a `cfp-fault`
+//! failpoint (`"memman.alloc"`) injects the condition. A failed call
+//! leaves the arena fully usable: no accounting is touched before all
+//! checks pass. The panicking [`alloc`](Arena::alloc) wrapper remains
 //! for contexts that treat exhaustion as fatal (tests, ad-hoc tools).
 //!
 //! A [`BudgetPool`] builds on that: it shares one byte limit between
@@ -51,10 +50,12 @@
 //! let mut arena = Arena::new();
 //! let a = arena.alloc(7);
 //! arena.bytes_mut(a, 7).copy_from_slice(b"sevenby");
-//! let b = arena.realloc(a, 7, 12); // node grew past a byte boundary
-//! assert_eq!(&arena.bytes(b, 12)[..7], b"sevenby");
-//! arena.free(b, 12);
-//! assert_eq!(arena.alloc(12), b, "freed chunks are recycled");
+//! // The node grew past a byte boundary: encode it into a 12-byte chunk
+//! // and free the old one, as the CFP-tree does.
+//! let b = arena.alloc(12);
+//! arena.bytes_mut(b, 12).copy_from_slice(b"twelve bytes");
+//! arena.free(a, 7);
+//! assert_eq!(arena.alloc(7), a, "freed chunks are recycled");
 //! ```
 
 #![warn(missing_docs)]
@@ -207,7 +208,6 @@ struct PoolInner {
     limit: u64,
     used: AtomicU64,
     peak: AtomicU64,
-    reserved_total: AtomicU64,
     /// Unmetered attribution charges (never count against `limit`).
     external_used: AtomicU64,
     /// Per-component live bytes (metered + external).
@@ -224,7 +224,6 @@ impl BudgetPool {
                 limit,
                 used: AtomicU64::new(0),
                 peak: AtomicU64::new(0),
-                reserved_total: AtomicU64::new(0),
                 external_used: AtomicU64::new(0),
                 comp_used: Default::default(),
                 comp_peak: Default::default(),
@@ -237,14 +236,6 @@ impl BudgetPool {
     /// want a memory report but no budget.
     pub fn unlimited() -> Self {
         Self::new(u64::MAX)
-    }
-
-    /// Reserves `bytes` from the pool; `false` when the limit would be
-    /// exceeded (and nothing is reserved). Charged to
-    /// [`Component::Other`]; tagged arenas use
-    /// [`try_reserve_for`](Self::try_reserve_for).
-    pub fn try_reserve(&self, bytes: u64) -> bool {
-        self.try_reserve_for(Component::Other, bytes)
     }
 
     /// Reserves `bytes` on behalf of `component`; `false` when the limit
@@ -264,7 +255,6 @@ impl BudgetPool {
             ) {
                 Ok(_) => {
                     self.inner.peak.fetch_max(next, Ordering::Relaxed);
-                    self.inner.reserved_total.fetch_add(bytes, Ordering::Relaxed);
                     self.attribute(component, bytes);
                     if cfp_trace::enabled() {
                         tc::MEMMAN_POOL_PEAK.record(next);
@@ -276,15 +266,9 @@ impl BudgetPool {
         }
     }
 
-    /// Returns `bytes` to the pool (saturating: releasing more than was
-    /// reserved clamps to zero rather than underflowing). Attributed to
-    /// [`Component::Other`]; tagged arenas use
-    /// [`release_for`](Self::release_for).
-    pub fn release(&self, bytes: u64) {
-        self.release_for(Component::Other, bytes);
-    }
-
-    /// Returns `bytes` reserved on behalf of `component` to the pool.
+    /// Returns `bytes` reserved on behalf of `component` to the pool
+    /// (saturating: releasing more than was reserved clamps to zero
+    /// rather than underflowing).
     pub fn release_for(&self, component: Component, bytes: u64) {
         let _ = self
             .inner
@@ -340,13 +324,6 @@ impl BudgetPool {
     /// High-water mark of reserved bytes over the pool's lifetime.
     pub fn peak(&self) -> u64 {
         self.inner.peak.load(Ordering::Relaxed)
-    }
-
-    /// Cumulative bytes ever reserved (never decremented by releases).
-    /// Lets tests and reports see that a participant charged the pool
-    /// even after it released everything again.
-    pub fn reserved_total(&self) -> u64 {
-        self.inner.reserved_total.load(Ordering::Relaxed)
     }
 
     /// Live bytes currently attributed to `component` (metered carved
@@ -409,7 +386,7 @@ pub enum AllocErrorKind {
     Injected,
 }
 
-/// A failed [`Arena::try_alloc`]/[`Arena::try_realloc`].
+/// A failed [`Arena::try_alloc`].
 ///
 /// Small and `Copy` so the `Result` stays cheap on the allocation hot
 /// path; convert into the pipeline-wide `CfpError` (via `From`) at the
@@ -462,58 +439,6 @@ impl From<AllocError> for cfp_fault::CfpError {
     }
 }
 
-/// Per-arena event statistics.
-///
-/// Always maintained (plain integer adds, no atomics), so tests can make
-/// deterministic assertions per arena regardless of what other threads or
-/// arenas do. The global `cfp-trace` registry mirrors the same events,
-/// gated on `cfp_trace::enabled()`, for cross-arena run reports.
-///
-/// Invariants: `allocs - frees == live_allocs()`, and
-/// `queue_hits + bump_allocs == allocs`. A `realloc` that changes chunk
-/// class counts as one alloc, one free, and one grow *or* shrink.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ArenaStats {
-    /// Total `alloc` calls (including those made inside `realloc`).
-    pub allocs: u64,
-    /// Total `free` calls (including those made inside `realloc`).
-    pub frees: u64,
-    /// Allocations served by recycling a free-queue chunk.
-    pub queue_hits: u64,
-    /// Allocations served by carving at the bump pointer.
-    pub bump_allocs: u64,
-    /// Reallocations that moved to a larger chunk class.
-    pub grows: u64,
-    /// Reallocations that moved to a smaller chunk class.
-    pub shrinks: u64,
-    /// [`Arena::reset`] calls (arena recycled for a new structure).
-    pub resets: u64,
-    /// High-water mark of live (used) bytes in *this* arena since its
-    /// creation or the last [`Arena::reset_with`] with
-    /// [`StatsReset::ClearPeaks`].
-    pub peak_used: u64,
-    /// High-water mark of carved bytes in *this* arena, same window as
-    /// [`peak_used`](Self::peak_used). The run-level peak across all
-    /// arenas lives in [`BudgetPool::peak`].
-    pub peak_footprint: u64,
-}
-
-/// What [`Arena::reset_with`] does to the per-instance high-water marks
-/// in [`ArenaStats`].
-///
-/// Per-task arena recycling reuses one arena for many conditional trees;
-/// keeping the peaks across resets would smear the largest task's peak
-/// over every later task's report. `ClearPeaks` gives each task a fresh
-/// window while the cumulative event counters (and the pool's run-level
-/// peak) survive.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StatsReset {
-    /// Keep the high-water marks (the [`Arena::reset`] default).
-    Keep,
-    /// Zero `peak_used`/`peak_footprint` for a fresh per-task window.
-    ClearPeaks,
-}
-
 /// A bump-pointer arena with per-size free-chunk queues.
 #[derive(Debug)]
 pub struct Arena {
@@ -524,8 +449,6 @@ pub struct Arena {
     used: u64,
     /// Number of live allocations, for leak checks in tests.
     live: u64,
-    /// Event counts for this arena.
-    stats: ArenaStats,
     /// Optional shared pool carved bytes are reserved from.
     pool: Option<BudgetPool>,
     /// Attribution label for pool reservations.
@@ -554,7 +477,6 @@ impl Arena {
             free_heads: [0; MAX_CHUNK + 1],
             used: 0,
             live: 0,
-            stats: ArenaStats::default(),
             pool: None,
             component: Component::Other,
         }
@@ -612,9 +534,6 @@ impl Arena {
         if head != 0 {
             self.used += size as u64;
             self.live += 1;
-            self.stats.allocs += 1;
-            self.stats.queue_hits += 1;
-            self.stats.peak_used = self.stats.peak_used.max(self.used);
             if cfp_trace::enabled() {
                 tc::MEMMAN_ALLOCS.inc();
                 tc::MEMMAN_USED_BYTES.add(size as u64);
@@ -636,17 +555,11 @@ impl Arena {
         let off = self.buf.len() as u64;
         self.used += size as u64;
         self.live += 1;
-        self.stats.allocs += 1;
-        self.stats.bump_allocs += 1;
-        self.stats.peak_used = self.stats.peak_used.max(self.used);
-        self.stats.peak_footprint =
-            self.stats.peak_footprint.max(self.footprint() - 1 + size as u64);
         if cfp_trace::enabled() {
             tc::MEMMAN_ALLOCS.inc();
             tc::MEMMAN_USED_BYTES.add(size as u64);
             tc::MEMMAN_BUMP_ALLOCS.inc();
             tc::MEMMAN_FOOTPRINT_BYTES.add(size as u64);
-            tc::MEMMAN_PEAK_FOOTPRINT.record(tc::MEMMAN_FOOTPRINT_BYTES.get());
         }
         self.buf.resize(self.buf.len() + size, 0);
         Ok(off)
@@ -692,21 +605,9 @@ impl Arena {
     /// to the budget/pool and subtracted from the trace gauges (exactly as
     /// [`Drop`] would), and the free queues are cleared — but the `Vec`
     /// capacity is retained, so a recycled arena rebuilds without touching
-    /// the OS allocator. Cumulative [`stats`](Self::stats) survive,
-    /// including the per-instance high-water marks; the `resets` counter
-    /// records the recycle. See [`reset_with`](Self::reset_with) to open
-    /// a fresh peak window per recycle.
+    /// the OS allocator. The `memman.arena_resets` counter records the
+    /// recycle.
     pub fn reset(&mut self) {
-        self.reset_with(StatsReset::Keep);
-    }
-
-    /// [`reset`](Self::reset) with explicit control over the
-    /// per-instance high-water marks: [`StatsReset::ClearPeaks`] zeroes
-    /// `peak_used`/`peak_footprint` so the next task's peak is measured
-    /// on its own instead of inheriting the largest earlier task's. The
-    /// run-level peak is unaffected — it lives in the shared
-    /// [`BudgetPool`] (and the trace gauges).
-    pub fn reset_with(&mut self, stats: StatsReset) {
         let carved = self.footprint().saturating_sub(1);
         if cfp_trace::enabled() {
             tc::MEMMAN_USED_BYTES.sub(self.used);
@@ -723,11 +624,6 @@ impl Arena {
         self.free_heads = [0; MAX_CHUNK + 1];
         self.used = 0;
         self.live = 0;
-        self.stats.resets += 1;
-        if stats == StatsReset::ClearPeaks {
-            self.stats.peak_used = 0;
-            self.stats.peak_footprint = 0;
-        }
     }
 
     /// The shared pool this arena reserves from, if any.
@@ -758,7 +654,6 @@ impl Arena {
                 cur = read_raw40(&self.buf[cur as usize..cur as usize + PTR_BYTES]);
             }
         }
-        self.stats.frees += 1;
         if cfp_trace::enabled() {
             tc::MEMMAN_FREES.inc();
             tc::MEMMAN_USED_BYTES.sub(size as u64);
@@ -768,48 +663,6 @@ impl Arena {
         self.free_heads[size] = offset;
         self.used -= size as u64;
         self.live -= 1;
-    }
-
-    /// Moves a chunk from `old_size` to `new_size` bytes, copying the first
-    /// `min(old_size, new_size)` bytes. Returns the new offset (which may
-    /// equal the old one when the rounded sizes match). Panics on
-    /// exhaustion; see [`try_realloc`](Self::try_realloc).
-    pub fn realloc(&mut self, offset: u64, old_size: usize, new_size: usize) -> u64 {
-        match self.try_realloc(offset, old_size, new_size) {
-            Ok(off) => off,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible [`realloc`](Self::realloc): on error the original chunk at
-    /// `offset` is untouched and still owned by the caller, so a grow that
-    /// hits the budget can be handled without losing the node.
-    pub fn try_realloc(
-        &mut self,
-        offset: u64,
-        old_size: usize,
-        new_size: usize,
-    ) -> Result<u64, AllocError> {
-        let (old_chunk, new_chunk) = (Self::chunk_size(old_size), Self::chunk_size(new_size));
-        if old_chunk == new_chunk {
-            return Ok(offset);
-        }
-        let new_off = self.try_alloc(new_size)?;
-        if new_chunk > old_chunk {
-            self.stats.grows += 1;
-            if cfp_trace::enabled() {
-                tc::MEMMAN_GROWS.inc();
-            }
-        } else {
-            self.stats.shrinks += 1;
-            if cfp_trace::enabled() {
-                tc::MEMMAN_SHRINKS.inc();
-            }
-        }
-        let n = old_size.min(new_size);
-        self.buf.copy_within(offset as usize..offset as usize + n, new_off as usize);
-        self.free(offset, old_size);
-        Ok(new_off)
     }
 
     /// Immutable view of `len` bytes starting at `offset`.
@@ -886,11 +739,6 @@ impl Arena {
             self.free_bytes() as f64 / carved as f64
         }
     }
-
-    /// Event statistics for this arena since its creation.
-    pub fn stats(&self) -> ArenaStats {
-        self.stats
-    }
 }
 
 impl Drop for Arena {
@@ -960,34 +808,6 @@ mod tests {
     }
 
     #[test]
-    fn realloc_copies_contents() {
-        let mut a = Arena::new();
-        let x = a.alloc(7);
-        a.bytes_mut(x, 7).copy_from_slice(&[1, 2, 3, 4, 5, 6, 7]);
-        let y = a.realloc(x, 7, 12);
-        assert_ne!(x, y);
-        assert_eq!(&a.bytes(y, 12)[..7], &[1, 2, 3, 4, 5, 6, 7]);
-    }
-
-    #[test]
-    fn realloc_shrinking_keeps_prefix() {
-        let mut a = Arena::new();
-        let x = a.alloc(12);
-        a.bytes_mut(x, 12).copy_from_slice(&[9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 11, 12]);
-        let y = a.realloc(x, 12, 6);
-        assert_eq!(a.bytes(y, 6), &[9, 8, 7, 6, 5, 4]);
-    }
-
-    #[test]
-    fn realloc_same_rounded_size_is_a_noop() {
-        let mut a = Arena::new();
-        let x = a.alloc(7);
-        assert_eq!(a.realloc(x, 7, 7), x);
-        let y = a.alloc(2);
-        assert_eq!(a.realloc(y, 2, 4), y, "2 and 4 both round to MIN_CHUNK");
-    }
-
-    #[test]
     fn used_tracks_rounded_live_bytes() {
         let mut a = Arena::new();
         assert_eq!(a.used(), 0);
@@ -1022,14 +842,14 @@ mod tests {
         let x = a.alloc(40);
         let y = a.alloc(24); // exactly at the 64-byte cap
         let pool = a.pool().unwrap().clone();
-        let before = (a.used(), a.live_allocs(), a.footprint(), a.stats(), pool.used());
+        let before = (a.used(), a.live_allocs(), a.footprint(), pool.used());
         let err = a.try_alloc(8).unwrap_err();
         assert_eq!(err.kind, AllocErrorKind::BudgetExceeded);
         assert_eq!(err.limit, 64);
         assert_eq!(err.requested, 8);
         assert_eq!(err.footprint, 64);
         // Nothing changed: same accounting, and the arena still works.
-        assert_eq!((a.used(), a.live_allocs(), a.footprint(), a.stats(), pool.used()), before);
+        assert_eq!((a.used(), a.live_allocs(), a.footprint(), pool.used()), before);
         a.free(x, 40);
         assert_eq!(a.alloc(40), x, "recycling costs no budget and must succeed");
         a.free(y, 24);
@@ -1046,18 +866,6 @@ mod tests {
         assert_eq!(a.try_alloc(12).unwrap_err().kind, AllocErrorKind::BudgetExceeded);
         // Same class recycles within the cap.
         assert_eq!(a.try_alloc(10).unwrap(), x);
-    }
-
-    #[test]
-    fn failed_realloc_keeps_the_old_chunk() {
-        let mut a = pooled(8);
-        let x = a.alloc(8);
-        a.bytes_mut(x, 8).copy_from_slice(b"eightbyt");
-        let err = a.try_realloc(x, 8, 16).unwrap_err();
-        assert_eq!(err.kind, AllocErrorKind::BudgetExceeded);
-        assert_eq!(a.bytes(x, 8), b"eightbyt", "old chunk must survive a failed grow");
-        assert_eq!(a.live_allocs(), 1);
-        assert_eq!(a.stats().grows, 0, "a failed grow is not a grow");
     }
 
     #[test]
@@ -1118,39 +926,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_split_queue_hits_from_bump_allocs() {
-        let mut a = Arena::new();
-        let x = a.alloc(10);
-        let _y = a.alloc(10);
-        a.free(x, 10);
-        let _z = a.alloc(10); // recycles x
-        let s = a.stats();
-        assert_eq!(s.allocs, 3);
-        assert_eq!(s.frees, 1);
-        assert_eq!(s.queue_hits, 1);
-        assert_eq!(s.bump_allocs, 2);
-        assert_eq!(s.queue_hits + s.bump_allocs, s.allocs);
-        assert_eq!(s.allocs - s.frees, a.live_allocs());
-    }
-
-    #[test]
-    fn stats_count_grows_and_shrinks() {
-        let mut a = Arena::new();
-        let x = a.alloc(7);
-        let y = a.realloc(x, 7, 20); // grow: alloc + free + grow
-        let z = a.realloc(y, 20, 6); // shrink
-        let _same = a.realloc(z, 6, 6); // same chunk class: no-op
-        let w = a.alloc(2);
-        let _same = a.realloc(w, 2, 4); // 2 and 4 both round to MIN_CHUNK: no-op
-        let s = a.stats();
-        assert_eq!(s.grows, 1);
-        assert_eq!(s.shrinks, 1);
-        assert_eq!(s.allocs, 4, "realloc's internal allocs are counted");
-        assert_eq!(s.frees, 2, "realloc's internal frees are counted");
-        assert_eq!(s.allocs - s.frees, a.live_allocs());
-    }
-
-    #[test]
     fn stats_agree_with_live_and_free_byte_accounting() {
         let mut a = Arena::new();
         let offs: Vec<(u64, usize)> =
@@ -1158,12 +933,9 @@ mod tests {
         for &(o, sz) in offs.iter().take(8) {
             a.free(o, sz);
         }
-        let s = a.stats();
-        assert_eq!(s.allocs, 20);
-        assert_eq!(s.frees, 8);
         assert_eq!(a.live_allocs(), 12);
-        assert_eq!(s.allocs - s.frees, a.live_allocs());
-        // free_bytes must equal the rounded sizes of the freed chunks.
+        // free_bytes must equal the rounded sizes of the freed chunks,
+        // and every carved byte is either live or free.
         let freed: u64 = offs.iter().take(8).map(|&(_, sz)| sz.max(MIN_CHUNK) as u64).sum();
         assert_eq!(a.free_bytes(), freed);
         assert_eq!(a.footprint() - 1, a.used() + a.free_bytes());
@@ -1230,7 +1002,6 @@ mod tests {
         assert_eq!(a.live_allocs(), 0);
         assert_eq!(a.free_chunks(16), 0, "free queues cleared");
         assert_eq!(a.reserved(), cap, "Vec capacity survives the reset");
-        assert_eq!(a.stats().resets, 1);
         // The arena is immediately reusable and re-carves from offset 1.
         let z = a.alloc(16);
         assert!(z >= 1);
@@ -1301,9 +1072,9 @@ mod tests {
         assert_eq!(pool.external_used(), 1000);
         assert_eq!(pool.component_used(Component::CondArrays), 1000);
         // Admission is unaffected: the 10-byte limit is still fully free.
-        assert!(pool.try_reserve(10));
-        assert!(!pool.try_reserve(1));
-        pool.release(10);
+        assert!(pool.try_reserve_for(Component::Other, 10));
+        assert!(!pool.try_reserve_for(Component::Other, 1));
+        pool.release_for(Component::Other, 10);
         pool.release_external(Component::CondArrays, 1000);
         assert_eq!(pool.external_used(), 0);
         assert_eq!(pool.component_used(Component::CondArrays), 0);
@@ -1319,7 +1090,7 @@ mod tests {
         });
         let _x = a.alloc(17);
         pool.charge_external(Component::CondArrays, 123);
-        pool.try_reserve(9); // untagged -> Component::Other
+        assert!(pool.try_reserve_for(Component::Other, 9));
         let snap = pool.snapshot();
         assert_eq!(snap.used, 17 + 9);
         assert_eq!(snap.external_used, 123);
@@ -1329,40 +1100,6 @@ mod tests {
         assert_eq!(row("build-tree").1, 17);
         assert_eq!(row("cond-arrays").1, 123);
         assert_eq!(row("other").1, 9);
-        pool.release(9);
-    }
-
-    #[test]
-    fn arena_stats_track_peaks_within_the_window() {
-        let mut a = Arena::new();
-        let x = a.alloc(32);
-        a.free(x, 32);
-        let _y = a.alloc(8); // queue miss (wrong size) -> bump
-        assert_eq!(a.stats().peak_used, 32, "peak survives the free");
-        assert!(a.stats().peak_footprint >= a.footprint() - 1);
-        let z = a.alloc(32); // queue hit: used rises, footprint does not
-        assert_eq!(a.stats().peak_used, 40);
-        let fp = a.stats().peak_footprint;
-        a.free(z, 32);
-        assert_eq!(a.stats().peak_used, 40, "peak survives frees");
-        assert_eq!(a.stats().peak_footprint, fp, "queue traffic leaves footprint peak");
-    }
-
-    #[test]
-    fn reset_with_clear_peaks_starts_a_fresh_window() {
-        let mut a = Arena::new();
-        let _x = a.alloc(32);
-        assert_eq!(a.stats().peak_used, 32);
-        // Plain reset keeps the peaks (run-level view)...
-        a.reset();
-        assert_eq!(a.stats().peak_used, 32);
-        // ...while ClearPeaks starts a per-task window so recycling does
-        // not smear one task's peak across the next.
-        let _y = a.alloc(8);
-        a.reset_with(StatsReset::ClearPeaks);
-        assert_eq!(a.stats().peak_used, 0);
-        assert_eq!(a.stats().peak_footprint, 0);
-        let _z = a.alloc(16);
-        assert_eq!(a.stats().peak_used, 16);
+        pool.release_for(Component::Other, 9);
     }
 }

@@ -5,28 +5,32 @@
 //! to a [`MemGauge`]. The gauge records the running total and the peak, which
 //! is the quantity plotted in Figures 7(b), 7(d), and 8(b) of the paper.
 //!
-//! The gauge is a cheap `Rc<Cell>` pair so that deeply recursive code (the
-//! mine phase builds thousands of conditional trees) can clone a handle
-//! instead of threading `&mut` borrows through every call.
+//! The gauge is an `Arc` over atomics, so deeply recursive code (the mine
+//! phase builds thousands of conditional trees) can clone a handle instead
+//! of threading `&mut` borrows through every call, and every worker thread
+//! of one run can charge the same gauge: its peak is then the run's real
+//! concurrent high-water.
 //!
 //! When tracing is enabled (`cfp_trace::set_enabled(true)`), every gauge
 //! additionally mirrors its movements into the global
-//! `cfp_trace::counters::MEM_CURRENT_BYTES` / `MEM_PEAK_BYTES` atomics.
-//! `MemGauge` itself is `Rc`-based and not `Send`, so the mirror is what
-//! the background memory sampler reads: the sum of all live gauges across
-//! the process.
+//! `cfp_trace::counters::MEM_CURRENT_BYTES` gauge (the sum of all live
+//! gauges across the process, which the background memory sampler reads)
+//! and records its own new value into `MEM_PEAK_BYTES`, so a process that
+//! mines once reports exactly its run's peak there.
 
 use cfp_trace::counters::{MEM_CURRENT_BYTES, MEM_PEAK_BYTES};
-use std::cell::Cell;
-use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
+// Every field is a statistic that publishes no other data: relaxed
+// atomics suffice.
 #[derive(Debug, Default)]
 struct Inner {
-    current: Cell<u64>,
-    peak: Cell<u64>,
+    current: AtomicU64,
+    peak: AtomicU64,
     /// Sum of `current` observed at every `checkpoint` call, for averages.
-    sample_sum: Cell<u64>,
-    sample_count: Cell<u64>,
+    sample_sum: AtomicU64,
+    sample_count: AtomicU64,
 }
 
 impl Drop for Inner {
@@ -34,7 +38,7 @@ impl Drop for Inner {
         // A gauge dropped with bytes still accounted (its owner structure
         // is going away wholesale) must release them from the global
         // mirror, or dead runs would inflate later samples.
-        let cur = self.current.get();
+        let cur = *self.current.get_mut();
         if cur > 0 && cfp_trace::enabled() {
             MEM_CURRENT_BYTES.sub(cur);
         }
@@ -43,10 +47,11 @@ impl Drop for Inner {
 
 /// Tracks current and peak logical memory usage in bytes.
 ///
-/// Cloning produces a handle to the same underlying counters.
+/// Cloning produces a handle to the same underlying counters, which any
+/// thread may charge.
 #[derive(Clone, Debug, Default)]
 pub struct MemGauge {
-    inner: Rc<Inner>,
+    inner: Arc<Inner>,
 }
 
 impl MemGauge {
@@ -57,14 +62,11 @@ impl MemGauge {
 
     /// Records that `bytes` additional bytes are now in use.
     pub fn alloc(&self, bytes: u64) {
-        let cur = self.inner.current.get() + bytes;
-        self.inner.current.set(cur);
-        if cur > self.inner.peak.get() {
-            self.inner.peak.set(cur);
-        }
+        let cur = self.inner.current.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        self.inner.peak.fetch_max(cur, Ordering::Relaxed);
         if cfp_trace::enabled() {
             MEM_CURRENT_BYTES.add(bytes);
-            MEM_PEAK_BYTES.record(MEM_CURRENT_BYTES.get());
+            MEM_PEAK_BYTES.record(cur);
         }
     }
 
@@ -75,60 +77,39 @@ impl MemGauge {
     /// Panics in debug builds if more bytes are freed than were allocated;
     /// release builds saturate at zero.
     pub fn free(&self, bytes: u64) {
-        let cur = self.inner.current.get();
+        // The closure never declines, so both arms carry the old value.
+        let cur = self
+            .inner
+            .current
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |c| Some(c.saturating_sub(bytes)))
+            .unwrap_or_else(|c| c);
         debug_assert!(bytes <= cur, "MemGauge::free({bytes}) exceeds current usage {cur}");
-        self.inner.current.set(cur.saturating_sub(bytes));
         if cfp_trace::enabled() {
             MEM_CURRENT_BYTES.sub(bytes.min(cur));
         }
     }
 
-    /// Adjusts the gauge to reflect that a structure changed size.
-    pub fn resize(&self, old_bytes: u64, new_bytes: u64) {
-        if new_bytes >= old_bytes {
-            self.alloc(new_bytes - old_bytes);
-        } else {
-            self.free(old_bytes - new_bytes);
-        }
-    }
-
     /// Currently accounted bytes.
     pub fn current(&self) -> u64 {
-        self.inner.current.get()
+        self.inner.current.load(Ordering::Relaxed)
     }
 
-    /// Highest value `current` has reached since the last [`reset`](Self::reset).
+    /// Highest value `current` has reached.
     pub fn peak(&self) -> u64 {
-        self.inner.peak.get()
+        self.inner.peak.load(Ordering::Relaxed)
     }
 
     /// Samples `current` for the running average (the paper reports average
     /// memory consumption of CFP-growth in Figure 7(d)).
     pub fn checkpoint(&self) {
-        self.inner.sample_sum.set(self.inner.sample_sum.get() + self.inner.current.get());
-        self.inner.sample_count.set(self.inner.sample_count.get() + 1);
+        self.inner.sample_sum.fetch_add(self.current(), Ordering::Relaxed);
+        self.inner.sample_count.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Average of all checkpointed samples, or 0 with no samples.
     pub fn average(&self) -> u64 {
-        self.inner.sample_sum.get().checked_div(self.inner.sample_count.get()).unwrap_or(0)
-    }
-
-    /// The sum and the number of checkpointed samples, so averages of
-    /// several gauges (one per thread) can be merged exactly.
-    pub fn samples(&self) -> (u64, u64) {
-        (self.inner.sample_sum.get(), self.inner.sample_count.get())
-    }
-
-    /// Clears every counter.
-    pub fn reset(&self) {
-        if cfp_trace::enabled() {
-            MEM_CURRENT_BYTES.sub(self.inner.current.get());
-        }
-        self.inner.current.set(0);
-        self.inner.peak.set(0);
-        self.inner.sample_sum.set(0);
-        self.inner.sample_count.set(0);
+        let sum = self.inner.sample_sum.load(Ordering::Relaxed);
+        sum.checked_div(self.inner.sample_count.load(Ordering::Relaxed)).unwrap_or(0)
     }
 }
 
@@ -160,15 +141,25 @@ mod tests {
         assert_eq!(h.peak(), 10);
     }
 
+    /// Two threads charging one gauge: the peak is what they held
+    /// together, not either thread's own high-water.
     #[test]
-    fn resize_moves_in_both_directions() {
+    fn clones_on_two_threads_report_the_concurrent_high_water() {
+        use std::sync::Barrier;
         let g = MemGauge::new();
-        g.alloc(100);
-        g.resize(100, 160);
-        assert_eq!(g.current(), 160);
-        g.resize(160, 40);
-        assert_eq!(g.current(), 40);
-        assert_eq!(g.peak(), 160);
+        let both_live = Barrier::new(2);
+        std::thread::scope(|s| {
+            for bytes in [100, 50] {
+                let (g, both_live) = (g.clone(), &both_live);
+                s.spawn(move || {
+                    g.alloc(bytes);
+                    both_live.wait();
+                    g.free(bytes);
+                });
+            }
+        });
+        assert_eq!(g.peak(), 150);
+        assert_eq!(g.current(), 0);
     }
 
     #[test]
@@ -179,18 +170,6 @@ mod tests {
         g.alloc(30);
         g.checkpoint();
         assert_eq!(g.average(), 25);
-        assert_eq!(g.samples(), (50, 2));
-    }
-
-    #[test]
-    fn reset_clears_all() {
-        let g = MemGauge::new();
-        g.alloc(10);
-        g.checkpoint();
-        g.reset();
-        assert_eq!(g.current(), 0);
-        assert_eq!(g.peak(), 0);
-        assert_eq!(g.average(), 0);
     }
 
     #[test]

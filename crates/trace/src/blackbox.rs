@@ -231,10 +231,10 @@ pub fn render(doc: &Json) -> String {
     if let Some(counters) = doc.get("counters") {
         let g = |k: &str| counters.get(k).and_then(Json::as_u64).unwrap_or(0);
         out.push_str(&format!(
-            "\nmemory: footprint {} B, peak {} B, pool peak {} B\n",
+            "\nmemory: footprint {} B, pool peak {} B, structure peak {} B\n",
             g("memman.footprint_bytes"),
-            g("memman.peak_footprint_bytes"),
             g("memman.pool_peak_bytes"),
+            g("mem.peak_bytes"),
         ));
     }
 
@@ -309,7 +309,7 @@ mod tests {
             exit_code: 4,
             context: vec![("dataset".into(), "baskets.dat".into())],
             snapshot: Snapshot {
-                counters: vec![("core.items_mined", 17), ("memman.peak_footprint_bytes", 4096)],
+                counters: vec![("core.items_mined", 17), ("mem.peak_bytes", 4096)],
                 ..Snapshot::default()
             },
             tracks: vec![],
@@ -345,6 +345,6 @@ mod tests {
         assert!(text.contains("memory exhausted: test"));
         assert!(text.contains("core.items_mined"));
         assert!(text.contains("cfp-blackbox/4 post-mortem"));
-        assert!(text.contains("peak 4096 B"), "memory is read from the counters: {text}");
+        assert!(text.contains("structure peak 4096 B"), "memory is read from the counters: {text}");
     }
 }

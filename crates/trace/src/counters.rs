@@ -153,25 +153,21 @@ pub static MEMMAN_FREES: Counter = Counter::new("memman.frees");
 pub static MEMMAN_QUEUE_HITS: Counter = Counter::new("memman.queue_hits");
 /// `cfp-memman`: allocations served by carving at the bump pointer.
 pub static MEMMAN_BUMP_ALLOCS: Counter = Counter::new("memman.bump_allocs");
-/// `cfp-memman`: reallocations to a larger chunk class.
-pub static MEMMAN_GROWS: Counter = Counter::new("memman.reallocs_grow");
-/// `cfp-memman`: reallocations to a smaller chunk class.
-pub static MEMMAN_SHRINKS: Counter = Counter::new("memman.reallocs_shrink");
 /// `cfp-memman`: live (rounded) bytes across all arenas, mirrored.
 pub static MEMMAN_USED_BYTES: Gauge = Gauge::new("memman.used_bytes");
 /// `cfp-memman`: carved bytes (bump high-water) across all arenas.
 pub static MEMMAN_FOOTPRINT_BYTES: Gauge = Gauge::new("memman.footprint_bytes");
-/// `cfp-memman`: peak of [`MEMMAN_FOOTPRINT_BYTES`] over the run.
-pub static MEMMAN_PEAK_FOOTPRINT: MaxGauge = MaxGauge::new("memman.peak_footprint_bytes");
 /// `cfp-memman`: arenas recycled via `Arena::reset` instead of reallocated.
 pub static MEMMAN_RESETS: Counter = Counter::new("memman.arena_resets");
-/// `cfp-memman`: high-water mark of reserved bytes in the shared budget
-/// pool (0 when mining runs without a budget).
+/// `cfp-memman`: high-water mark of the carved arena bytes a budget pool
+/// admitted, the value of `BudgetPool::peak` (0 when mining runs without
+/// a pool).
 pub static MEMMAN_POOL_PEAK: MaxGauge = MaxGauge::new("memman.pool_peak_bytes");
 
-/// `cfp-metrics`: current tracked bytes, mirrored from `MemGauge`.
+/// `cfp-metrics`: current tracked bytes, the sum of every live `MemGauge`.
 pub static MEM_CURRENT_BYTES: Gauge = Gauge::new("mem.current_bytes");
-/// `cfp-metrics`: peak tracked bytes, mirrored from `MemGauge`.
+/// `cfp-metrics`: the highest value any one `MemGauge` reached: for a
+/// process that mines once, its run's structure peak (`peak_bytes`).
 pub static MEM_PEAK_BYTES: MaxGauge = MaxGauge::new("mem.peak_bytes");
 
 /// `cfp-tree`: standard (masked) nodes encoded.
@@ -280,8 +276,6 @@ static COUNTERS: &[&Counter] = &[
     &MEMMAN_FREES,
     &MEMMAN_QUEUE_HITS,
     &MEMMAN_BUMP_ALLOCS,
-    &MEMMAN_GROWS,
-    &MEMMAN_SHRINKS,
     &MEMMAN_RESETS,
     &TREE_STANDARD_NODES,
     &TREE_CHAIN_NODES,
@@ -324,7 +318,6 @@ static GAUGES: &[&Gauge] = &[&MEMMAN_USED_BYTES, &MEMMAN_FOOTPRINT_BYTES, &MEM_C
 
 /// All max-gauges, for snapshots.
 static MAX_GAUGES: &[&MaxGauge] = &[
-    &MEMMAN_PEAK_FOOTPRINT,
     &MEMMAN_POOL_PEAK,
     &MEM_PEAK_BYTES,
     &CORE_WORKERS,

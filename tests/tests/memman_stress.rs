@@ -1,7 +1,7 @@
 //! Randomized stress testing of the arena allocator against a shadow
 //! model.
 //!
-//! A seeded driver issues thousands of alloc/free/realloc
+//! A seeded driver runs thousands of alloc/free/move
 //! operations against an [`Arena`] while a `BTreeMap` shadow (deterministic iteration keeps the op stream reproducible) records
 //! every live chunk's offset, size, and expected contents. After every
 //! operation the shadow contents are re-verified; periodically the
@@ -110,25 +110,21 @@ fn stress_pass(arena: &mut Arena, seed: u64) {
             let entry = shadow.remove(&offset).unwrap();
             arena.free(offset, entry.size);
         } else {
-            // Realloc a random live chunk to a new size; the common
-            // prefix must survive the move (or non-move).
+            // Move a random live chunk to a new size the way the CFP-tree
+            // moves a node that changed size: carve the new chunk, write
+            // it (the common prefix plus a regrown tail), free the old.
             let idx = rng.gen_range(0..shadow.len());
             let offset = *shadow.keys().nth(idx).unwrap();
             let entry = shadow.remove(&offset).unwrap();
             let new_size = rng.gen_range(1usize..=MAX_CHUNK);
-            let new_offset = arena.realloc(offset, entry.size, new_size);
+            let new_offset = arena.alloc(new_size);
             let kept = entry.size.min(new_size);
-            assert_eq!(
-                arena.bytes(new_offset, kept),
-                &entry.contents[..kept],
-                "realloc {offset}->{new_offset} lost the common prefix"
-            );
-            // Regrow the tail deterministically and record the result.
             let mut contents = entry.contents[..kept].to_vec();
             contents.extend(fill_pattern(&mut rng, new_size - kept));
             arena.bytes_mut(new_offset, new_size).copy_from_slice(&contents);
+            arena.free(offset, entry.size);
             let prev = shadow.insert(new_offset, Shadow { size: new_size, contents });
-            assert!(prev.is_none(), "realloc returned live offset {new_offset}");
+            assert!(prev.is_none(), "alloc returned live offset {new_offset}");
         }
 
         if op % 64 == 0 {
@@ -166,12 +162,11 @@ fn recycled_arena_behaves_like_a_fresh_one() {
         let capacity_before = arena.footprint();
         arena.reset();
         assert_eq!(arena.footprint(), 1, "reset must drop back to the burned null byte");
-        assert_eq!(arena.stats().resets, 1);
 
         // Second pass on the recycled arena, different op stream.
         stress_pass(&mut arena, seed ^ 0x5EED);
         assert!(
-            arena.stats().allocs > 0 && capacity_before > 1,
+            arena.footprint() > 1 && capacity_before > 1,
             "both passes must have exercised the arena"
         );
     }
