@@ -452,9 +452,7 @@ impl Runner {
             Runner::Plain(m) => m.try_mine(db, min_support, sink),
             Runner::Supervised(s) => {
                 let (r, report) = s.mine(db, min_support, sink);
-                stash_blackbox_degradation(&report);
-                *degradation = Some(report);
-                r
+                supervised_outcome(r, report, degradation)
             }
         }
     }
@@ -806,6 +804,46 @@ fn stash_blackbox_degradation(report: &RecoveryReport) {
     }
 }
 
+/// Files a supervised run's recovery report for the profile and the
+/// flight recorder and passes its result on. A failed run first says on
+/// stderr, one line per failed rung, how far each rung got, ahead of the
+/// error line the caller prints.
+fn supervised_outcome(
+    r: Result<MineStats, CfpError>,
+    report: RecoveryReport,
+    degradation: &mut Option<RecoveryReport>,
+) -> Result<MineStats, CfpError> {
+    if r.is_err() {
+        for line in failed_rungs(&report) {
+            eprintln!("cfp-mine: {line}");
+        }
+    }
+    stash_blackbox_degradation(&report);
+    *degradation = Some(report);
+    r
+}
+
+/// One line per failed rung of `report`: the rung, the partitions a
+/// partitioned rung mined before it stopped, and its error.
+fn failed_rungs(report: &RecoveryReport) -> Vec<String> {
+    report
+        .rungs
+        .iter()
+        .filter(|r| !r.succeeded)
+        .map(|r| {
+            let after = match r.rung {
+                "degrade" => String::new(),
+                _ => format!(" after {} partition(s)", r.partitions),
+            };
+            format!(
+                "rung {} failed{after}: {}",
+                r.rung,
+                r.error.as_deref().unwrap_or("unknown error")
+            )
+        })
+        .collect()
+}
+
 /// Exit code reported in a blackbox dump for a main-thread panic (the
 /// process code the Rust runtime uses for unwound panics).
 const PANIC_EXIT_CODE: i32 = 101;
@@ -950,9 +988,7 @@ fn run_checkpointed(
             &mut sink,
             spill_resume,
         );
-        stash_blackbox_degradation(&report);
-        *degradation = Some(report);
-        r
+        supervised_outcome(r, report, degradation)
     } else {
         cfp_miner(opts, None, cancel, resume_skip).try_mine(db, min_support, &mut sink)
     };

@@ -24,6 +24,18 @@ fn write_sample() -> std::path::PathBuf {
     path
 }
 
+/// The `connect-like` profile's database as a FIMI file.
+fn write_connect_like() -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join("cfp_cli_tests");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("connect-like.dat");
+    let db = cfp_data::profiles::by_name("connect-like").expect("profile exists").generate();
+    let mut text = Vec::new();
+    cfp_data::fimi::write(&db, &mut text).unwrap();
+    write_shared(&path, std::str::from_utf8(&text).unwrap());
+    path
+}
+
 #[test]
 fn mines_and_prints_fimi_output() {
     let path = write_sample();
@@ -157,13 +169,8 @@ fn profile_phases_mean_the_same_at_any_thread_count() {
 fn stats_peak_is_the_profile_peak_at_any_thread_count() {
     use cfp_trace::{json, Json};
 
-    let dir = std::env::temp_dir().join("cfp_cli_tests");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("connect-like.dat");
-    let db = cfp_data::profiles::by_name("connect-like").expect("profile exists").generate();
-    let mut text = Vec::new();
-    cfp_data::fimi::write(&db, &mut text).unwrap();
-    write_shared(&path, std::str::from_utf8(&text).unwrap());
+    let path = write_connect_like();
+    let dir = path.parent().unwrap();
     for threads in ["1", "2", "4"] {
         let report_path = dir.join(format!("peak-{threads}.json"));
         let out = Command::new(bin())
@@ -1004,6 +1011,51 @@ fn recover_off_reproduces_the_plain_failure_byte_for_byte() {
     assert_eq!(off.status.code(), Some(4));
     assert_eq!(plain.stderr, off.stderr, "stderr must match byte for byte");
     assert_eq!(plain.stdout, off.stdout);
+}
+
+/// A partitioned run that fails says how far it got: on connect-like at
+/// 80%, one thread, under 0.9× the monolithic pool peak, rung 2 mines 8
+/// partitions covering 42 of the 43 items, then stops at the last item's
+/// range, which it cannot halve. Stderr names the rung, the partitions
+/// and the range ahead of the unchanged error line, on both supervised
+/// paths: the ladder and a checkpointed spill run.
+#[test]
+fn a_failed_partitioned_run_says_where_it_stopped() {
+    let path = write_connect_like();
+    let scratch = ckpt_scratch("failed-rung");
+    let (ck, sp) = (scratch.join("ck"), scratch.join("sp"));
+    let budget = ["--support", "80%", "--mem-budget", "380966"];
+    let runs = [
+        vec!["--recover=partition"],
+        vec!["--recover=spill", "--spill-dir", sp.to_str().unwrap()],
+        vec!["--recover=spill", "--spill-dir", sp.to_str().unwrap()]
+            .into_iter()
+            .chain(["--checkpoint-dir", ck.to_str().unwrap()])
+            .collect(),
+    ];
+    for extra in runs {
+        let out = Command::new(bin())
+            .arg(path.to_str().unwrap())
+            .args(budget)
+            .args(&extra)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(4), "{extra:?}: {stderr}");
+        let lines: Vec<&str> = stderr.lines().collect();
+        let error = lines[lines.len() - 1].strip_prefix("cfp-mine: ").expect("error line");
+        assert!(error.starts_with("memory exhausted in build phase"), "{extra:?}: {stderr}");
+        let rung = if extra[0] == "--recover=partition" { "partition" } else { "spill" };
+        assert_eq!(
+            lines[lines.len() - 2],
+            format!(
+                "cfp-mine: rung {rung} failed after 8 partition(s): range [42, 43) of one item \
+                 cannot be halved: {error}"
+            ),
+            "{extra:?}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&scratch);
 }
 
 /// The tentpole e2e: a budget too small for the monolithic tree, mined to

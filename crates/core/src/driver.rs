@@ -10,9 +10,11 @@
 //!   supports, builds the initial CFP-tree — charging the run's
 //!   [`BudgetPool`](cfp_memman::BudgetPool) when there is one — and
 //!   converts it to the CFP-array (§3 of the paper), each phase under its
-//!   own span.
+//!   own span. [`run`] ranks a whole database by support; a rung-2
+//!   partition and [`mine_file`](crate::mine_file) build their own trees
+//!   and join at [`convert_and_mine`].
 //! - The **back half** ([`mine`]) mines the frequent first-level items
-//!   from the run's first item up (0 unless a rung-3 partition ranks its
+//!   from the run's first item up (0 unless a rung-2 partition ranks its
 //!   context items first) — one task per item — on `threads.max(1)`
 //!   spawned workers claiming from a [`TaskQueue`]. Each task's itemsets
 //!   travel to the caller's thread in chunks, where the
@@ -63,23 +65,11 @@ pub(crate) struct Plan {
     pub worker_timeout: Option<Duration>,
 }
 
-/// How a run ranks its items: the recoder over the run's database and the
-/// first recoded item the back half mines. [`by_support`] ranks a whole
-/// database; rung 3 ranks its range's items last and mines only those.
-pub(crate) type Rank<'a> = &'a dyn Fn(&TransactionDb, u64) -> (ItemRecoder, u32);
-
-/// The whole-database ranking: every frequent item by descending support,
-/// all of them mined.
-pub(crate) fn by_support(db: &TransactionDb, min_support: u64) -> (ItemRecoder, u32) {
-    (ItemRecoder::scan(db, min_support), 0)
-}
-
-/// Count, build, convert, mine: one whole run over `db`, whose items
-/// `rank` counts and orders (under the count span). The sink hears the
-/// count ([`ItemsetSink::counted`]) before the build.
+/// Count, build, convert, mine: one whole run over `db`, every frequent
+/// item ranked by descending support and mined. The sink hears the count
+/// ([`ItemsetSink::counted`]) before the build.
 pub(crate) fn run(
     db: &TransactionDb,
-    rank: Rank<'_>,
     min_support: u64,
     sink: &mut dyn ItemsetSink,
     plan: Plan,
@@ -87,9 +77,9 @@ pub(crate) fn run(
 ) -> Result<MineStats, CfpError> {
     let mut stats = MineStats::default();
     let mut sw = Stopwatch::start();
-    let (recoder, first) = {
+    let recoder = {
         let _s = span(Phase::Count);
-        rank(db, min_support)
+        ItemRecoder::scan(db, min_support)
     };
     sink.counted(&recoder)?;
     stats.scan_time = sw.lap();
@@ -98,13 +88,14 @@ pub(crate) fn run(
         CfpTree::try_from_db_with(db, &recoder, opts.arena_options(Component::BuildTree))?
     };
     stats.build_time = sw.lap();
-    convert_and_mine(&recoder, tree, first, min_support, sink, stats, sw, plan, opts)
+    convert_and_mine(&recoder, tree, 0, min_support, sink, stats, sw, plan, opts)
 }
 
 /// The rest of a run once the initial tree is built: conversion, then the
 /// back half from item `first` up. The streaming
 /// [`mine_file`](crate::mine_file) pipeline, which builds its tree from
-/// the file, joins here.
+/// the file, and each rung-2 partition, which builds its tree in the pass
+/// that sizes the next one, join here.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn convert_and_mine(
     recoder: &ItemRecoder,
@@ -797,12 +788,15 @@ mod tests {
             vec![1, 2, 3, 5],
             vec![1, 2, 3],
         ]);
-        let from_three =
-            |db: &TransactionDb, min_support: u64| (ItemRecoder::scan(db, min_support), 3);
-        let plan = Plan { threads: 1, worker_timeout: None };
-        let mut whole = CollectSink::new();
-        run(&db, &from_three, 2, &mut whole, plan, &MineOpts::default()).expect("uncancelled");
         let recoder = ItemRecoder::scan(&db, 2);
+        let from_three = |sink: &mut dyn ItemsetSink, opts: &MineOpts| {
+            let tree = CfpTree::from_db(&db, &recoder);
+            let plan = Plan { threads: 1, worker_timeout: None };
+            let (stats, sw) = (MineStats::default(), Stopwatch::start());
+            convert_and_mine(&recoder, tree, 3, 2, sink, stats, sw, plan, opts)
+        };
+        let mut whole = CollectSink::new();
+        from_three(&mut whole, &MineOpts::default()).expect("uncancelled");
         let mined: Vec<Item> = (3..5).map(|i| recoder.original(i)).collect();
         assert!(!whole.itemsets.is_empty());
         for (set, _) in &whole.itemsets {
@@ -812,8 +806,8 @@ mod tests {
         let token = cfp_fault::CancelToken::new();
         let opts = MineOpts { cancel: Some(token.clone()), ..Default::default() };
         let mut sink = CancelAt { inner: CollectSink::new(), trigger: recoder.original(3), token };
-        let stats = run(&db, &from_three, 2, &mut sink, plan, &opts)
-            .expect("the last item was entered before the cancel");
+        let stats =
+            from_three(&mut sink, &opts).expect("the last item was entered before the cancel");
         assert!(sink.token.is_cancelled(), "the trigger never fired");
         assert_eq!(sink.inner.itemsets, whole.itemsets);
         assert_eq!(stats.itemsets, whole.itemsets.len() as u64);

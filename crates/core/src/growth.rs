@@ -604,7 +604,7 @@ impl CfpGrowthMiner {
         sink: &mut dyn ItemsetSink,
         opts: &MineOpts,
     ) -> Result<MineStats, CfpError> {
-        crate::driver::run(db, &crate::driver::by_support, min_support, sink, self.plan(), opts)
+        crate::driver::run(db, min_support, sink, self.plan(), opts)
     }
 }
 

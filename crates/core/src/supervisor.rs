@@ -11,22 +11,25 @@
 //!    tree live instead of `threads`). Skipped when the run had one
 //!    worker already: it would repeat the failed attempt exactly.
 //! 2. **partition** or **spill** — partitioned mining: split the recoded
-//!    items into ranges ([`cfp_data::partition`]) and run each range's
-//!    projection through the mining driver under a fresh pool of the
-//!    budget, mining only the itemsets whose maximal item is in the
-//!    range. Under a budget each range is cut to fit before it is built:
-//!    the projection pass of the partition before it estimates the
-//!    candidate ranges' trees ([`Sizer`]). A range that still exhausts
-//!    the budget is halved and requeued; a single-item range that fails
-//!    ends the run. Both policies run this one range loop and differ only
-//!    in where the arrays live: under [`RecoveryPolicy::Spill`] every
-//!    partition's CFP-array, and every conditional array above a quarter
-//!    of the budget, makes a checksummed write, fsync and read round trip
-//!    through a crash-safe spill file ([`CondSpill`]) and is mined from
-//!    one shared buffer. Arrays are unmetered in both placements, so the
-//!    round trip never changes admission: both policies cut the same
-//!    partitions, reach the same pool peaks and emit the same stream, and
-//!    a disk fault ends a spill run with [`CfpError::Spill`] (exit 7).
+//!    items into ranges ([`cfp_data::partition`]) and mine each range's
+//!    projection under a fresh pool of the budget, only the itemsets
+//!    whose maximal item is in the range. Each partition is one pass over
+//!    the caller's database that inserts the range's rows straight into
+//!    its tree; no projection is copied. Under a budget each range is cut
+//!    to fit before it is built: the pass of the partition before it
+//!    estimates the candidate ranges' trees and counts their projected
+//!    supports ([`Sizer`]). A range that still exhausts the budget is
+//!    halved and requeued; a single-item range that fails ends the run,
+//!    and the rung's report names it. Both policies run this one range
+//!    loop and differ only in where the arrays live: under
+//!    [`RecoveryPolicy::Spill`] every partition's CFP-array, and every
+//!    conditional array above a quarter of the budget, makes a
+//!    checksummed write, fsync and read round trip through a crash-safe
+//!    spill file ([`CondSpill`]) and is mined from one shared buffer.
+//!    Arrays are unmetered in both placements, so the round trip never
+//!    changes admission: both policies cut the same partitions, reach
+//!    the same pool peaks and emit the same stream, and a disk fault ends
+//!    a spill run with [`CfpError::Spill`] (exit 7).
 //!
 //! A transient failure (an injected allocation fault, a worker panic, a
 //! watchdog stall) is recovered by the next rung that runs.
@@ -52,16 +55,17 @@
 use crate::driver::{self, Plan};
 use crate::growth::{MineOpts, SubsumeIndex};
 use crate::spill::CondSpill;
-use cfp_data::count::count_supports;
 use cfp_data::miner::{CollectSink, TopKSink};
-use cfp_data::partition::{project, ranges_by_mass, Candidate, Sizer, Walk};
+use cfp_data::partition::{self, ranges_by_mass, Candidate, Sizer, Walk};
 use cfp_data::spill::SpillDir;
 use cfp_data::{
     CfpError, Item, ItemRecoder, ItemsetSink, MineProgress, MineStats, OutputMode, TransactionDb,
 };
-use cfp_memman::BudgetPool;
+use cfp_memman::{ArenaOptions, BudgetPool, Component};
+use cfp_metrics::Stopwatch;
 use cfp_trace::hist::{maybe_now, record_since};
 use cfp_trace::{span, Json, Phase};
+use cfp_tree::{CfpTree, CfpTreeConfig};
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -308,8 +312,7 @@ impl Supervisor {
             ..Default::default()
         };
         let mut buf = CollectSink::new();
-        let r =
-            driver::run(db, &driver::by_support, min_support, &mut buf, self.plan(threads), &opts);
+        let r = driver::run(db, min_support, &mut buf, self.plan(threads), &opts);
         (r, buf)
     }
 
@@ -346,9 +349,9 @@ impl Supervisor {
     ///
     /// `resume` replays a previous run's final notification: `done`
     /// completed partitions (counted into subsequent notifications, never
-    /// re-mined) and the surviving ranges to mine, in order. Because
-    /// ranges are re-projected from the database, no spill files need to
-    /// have survived the crash. Passing `None` starts a fresh run.
+    /// re-mined) and the surviving ranges to mine, in order. Because each
+    /// range is rebuilt from the database, no spill files need to have
+    /// survived the crash. Passing `None` starts a fresh run.
     pub fn mine_out_of_core_resumable(
         &self,
         db: &TransactionDb,
@@ -393,11 +396,15 @@ impl Supervisor {
         rung_started(trace_rung);
         let mut tally = Tally::default();
         let r = self.range_loop(db, min_support, on_disk, sink, resume, &mut tally);
+        let error = r.as_ref().err().map(|e| match tally.unhalvable {
+            Some((lo, hi)) => format!("range [{lo}, {hi}) of one item cannot be halved: {e}"),
+            None => e.to_string(),
+        });
         report.rungs.push(RungReport {
             rung,
             succeeded: r.is_ok(),
             partitions: tally.mined,
-            error: r.as_ref().err().map(|e| e.to_string()),
+            error,
         });
         if r.is_ok() {
             report.recovered = true;
@@ -408,18 +415,22 @@ impl Supervisor {
     }
 
     /// The range loop. After one count of the whole database, which
-    /// `sink` hears ([`ItemsetSink::counted`]), each step pops a range,
-    /// projects it, and runs the projection through the driver into a
-    /// buffer of its own, under a fresh pool of the budget. The
-    /// projection's recoder ranks the
-    /// range's items after its context items and the driver mines from
-    /// the first range item up, so the partition emits exactly the
-    /// itemsets whose maximal item is in the range. A range that exhausts
-    /// the pool drops its buffer and goes back on the front of the queue
-    /// as two halves, in mining order. A completed partition cuts the
-    /// next range from the uncut rest when that is all the queue holds
-    /// ([`fit`]), is reconciled (condensed output) or offered to
-    /// the top-k heap, emitted to `sink`, and followed by a
+    /// `sink` hears ([`ItemsetSink::counted`]), each step pops a range and
+    /// makes one pass over `db` ([`build_pass`]) that inserts the range's
+    /// projected rows into a tree under a fresh pool of the budget. The
+    /// tree then goes through the driver's back half into a buffer of its
+    /// own. The partition's recoder ranks the range's items after its
+    /// context items and the driver mines from the first range item up,
+    /// so the partition emits exactly the itemsets whose maximal item is
+    /// in the range. The ranking needs the projected supports before the
+    /// pass: the sizer that cut the range counted them; a range no sizer
+    /// measured (a halved range, the first range of a resume, every range
+    /// of a run without a budget) gets a counting pass of its own first.
+    /// A range that exhausts the pool drops its buffer and goes back on
+    /// the front of the queue as two halves, in mining order. A completed
+    /// partition cuts the next range from the uncut rest when that is all
+    /// the queue holds ([`fit`]), is reconciled (condensed output) or
+    /// offered to the top-k heap, emitted to `sink`, and followed by a
     /// [`MineProgress::SpillParts`] watermark, which therefore already
     /// lists the cut.
     ///
@@ -439,13 +450,19 @@ impl Supervisor {
         resume: Option<(u64, Vec<(u32, u32)>)>,
         tally: &mut Tally,
     ) -> Result<MineStats, CfpError> {
-        let recoder = ItemRecoder::scan(db, min_support);
+        let mut stats = MineStats::default();
+        let sw = Stopwatch::start();
+        let recoder = {
+            let _s = span(Phase::Count);
+            ItemRecoder::scan(db, min_support)
+        };
+        stats.scan_time = sw.elapsed();
         sink.counted(&recoder)?;
         let n = recoder.num_items();
         if n == 0 {
             // Nothing frequent: the empty result is exact. (A failure
             // that led here was necessarily transient — e.g. injected.)
-            return Ok(MineStats::default());
+            return Ok(stats);
         }
         // The placement. On disk, one conditional-spill hook over the
         // run's spill directory: the driver round-trips every partition's
@@ -467,7 +484,7 @@ impl Supervisor {
         };
         let condensed = self.output.is_condensed();
         let walk = if condensed { Walk::Down } else { Walk::Up };
-        let (proj_output, mut topk) = match self.output {
+        let (part_output, mut topk) = match self.output {
             OutputMode::TopK(k) => (OutputMode::All, Some(TopKSink::new(k))),
             other => (other, None),
         };
@@ -479,21 +496,43 @@ impl Supervisor {
                 "resumed ranges {remaining:?} must lie in the {n}-item universe"
             );
         }
-        let mut queue: VecDeque<(u32, u32)> = match resume {
-            Some((_, remaining)) => remaining.into(),
-            None => self.first_ranges(db, &recoder, walk).into(),
+        // `sized`: the front range's projected supports, when a sizer
+        // measured it.
+        let (mut queue, mut sized): (VecDeque<(u32, u32)>, Option<SizedRange>) = match resume {
+            Some((_, remaining)) => (remaining.into(), None),
+            None => {
+                let sw = Stopwatch::start();
+                let (ranges, sized) = {
+                    let _s = span(Phase::Count);
+                    self.first_ranges(db, &recoder, walk)
+                };
+                stats.scan_time += sw.elapsed();
+                (ranges.into(), sized)
+            }
         };
 
         let traced = cfp_trace::enabled();
         if traced {
             cfp_trace::counters::CORE_PARTITION_ITEMS.record(n as u64);
         }
-        let mut stats = MineStats::default();
-        while let Some((lo, hi)) = queue.pop_front() {
+        while let Some(range) = queue.pop_front() {
             if self.cancelled() {
                 return Err(CfpError::Interrupted);
             }
-            // When only the uncut rest follows, this projection pass also
+            let (lo, hi) = range;
+            let t0 = maybe_now();
+            let mut sw = Stopwatch::start();
+            let mut part_stats = MineStats::default();
+            let supports = match sized.take() {
+                Some((r, supports)) if r == range => supports,
+                _ => {
+                    let _s = span(Phase::Count);
+                    partition::projected_supports(db, &recoder, range)
+                }
+            };
+            let (local, to_local) = rank_partition(&recoder, range, supports);
+            part_stats.scan_time = sw.lap();
+            // When only the uncut rest follows, this partition's pass also
             // sizes the ranges the next partition could cut from it.
             let mut sizer = match queue.front() {
                 Some(&rest) if self.mem_budget.is_some() && queue.len() == 1 => {
@@ -501,32 +540,40 @@ impl Supervisor {
                 }
                 _ => None,
             };
-            let t0 = maybe_now();
-            let proj = project(db, &recoder, lo, hi, sizer.as_mut());
-            record_since(&cfp_trace::hist::CORE_SPILL_PROJECT_NANOS, t0);
-            let candidates = sizer.map(|s| s.candidates(&recoder));
             let pool = self.mem_budget.map(BudgetPool::new);
             let opts = MineOpts {
                 pool: pool.clone(),
                 cond_spill: cond_spill.clone(),
                 cancel: self.cancel.clone(),
-                output: proj_output,
+                output: part_output,
                 ..Default::default()
             };
+            let tree = {
+                let _s = span(Phase::Build);
+                let arena = opts.arena_options(Component::BuildTree);
+                build_pass(db, &recoder, range, &to_local, local.num_items(), sizer.as_mut(), arena)
+            };
+            part_stats.build_time = sw.lap();
             // Every range item is frequent in the projection (its rows
             // are all there), so ranked last the range's items are the
-            // projection's last `hi - lo` items.
-            let rank = |proj: &TransactionDb, min_support: u64| {
-                let own = |item: Item| recoder.recode(item).is_some_and(|i| lo <= i && i < hi);
-                let local = ItemRecoder::ranked_last(&count_supports(proj), min_support, own);
-                let first = local.num_items() as u32 - (hi - lo);
-                (local, first)
-            };
+            // partition's last `hi - lo` items.
+            let first = local.num_items() as u32 - (hi - lo);
             let mut part = CollectSink::new();
-            let t0 = maybe_now();
-            let r = driver::run(&proj, &rank, min_support, &mut part, self.plan(1), &opts);
+            let r = tree.and_then(|tree| {
+                let plan = self.plan(1);
+                driver::convert_and_mine(
+                    &local,
+                    tree,
+                    first,
+                    min_support,
+                    &mut part,
+                    part_stats,
+                    sw,
+                    plan,
+                    &opts,
+                )
+            });
             record_since(&cfp_trace::hist::CORE_SPILL_MINE_NANOS, t0);
-            drop(proj);
             let s = match r {
                 Ok(s) => s,
                 Err(CfpError::MemoryExhausted { .. }) if hi - lo > 1 => {
@@ -543,7 +590,12 @@ impl Supervisor {
                     }
                     continue;
                 }
-                Err(e) => return Err(e),
+                Err(e) => {
+                    if matches!(e, CfpError::MemoryExhausted { .. }) {
+                        tally.unhalvable = Some(range);
+                    }
+                    return Err(e);
+                }
             };
             tally.mined += 1;
             let peak = pool.map_or(s.peak_bytes, |p| p.peak());
@@ -555,9 +607,11 @@ impl Supervisor {
             stats.tree_nodes += s.tree_nodes;
             stats.peak_bytes = stats.peak_bytes.max(s.peak_bytes);
             stats.avg_bytes = stats.avg_bytes.max(s.avg_bytes);
-            if let (Some(candidates), Some(budget)) = (candidates, self.mem_budget) {
+            if let (Some(sizer), Some(budget)) = (sizer, self.mem_budget) {
                 let rest = queue.pop_front().expect("a sized rest is queued");
+                let candidates = sizer.candidates(&recoder);
                 let next = fit(&candidates, budget, (peak, s.tree_nodes.max(1)), u64::MAX);
+                sized = sizer.supports(&recoder, next).map(|supports| (next, supports));
                 queue.extend(cut(rest, next));
             }
 
@@ -600,7 +654,8 @@ impl Supervisor {
         Ok(stats)
     }
 
-    /// The ranges a fresh rung-2 run starts from, in mining order.
+    /// The ranges a fresh rung-2 run starts from, in mining order, and
+    /// the first range's projected supports when a sizer measured it.
     /// Without a budget nothing is sized: two ranges of equal support
     /// mass. With one, a first range cut by one sizing pass over the
     /// database at [`FIRST_BYTES_PER_NODE`] and at most half the support
@@ -611,22 +666,82 @@ impl Supervisor {
         db: &TransactionDb,
         recoder: &ItemRecoder,
         walk: Walk,
-    ) -> Vec<(u32, u32)> {
+    ) -> (Vec<(u32, u32)>, Option<SizedRange>) {
         let n = recoder.num_items() as u32;
         let Some(budget) = self.mem_budget.filter(|_| n > 1) else {
             let mut ranges = ranges_by_mass(recoder, 2);
             if walk == Walk::Down {
                 ranges.reverse();
             }
-            return ranges;
+            return (ranges, None);
         };
         let mut sizer = Sizer::new(recoder, (0, n), walk);
         sizer.scan(db, recoder);
         let half = recoder.supports().iter().sum::<u64>() / 2;
         let first = fit(&sizer.candidates(recoder), budget, (FIRST_BYTES_PER_NODE, 1), half);
-        cut((0, n), first).collect()
+        let supports = sizer.supports(recoder, first).map(|supports| (first, supports));
+        (cut((0, n), first).collect(), supports)
     }
 }
+
+/// A partition's recoder and its global→local rank table, from the
+/// projected supports of the items below the range's end: the items
+/// frequent in the projection by descending projected support, the
+/// range's own items last ([`ItemRecoder::ranked_last`]). The table maps
+/// each global rank below the range's end to its local one, or to
+/// `u32::MAX` for a context item infrequent in the projection.
+fn rank_partition(
+    recoder: &ItemRecoder,
+    (lo, hi): (u32, u32),
+    supports: Vec<u64>,
+) -> (ItemRecoder, Vec<u32>) {
+    let originals = || (0..hi).map(|i| recoder.original(i));
+    let mut by_item = vec![0u64; originals().max().map_or(0, |m| m as usize + 1)];
+    for (item, support) in originals().zip(supports) {
+        by_item[item as usize] = support;
+    }
+    let own = |item: Item| recoder.recode(item).is_some_and(|i| lo <= i && i < hi);
+    let local = ItemRecoder::ranked_last(&by_item, recoder.min_support(), own);
+    let to_local = originals().map(|item| local.recode(item).unwrap_or(u32::MAX)).collect();
+    (local, to_local)
+}
+
+/// One partition's pass over `db`: recodes every row once, shows it to
+/// `sizer` when the pass also sizes the next cut, and inserts the items
+/// the projection onto `range` keeps from it, mapped through `to_local`
+/// and sorted, into the partition's tree over `num_local` items. A
+/// refused allocation stops the pass.
+fn build_pass(
+    db: &TransactionDb,
+    recoder: &ItemRecoder,
+    range: (u32, u32),
+    to_local: &[u32],
+    num_local: usize,
+    mut sizer: Option<&mut Sizer>,
+    arena: ArenaOptions,
+) -> Result<CfpTree, CfpError> {
+    let mut tree = CfpTree::try_with_options(num_local, CfpTreeConfig::default(), arena)?;
+    let (mut row, mut local) = (Vec::new(), Vec::new());
+    for t in db.iter() {
+        recoder.recode_transaction(t, &mut row);
+        if let Some(sizer) = sizer.as_deref_mut() {
+            sizer.observe(&row);
+        }
+        let kept = partition::kept(&row, range);
+        if kept.is_empty() {
+            continue;
+        }
+        local.clear();
+        local.extend(kept.iter().map(|&i| to_local[i as usize]).filter(|&i| i != u32::MAX));
+        local.sort_unstable();
+        tree.try_insert(&local, 1).map_err(|e| CfpError::from(e).with_phase("build"))?;
+    }
+    Ok(tree)
+}
+
+/// A range a sizer measured, with the projected supports of its items
+/// below its end ([`Sizer::supports`]).
+type SizedRange = ((u32, u32), Vec<u64>);
 
 /// Share of the budget, in tenths, that a sized range's estimated tree
 /// may fill.
@@ -672,6 +787,8 @@ struct Tally {
     retries: u64,
     /// Each mined partition's pool peak, in mining order.
     peaks: Vec<u64>,
+    /// The single-item range whose exhausted budget ended the rung.
+    unhalvable: Option<(u32, u32)>,
 }
 
 fn rung_started(rung: cfp_trace::Rung) {
@@ -693,6 +810,7 @@ fn flush(buf: CollectSink, sink: &mut dyn ItemsetSink) {
 mod tests {
     use super::*;
     use crate::CfpGrowthMiner;
+    use cfp_data::count::count_supports;
     use cfp_data::miner::CollectSink;
     use cfp_data::Miner;
 
@@ -1294,6 +1412,117 @@ mod tests {
                 let rungs = |r: &RecoveryReport| r.rungs.iter().map(|r| r.rung).collect::<Vec<_>>();
                 assert_eq!(rungs(&in_ram_report), ["degrade", "partition"]);
                 assert_eq!(rungs(&on_disk_report), ["degrade", "spill"]);
+            }
+        }
+    }
+
+    /// The ranges a rung-2 run mined, in order, read off its `SpillParts`
+    /// marks: each mark's ranges lack exactly the range mined before it.
+    fn mined_ranges(before: &[(u32, u32)], marks: &[Mark]) -> Vec<(u32, u32)> {
+        let holds =
+            |ranges: &[(u32, u32)], i: u32| ranges.iter().any(|&(lo, hi)| lo <= i && i < hi);
+        let mut before = before.to_vec();
+        let mut mined = Vec::new();
+        for (_, after, _) in marks {
+            let items: Vec<u32> =
+                before.iter().flat_map(|&(lo, hi)| lo..hi).filter(|&i| !holds(after, i)).collect();
+            let (lo, hi) = (*items.iter().min().unwrap(), items.iter().max().unwrap() + 1);
+            assert_eq!(items.len() as u32, hi - lo, "a mined range is contiguous");
+            mined.push((lo, hi));
+            before = after.clone();
+        }
+        mined
+    }
+
+    /// The range loop as it ran when each partition copied its
+    /// projection: every range of `ranges`, in order, copied by
+    /// [`partition::project`], counted and ranked by
+    /// [`ItemRecoder::ranked_last`], built and run through the driver
+    /// under a fresh pool of `budget`, and reconciled as the loop does.
+    /// Returns the stream and each partition's pool peak.
+    fn copied_projection_loop(
+        db: &TransactionDb,
+        minsup: u64,
+        budget: u64,
+        output: OutputMode,
+        ranges: &[(u32, u32)],
+    ) -> (Vec<(Vec<Item>, u64)>, Vec<u64>) {
+        let recoder = ItemRecoder::scan(db, minsup);
+        let mut index = output.is_condensed().then(SubsumeIndex::default);
+        let (mut stream, mut peaks) = (Vec::new(), Vec::new());
+        for &(lo, hi) in ranges {
+            let proj = partition::project(db, &recoder, lo, hi);
+            let own = |item: Item| recoder.recode(item).is_some_and(|i| lo <= i && i < hi);
+            let local = ItemRecoder::ranked_last(&count_supports(&proj), minsup, own);
+            let pool = BudgetPool::new(budget);
+            let opts = MineOpts { pool: Some(pool.clone()), output, ..Default::default() };
+            let arena = opts.arena_options(Component::BuildTree);
+            let tree = CfpTree::try_from_db_with(&proj, &local, arena).expect("the range fits");
+            let first = local.num_items() as u32 - (hi - lo);
+            let (plan, mut part) = (Plan { threads: 1, worker_timeout: None }, CollectSink::new());
+            let (stats, sw) = (MineStats::default(), Stopwatch::start());
+            driver::convert_and_mine(
+                &local, tree, first, minsup, &mut part, stats, sw, plan, &opts,
+            )
+            .expect("the range mines");
+            peaks.push(pool.peak());
+            if let Some(index) = &mut index {
+                let closed = output == OutputMode::Closed;
+                part.itemsets.retain(|(set, support)| {
+                    let subsumed = index.subsumes(set, closed.then_some(*support));
+                    if !subsumed {
+                        index.insert(set, *support);
+                    }
+                    !subsumed
+                });
+            }
+            stream.extend(part.itemsets);
+        }
+        (stream, peaks)
+    }
+
+    /// Each partition is one pass that inserts its rows straight into the
+    /// tree, ranked by the supports the sizer counted, yet it emits what
+    /// the loop that copied each projection emitted, at the same pool
+    /// peaks: in both walks, for sized ranges and for the two kinds of
+    /// range that get a counting pass of their own, a halved range (the
+    /// descending walk halves ranges under this budget) and the first
+    /// range of a resumed run.
+    #[test]
+    fn streamed_partitions_equal_the_copied_projection_loop() {
+        let (db, minsup, budget) = quest_case();
+        let n = ItemRecoder::scan(&db, minsup).num_items() as u32;
+        let marking =
+            || MarkingSink { inner: CollectSink::new(), marks: Vec::new(), cancel_after: None };
+        for output in [OutputMode::All, OutputMode::Closed] {
+            let sup = Supervisor {
+                mem_budget: Some(budget),
+                output,
+                ..Supervisor::new(RecoveryPolicy::Partition)
+            };
+            let mut full = marking();
+            let mut tally = Tally::default();
+            sup.range_loop(&db, minsup, false, &mut full, None, &mut tally).expect("sized run");
+            let ranges = mined_ranges(&[(0, n)], &full.marks);
+            assert!(ranges.len() >= 4, "{output}: {ranges:?}");
+            if output == OutputMode::Closed {
+                assert!(tally.retries >= 1, "{output}: no range was halved");
+            }
+            let (stream, peaks) = copied_projection_loop(&db, minsup, budget, output, &ranges);
+            assert_eq!(full.inner.itemsets, stream, "{output}: the streams differ");
+            assert_eq!(tally.peaks, peaks, "{output}: the pool peaks differ");
+            if output != OutputMode::All {
+                continue;
+            }
+            for (k, (done, remaining, prefix_len)) in full.marks.iter().enumerate() {
+                let resume = Some((*done, remaining.clone()));
+                let mut resumed = marking();
+                let mut tally = Tally::default();
+                sup.range_loop(&db, minsup, false, &mut resumed, resume, &mut tally)
+                    .expect("resumed run");
+                assert_eq!(mined_ranges(remaining, &resumed.marks), ranges[k + 1..]);
+                assert_eq!(resumed.inner.itemsets, stream[*prefix_len..], "resume at mark {done}");
+                assert_eq!(tally.peaks, peaks[k + 1..], "resume at mark {done}: pool peaks");
             }
         }
     }

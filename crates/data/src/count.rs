@@ -20,15 +20,12 @@ use cfp_metrics::HeapSize;
 /// version of [`count_supports`]; duplicates within the transaction count
 /// once).
 pub fn count_transaction(transaction: &[Item], counts: &mut Vec<u64>) {
-    for (i, &item) in transaction.iter().enumerate() {
-        if transaction[..i].contains(&item) {
-            continue;
+    if let Some(&max) = transaction.iter().max() {
+        if counts.len() <= max as usize {
+            counts.resize(max as usize + 1, 0);
         }
-        if counts.len() <= item as usize {
-            counts.resize(item as usize + 1, 0);
-        }
-        counts[item as usize] += 1;
     }
+    count_row(transaction, counts);
 }
 
 /// Counts the support of every item in `db`.
@@ -37,16 +34,27 @@ pub fn count_transaction(transaction: &[Item], counts: &mut Vec<u64>) {
 pub fn count_supports(db: &TransactionDb) -> Vec<u64> {
     let mut counts = vec![0u64; db.max_item().map_or(0, |m| m as usize + 1)];
     for t in db.iter() {
-        // A FIMI transaction may repeat an item; support counts presence,
-        // not multiplicity. Detect duplicates only when they occur.
-        for (i, &item) in t.iter().enumerate() {
-            if t[..i].contains(&item) {
-                continue;
-            }
+        count_row(t, &mut counts);
+    }
+    counts
+}
+
+/// Adds each distinct item of one transaction to `counts`, which covers
+/// them all. A FIMI transaction may repeat an item; support counts
+/// presence, not multiplicity. A strictly ascending row, the usual case,
+/// has no repeats, so only other rows look for them, item by item.
+fn count_row(transaction: &[Item], counts: &mut [u64]) {
+    if transaction.windows(2).all(|w| w[0] < w[1]) {
+        for &item in transaction {
+            counts[item as usize] += 1;
+        }
+        return;
+    }
+    for (i, &item) in transaction.iter().enumerate() {
+        if !transaction[..i].contains(&item) {
             counts[item as usize] += 1;
         }
     }
-    counts
 }
 
 /// Maps frequent items to dense ids in descending support order.
@@ -167,6 +175,14 @@ mod tests {
         let db = TransactionDb::from_rows(&[vec![4, 4, 4], vec![4]]);
         let counts = count_supports(&db);
         assert_eq!(counts[4], 2);
+        // Unsorted rows, with and without repeats, and sorted ones.
+        let db = TransactionDb::from_rows(&[vec![5, 1, 5, 3], vec![3, 1], vec![1, 3, 5], vec![2]]);
+        assert_eq!(count_supports(&db), [0, 3, 1, 3, 0, 2]);
+        let mut streamed = Vec::new();
+        for t in db.iter() {
+            count_transaction(t, &mut streamed);
+        }
+        assert_eq!(streamed, count_supports(&db));
     }
 
     #[test]

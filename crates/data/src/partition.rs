@@ -25,7 +25,11 @@
 //! equal-mass ranges `[0, 517)` and `[517, 1508)` project 0.64 M and
 //! 1.27 M items. [`ranges_by_mass`] only splits a run that has no budget
 //! to size against; under a budget a [`Sizer`] estimates each candidate
-//! range's tree during the pass that projects the range before it.
+//! range's tree during the pass that builds the range before it, and
+//! hands the cut range's projected supports ([`Sizer::supports`]) to the
+//! pass that builds it. [`projected_supports`] counts a range no sizer
+//! measured. Neither copies a projection: [`project`] is the definition
+//! of `DB_j` that both are tested against.
 
 use crate::count::ItemRecoder;
 use crate::types::{Item, TransactionDb};
@@ -65,9 +69,21 @@ pub fn ranges_by_mass(recoder: &ItemRecoder, k: usize) -> Vec<(u32, u32)> {
     ranges
 }
 
+/// The items of a recoded `row` (ascending, as
+/// [`ItemRecoder::recode_transaction`] leaves it) that the projection
+/// onto `range` keeps: its items below the range's end, or none when the
+/// row holds no item of the range. The kept items are a prefix of the
+/// row, and the row enters iff the last of them is in the range.
+pub fn kept(row: &[u32], (lo, hi): (u32, u32)) -> &[u32] {
+    let kept = row.partition_point(|&i| i < hi);
+    if kept == 0 || row[kept - 1] < lo {
+        return &[];
+    }
+    &row[..kept]
+}
+
 /// Builds the projection `DB_j` of `db` for the recoded item range
-/// `[lo, hi)` under `recoder`'s global order, with `sizer` (when given)
-/// observing every row of the same pass.
+/// `[lo, hi)` under `recoder`'s global order.
 ///
 /// A transaction enters the projection iff it contains a frequent item
 /// whose recoded id is in `[lo, hi)`; of its items, those recoded below
@@ -76,33 +92,40 @@ pub fn ranges_by_mass(recoder: &ItemRecoder, k: usize) -> Vec<(u32, u32)> {
 /// dropped — they cannot appear in any frequent itemset, and any item of
 /// a globally frequent itemset is also frequent within the projection
 /// (its projected support is at least the itemset's global support).
-pub fn project(
-    db: &TransactionDb,
-    recoder: &ItemRecoder,
-    lo: u32,
-    hi: u32,
-    mut sizer: Option<&mut Sizer>,
-) -> TransactionDb {
+pub fn project(db: &TransactionDb, recoder: &ItemRecoder, lo: u32, hi: u32) -> TransactionDb {
     let mut out = TransactionDb::new();
     let mut recoded: Vec<u32> = Vec::new();
     let mut items: Vec<Item> = Vec::new();
     for t in db.iter() {
         recoder.recode_transaction(t, &mut recoded);
-        if let Some(sizer) = sizer.as_deref_mut() {
-            sizer.observe(&recoded);
-        }
-        // Recoded rows are sorted: the kept items are a prefix, and the
-        // row enters iff the last of them is in the range.
-        let kept = recoded.partition_point(|&i| i < hi);
-        if kept == 0 || recoded[kept - 1] < lo {
+        items.clear();
+        items.extend(kept(&recoded, (lo, hi)).iter().map(|&i| recoder.original(i)));
+        if items.is_empty() {
             continue;
         }
-        items.clear();
-        items.extend(recoded[..kept].iter().map(|&i| recoder.original(i)));
         items.sort_unstable();
         out.push(&items);
     }
     out
+}
+
+/// The support inside the projection onto `range` of every recoded item
+/// below the range's end, indexed by recoded id: one counting pass over
+/// `db` that copies nothing, for a range no [`Sizer`] measured.
+pub fn projected_supports(
+    db: &TransactionDb,
+    recoder: &ItemRecoder,
+    range: (u32, u32),
+) -> Vec<u64> {
+    let mut supports = vec![0u64; range.1 as usize];
+    let mut recoded = Vec::new();
+    for t in db.iter() {
+        recoder.recode_transaction(t, &mut recoded);
+        for &i in kept(&recoded, range) {
+            supports[i as usize] += 1;
+        }
+    }
+    supports
 }
 
 /// The order a partitioned run mines its ranges in.
@@ -154,10 +177,12 @@ impl Candidate {
 /// ([`Walk::Down`]) and grow geometrically in item count, so the cut
 /// resolves to a fixed share of a range's length at any scale. Each row
 /// *joins* the smallest candidate whose projection takes it and every
-/// larger one. Two tables record the rows by the candidate they join:
-/// a context-item × candidate count table, which gives each candidate's
-/// inserted items exactly, and one distinct-prefix sketch per candidate,
-/// merged by register max into each larger candidate's.
+/// larger one, found in a per-item table of the smallest candidate
+/// holding each item of `rest`. Two tables record the rows by the
+/// candidate they join: a context-item × candidate count table, which
+/// gives each candidate's inserted items and its context items'
+/// projected supports exactly, and one distinct-prefix sketch per
+/// candidate, merged by register max into each larger candidate's.
 #[derive(Clone, Debug)]
 pub struct Sizer {
     walk: Walk,
@@ -165,6 +190,8 @@ pub struct Sizer {
     min_support: u64,
     /// The candidate ranges, smallest first.
     ranges: Vec<(u32, u32)>,
+    /// `smallest[i - rest.0]`: the first candidate holding item `i`.
+    smallest: Vec<u8>,
     /// Items below this are context for at least one candidate.
     context: u32,
     /// `counts[c * ranges.len() + k]`: rows joining candidate `k` that
@@ -191,6 +218,16 @@ impl Sizer {
             Walk::Up => lo,
             Walk::Down => hi - 1,
         };
+        // Each candidate holds the items of the one before it and the next
+        // ones from the cut end: filled in order of distance from that
+        // end, then laid out in item order.
+        let mut smallest = Vec::with_capacity((hi - lo) as usize);
+        for (k, &(start, end)) in ranges.iter().enumerate() {
+            smallest.resize((end - start) as usize, k as u8);
+        }
+        if walk == Walk::Down {
+            smallest.reverse();
+        }
         Sizer {
             walk,
             rest,
@@ -198,8 +235,15 @@ impl Sizer {
             counts: vec![0; context as usize * ranges.len()],
             sketches: vec![[0; REGISTERS]; ranges.len()],
             ranges,
+            smallest,
             context,
         }
+    }
+
+    /// The first candidate holding `item`, an item of the rest.
+    #[inline]
+    fn smallest(&self, item: u32) -> usize {
+        usize::from(self.smallest[(item - self.rest.0) as usize])
     }
 
     /// Records one recoded row (ascending ids, as
@@ -217,14 +261,14 @@ impl Sizer {
                 if at == kept {
                     return;
                 }
-                let join = self.ranges.partition_point(|r| r.1 <= row[at]);
+                let join = self.smallest(row[at]);
                 for &c in &row[..at] {
                     self.counts[c as usize * m + join] += 1;
                 }
                 let mut h = PREFIX_SEED;
                 for &i in &row[..kept] {
                     h = prefix_hash(h, i);
-                    let k = if i < lo { join } else { self.ranges.partition_point(|r| r.1 <= i) };
+                    let k = if i < lo { join } else { self.smallest(i) };
                     add(&mut self.sketches[k], h);
                 }
             }
@@ -234,7 +278,7 @@ impl Sizer {
                 if kept == 0 || row[kept - 1] < lo {
                     return;
                 }
-                let join = self.ranges.partition_point(|r| r.0 > row[kept - 1]);
+                let join = self.smallest(row[kept - 1]);
                 let start = self.ranges[join].0;
                 let mut h = PREFIX_SEED;
                 for &i in &row[..kept] {
@@ -249,7 +293,7 @@ impl Sizer {
     }
 
     /// Records every row of `db`: the sizing pass of a range no
-    /// projection pass precedes.
+    /// partition's pass precedes.
     pub fn scan(&mut self, db: &TransactionDb, recoder: &ItemRecoder) {
         let mut recoded = Vec::new();
         for t in db.iter() {
@@ -296,6 +340,26 @@ impl Sizer {
             });
         }
         out
+    }
+
+    /// The support inside the projection onto `range`, one of the
+    /// candidates, of every recoded item below its end, indexed by
+    /// recoded id; `None` for a range that is not a candidate. A context
+    /// item's support sums its count table row over the candidates the
+    /// range holds, as [`candidates`](Self::candidates) does; a range
+    /// item's is its global support, since every row holding it is in
+    /// the projection.
+    pub fn supports(&self, recoder: &ItemRecoder, range: (u32, u32)) -> Option<Vec<u64>> {
+        let k = self.ranges.iter().position(|&r| r == range)?;
+        let m = self.ranges.len();
+        let mut out: Vec<u64> = self
+            .counts
+            .chunks_exact(m)
+            .take(range.0 as usize)
+            .map(|row| row[..=k].iter().map(|&n| u64::from(n)).sum())
+            .collect();
+        out.extend((range.0..range.1).map(|i| recoder.support(i)));
+        Some(out)
     }
 }
 
@@ -442,7 +506,7 @@ mod tests {
         // The last range: rows must contain one of its items; all
         // frequent items are kept as context (hi == n).
         let lo = n - 1;
-        let proj = project(&db, &recoder, lo, n, None);
+        let proj = project(&db, &recoder, lo, n);
         let rare_original = recoder.original(n - 1);
         for t in proj.iter() {
             assert!(t.contains(&rare_original), "{t:?} lacks the range item");
@@ -452,7 +516,7 @@ mod tests {
 
         // The first range keeps only items recoded below its hi.
         let (lo0, hi0) = (0u32, 1u32);
-        let proj0 = project(&db, &recoder, lo0, hi0, None);
+        let proj0 = project(&db, &recoder, lo0, hi0);
         let top_original = recoder.original(0);
         for t in proj0.iter() {
             assert_eq!(t, &[top_original], "only the top item fits below hi=1");
@@ -514,6 +578,10 @@ mod tests {
         }
     }
 
+    /// Each candidate's inserted items, and the projected supports the
+    /// pass that builds it ranks its items by, equal a count over the
+    /// copied projection; so do the supports of a range's own counting
+    /// pass.
     #[test]
     fn sized_inserted_items_equal_a_brute_force_count() {
         let db = quest(3000);
@@ -526,27 +594,51 @@ mod tests {
             sizer.scan(&db, &recoder);
             for c in sizer.candidates(&recoder) {
                 let (lo, hi) = c.range;
-                let supports = count_supports(&project(&db, &recoder, lo, hi, None));
+                let supports = count_supports(&project(&db, &recoder, lo, hi));
                 let inserted: u64 = supports.iter().filter(|&&s| s >= min_support).sum();
                 assert_eq!(c.inserted, inserted, "{walk:?} {rest:?} candidate {lo}..{hi}");
                 let mass: u64 = (lo..hi).map(|i| recoder.support(i)).sum();
                 assert_eq!(c.mass, mass);
                 assert!(c.nodes() <= c.inserted);
+                let recoded: Vec<u64> = (0..hi)
+                    .map(|i| supports.get(recoder.original(i) as usize).copied().unwrap_or(0))
+                    .collect();
+                let sized = sizer.supports(&recoder, c.range);
+                assert_eq!(
+                    sized.as_ref(),
+                    Some(&recoded),
+                    "{walk:?} {rest:?} candidate {lo}..{hi}"
+                );
+                assert_eq!(projected_supports(&db, &recoder, c.range), recoded);
             }
+            let beside = match walk {
+                Walk::Up => (rest.0 + 1, rest.1),
+                Walk::Down => (rest.0, rest.1 - 1),
+            };
+            assert_eq!(sizer.supports(&recoder, beside), None, "not a candidate");
         }
     }
 
     #[test]
-    fn sizing_in_the_projection_pass_sees_every_row() {
+    fn the_candidate_table_agrees_with_a_search_over_the_candidates() {
         let db = quest(2000);
         let recoder = ItemRecoder::scan(&db, 20);
         let n = recoder.num_items() as u32;
-        let mut scanned = Sizer::new(&recoder, (n / 2, n), Walk::Up);
-        scanned.scan(&db, &recoder);
-        let mut projecting = Sizer::new(&recoder, (n / 2, n), Walk::Up);
-        let proj = project(&db, &recoder, n / 4, n / 2, Some(&mut projecting));
-        assert_eq!(proj, project(&db, &recoder, n / 4, n / 2, None));
-        assert_eq!(projecting.candidates(&recoder), scanned.candidates(&recoder));
+        for (rest, walk) in
+            rests(n).into_iter().chain([((n - 5, n), Walk::Up), ((0, 1), Walk::Down)])
+        {
+            let sizer = Sizer::new(&recoder, rest, walk);
+            assert_eq!(sizer.smallest.len(), (rest.1 - rest.0) as usize);
+            for i in rest.0..rest.1 {
+                let searched = match walk {
+                    Walk::Up => sizer.ranges.partition_point(|r| r.1 <= i),
+                    Walk::Down => sizer.ranges.partition_point(|r| r.0 > i),
+                };
+                assert_eq!(sizer.smallest(i), searched, "{walk:?} {rest:?} item {i}");
+                let (lo, hi) = sizer.ranges[searched];
+                assert!(lo <= i && i < hi, "{walk:?} {rest:?}: {i} outside {lo}..{hi}");
+            }
+        }
     }
 
     #[test]
@@ -564,7 +656,7 @@ mod tests {
             for c in candidates.iter().rev().step_by(8) {
                 let (lo, hi) = c.range;
                 let mut prefixes = std::collections::HashSet::new();
-                for t in project(&db, &recoder, lo, hi, None).iter() {
+                for t in project(&db, &recoder, lo, hi).iter() {
                     recoder.recode_transaction(t, &mut recoded);
                     for len in 1..=recoded.len() {
                         prefixes.insert(recoded[..len].to_vec());
@@ -582,7 +674,7 @@ mod tests {
         let db = TransactionDb::from_rows(&[vec![1, 2, 99], vec![1, 2], vec![1, 2]]);
         let recoder = ItemRecoder::scan(&db, 2);
         let n = recoder.num_items() as u32;
-        let proj = project(&db, &recoder, 0, n, None);
+        let proj = project(&db, &recoder, 0, n);
         for t in proj.iter() {
             assert!(!t.contains(&99), "infrequent item must not survive projection");
         }

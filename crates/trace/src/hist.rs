@@ -254,12 +254,10 @@ pub static CORE_MINE_TASK_NANOS: Histogram = Histogram::new("core.mine_task_nano
 /// --checkpoint-dir` — flushing the output, syncing it, and the atomic
 /// manifest save.
 pub static CORE_CKPT_COMMIT_NANOS: Histogram = Histogram::new("core.ckpt_commit_nanos");
-/// Partitioned-run projection latency: projecting the database onto one
-/// item range.
-pub static CORE_SPILL_PROJECT_NANOS: Histogram = Histogram::new("core.spill_project_nanos");
-/// Partitioned-run per-attempt latency: one projection's whole driver
-/// run — count, build, convert (with the spill round trip out of core)
-/// and mine — including attempts that exhaust the budget and are halved.
+/// Partitioned-run per-attempt latency: one partition's whole run — the
+/// counting pass of a range no sizer measured, the pass that builds its
+/// tree, convert (with the spill round trip out of core) and mine —
+/// including attempts that exhaust the budget and are halved.
 pub static CORE_SPILL_MINE_NANOS: Histogram = Histogram::new("core.spill_mine_nanos");
 /// Spill-partition serialize + atomic-write latency.
 pub static DATA_SPILL_WRITE_NANOS: Histogram = Histogram::new("data.spill_write_nanos");
@@ -285,7 +283,6 @@ static ALL: &[&Histogram] = &[
     &CORE_PATTERN_BASE_SIZE,
     &CORE_RECURSION_DEPTH,
     &CORE_SPILL_MINE_NANOS,
-    &CORE_SPILL_PROJECT_NANOS,
     &DATA_BUFFER_WAIT_NANOS,
     &DATA_SPILL_LOAD_NANOS,
     &DATA_SPILL_WRITE_NANOS,
