@@ -9,7 +9,9 @@
 //!
 //! 1. **degrade** — downshift to one mine-phase worker (one conditional
 //!    tree live instead of `threads`). Skipped when the run had one
-//!    worker already: it would repeat the failed attempt exactly.
+//!    worker already, and when the pool refused the build phase (the tree
+//!    is built on the calling thread before any worker starts): either
+//!    way it would repeat the failed attempt exactly.
 //! 2. **partition** or **spill** — partitioned mining: split the recoded
 //!    items into ranges ([`cfp_data::partition`]) and mine each range's
 //!    projection under a fresh pool of the budget, only the itemsets
@@ -31,8 +33,9 @@
 //!    the same pool peaks and emit the same stream, and a disk fault ends
 //!    a spill run with [`CfpError::Spill`] (exit 7).
 //!
-//! A transient failure (an injected allocation fault, a worker panic, a
-//! watchdog stall) is recovered by the next rung that runs.
+//! A transient failure (an injected allocation fault in any phase, a
+//! worker panic, a watchdog stall) is recovered by the next rung that
+//! runs, rung 1 included.
 //!
 //! Output is buffered per attempt and flushed to the caller's sink only
 //! when an attempt succeeds, so the caller never sees a partial result
@@ -77,7 +80,8 @@ pub enum RecoveryPolicy {
     /// No recovery: the first failure is final (classic behaviour).
     Off,
     /// Rung 1 only: downshift to one mine-phase worker. A run with one
-    /// worker has no rung to try, so it fails like [`Off`](Self::Off).
+    /// worker, or whose build phase the pool refused, has no rung to try,
+    /// so it fails like [`Off`](Self::Off).
     Degrade,
     /// Rungs 1–2: degrade, then partitioned mining in RAM.
     Partition,
@@ -258,7 +262,8 @@ impl Supervisor {
         };
         // Rung 1 downshifts to one worker: one conditional tree live at a
         // time instead of `threads`.
-        if self.policy >= RecoveryPolicy::Degrade && self.threads > 1 {
+        if self.policy >= RecoveryPolicy::Degrade && self.threads > 1 && degrade_may_help(&last_err)
+        {
             if self.cancelled() || matches!(last_err, CfpError::Interrupted) {
                 return (Err(CfpError::Interrupted), report);
             }
@@ -791,6 +796,15 @@ struct Tally {
     unhalvable: Option<(u32, u32)>,
 }
 
+/// Whether rung 1 can end differently from a first attempt that failed
+/// with `err`. The tree is built on the calling thread before any worker
+/// starts, so a build the pool refused (`limit` > 0) fails the same way on
+/// one worker. An injected fault (`limit` 0), a refusal in the mine phase,
+/// a worker panic or a stall may not recur there.
+fn degrade_may_help(err: &CfpError) -> bool {
+    !matches!(err, CfpError::MemoryExhausted { phase: "build", limit, .. } if *limit > 0)
+}
+
 fn rung_started(rung: cfp_trace::Rung) {
     if cfp_trace::enabled() {
         cfp_trace::counters::CORE_RECOVERY_RUNGS.inc();
@@ -885,8 +899,9 @@ mod tests {
     fn budget_too_small_for_monolithic_tree_recovers_via_partitioning() {
         let db = textbook();
         // Find the monolithic tree's charge, then budget below it: the
-        // first attempt and the degrade rung both fail in the build
-        // phase; partitioned projections fit.
+        // first attempt fails in the build phase, which one worker would
+        // repeat, so the ladder goes straight to partitioned projections,
+        // which fit.
         let (_, tree) = crate::growth::try_build_tree(&db, 2, None).unwrap();
         let budget = tree.arena_footprint() - 10;
         drop(tree);
@@ -902,8 +917,8 @@ mod tests {
         assert!(report.recovered);
         assert_eq!(
             report.rungs.iter().map(|r| r.rung).collect::<Vec<_>>(),
-            vec!["degrade", "partition"],
-            "each rung attempted exactly once, in order"
+            vec!["partition"],
+            "a refused build skips the degrade rung"
         );
         assert!(report.final_partitions >= 2);
         for (i, peak) in report.partition_peaks.iter().enumerate() {
@@ -926,6 +941,8 @@ mod tests {
         assert!(sink.into_sorted().is_empty(), "no partial output on failure");
     }
 
+    /// The degrade policy climbs no rung past rung 1, and none at all
+    /// when the pool refused the build: one worker would repeat it.
     #[test]
     fn degrade_policy_stops_after_one_rung() {
         let db = textbook();
@@ -936,10 +953,28 @@ mod tests {
         };
         let mut sink = CollectSink::new();
         let (r, report) = sup.mine(&db, 2, &mut sink);
-        assert!(r.is_err(), "16 bytes stays impossible on one worker");
-        assert_eq!(report.rungs.len(), 1);
-        assert_eq!(report.rungs[0].rung, "degrade");
-        assert!(!report.rungs[0].succeeded);
+        match r {
+            Err(CfpError::MemoryExhausted { phase: "build", limit: 16, .. }) => {}
+            other => panic!("expected the first attempt's build-phase refusal, got {other:?}"),
+        }
+        assert!(report.rungs.is_empty(), "no rung can address a refused build");
+        assert!(!report.recovered);
+        assert!(sink.into_sorted().is_empty(), "no partial output on failure");
+    }
+
+    /// Rung 1 is skipped only after a build the pool refused (as in
+    /// `budget_too_small_for_monolithic_tree_recovers_via_partitioning`);
+    /// every other failure one worker might not repeat still climbs it
+    /// (the fault matrix climbs it on an injected allocation fault).
+    #[test]
+    fn a_refused_build_skips_the_degrade_rung() {
+        let exhausted =
+            |phase, limit| CfpError::MemoryExhausted { phase, requested: 8, footprint: 64, limit };
+        assert!(!degrade_may_help(&exhausted("build", 64)), "the pool refused the build");
+        assert!(degrade_may_help(&exhausted("build", 0)), "an injected fault");
+        assert!(degrade_may_help(&exhausted("mine", 64)), "workers' trees outgrew the pool");
+        assert!(degrade_may_help(&CfpError::WorkerPanic { worker: 1, message: "boom".into() }));
+        assert!(degrade_may_help(&CfpError::WorkerTimeout { worker: 1, waited_ms: 10 }));
     }
 
     #[test]
@@ -1021,8 +1056,8 @@ mod tests {
         assert!(report.recovered);
         assert_eq!(
             report.rungs.iter().map(|r| r.rung).collect::<Vec<_>>(),
-            vec!["degrade", "spill"],
-            "the spill policy replaces the partition rung"
+            vec!["spill"],
+            "the spill policy replaces the partition rung; a refused build skips degrade"
         );
         assert!(report.final_partitions >= 2);
         assert_eq!(sink.into_sorted(), reference(&db, minsup), "spilled result must be exact");
@@ -1410,8 +1445,10 @@ mod tests {
                     "{name} {output}: different pool peaks"
                 );
                 let rungs = |r: &RecoveryReport| r.rungs.iter().map(|r| r.rung).collect::<Vec<_>>();
-                assert_eq!(rungs(&in_ram_report), ["degrade", "partition"]);
-                assert_eq!(rungs(&on_disk_report), ["degrade", "spill"]);
+                // Every case's budget is below its tree: the build is
+                // refused, so the degrade rung is skipped.
+                assert_eq!(rungs(&in_ram_report), ["partition"]);
+                assert_eq!(rungs(&on_disk_report), ["spill"]);
             }
         }
     }

@@ -9,10 +9,16 @@
 //! absolute items by accumulating `Δitem` along the current path (the
 //! virtual root sits at item −1, so a root child with item `i` carries
 //! `Δitem = i + 1`).
+//!
+//! Chains are walked where they lie in the arena: a chain frame holds the
+//! chain's offset, the next entry's index and the entry count, each step
+//! reads one entry's Δitem byte, and the last entry decodes the chain's
+//! `pcount` and suffix. A standard node is decoded once, when its slot is
+//! resolved, since its body and all three pointers are used.
 
 use crate::node::{self, ChainNode, StdNode};
 use crate::tree::CfpTree;
-use cfp_encoding::mask::is_chain;
+use cfp_encoding::mask::{is_chain, ChainHeader};
 
 /// One traversal event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -33,8 +39,9 @@ enum Frame {
     Slot(u64),
     /// Emit the body of a standard node, then its suffix subtree.
     StdBody { ditem: u32, pcount: u32, suffix: u64 },
-    /// Emit chain entry `idx`, then deeper entries / the suffix.
-    ChainEntry { chain: ChainNode, idx: usize },
+    /// Emit entry `idx` of the `len`-entry chain at arena offset `off`,
+    /// then deeper entries / the suffix.
+    ChainEntry { off: u64, idx: usize, len: usize },
     /// Emit a `Leave`.
     Leave,
 }
@@ -69,8 +76,8 @@ impl Iterator for DfsIter<'_> {
                     }
                     let buf = self.tree.arena().tail(raw);
                     if is_chain(buf[0]) {
-                        let (chain, _) = ChainNode::decode(buf);
-                        self.stack.push(Frame::ChainEntry { chain, idx: 0 });
+                        let len = ChainHeader::decode(buf[0]).len;
+                        self.stack.push(Frame::ChainEntry { off: raw, idx: 0, len });
                     } else {
                         let (std, _) = StdNode::decode(buf);
                         // In-order: left subtree, node body, right subtree.
@@ -88,16 +95,16 @@ impl Iterator for DfsIter<'_> {
                     self.stack.push(Frame::Slot(suffix));
                     return Some(DfsEvent::Enter { ditem, pcount });
                 }
-                Frame::ChainEntry { chain, idx } => {
-                    let last = idx + 1 == chain.len;
-                    let ditem = chain.ditems[idx] as u32;
-                    let pcount = if last { chain.pcount } else { 0 };
+                Frame::ChainEntry { off, idx, len } => {
+                    let buf = self.tree.arena().tail(off);
+                    let ditem = buf[1 + idx] as u32;
                     self.stack.push(Frame::Leave);
-                    if last {
-                        self.stack.push(Frame::Slot(chain.suffix));
-                    } else {
-                        self.stack.push(Frame::ChainEntry { chain, idx: idx + 1 });
+                    if idx + 1 < len {
+                        self.stack.push(Frame::ChainEntry { off, idx: idx + 1, len });
+                        return Some(DfsEvent::Enter { ditem, pcount: 0 });
                     }
+                    let (pcount, suffix) = ChainNode::decode_end(buf);
+                    self.stack.push(Frame::Slot(suffix));
                     return Some(DfsEvent::Enter { ditem, pcount });
                 }
                 Frame::Leave => return Some(DfsEvent::Leave),

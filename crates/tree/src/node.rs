@@ -16,6 +16,7 @@
 use cfp_encoding::mask::{is_chain, ChainHeader, NodeMask, MAX_CHAIN_LEN};
 use cfp_encoding::ptr40::{read_raw40, write_raw40, EMBED_MARKER};
 use cfp_encoding::{varint, zerosup};
+use std::cmp::Ordering;
 
 /// Maximum pcount storable in an embedded leaf (24 bits).
 pub const EMBED_MAX_PCOUNT: u32 = (1 << 24) - 1;
@@ -147,25 +148,31 @@ impl StdNode {
     }
 }
 
-/// Which pointer field of a standard node.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PtrField {
-    /// The left sibling-BST pointer.
-    Left,
-    /// The right sibling-BST pointer.
-    Right,
-    /// The first-child pointer.
-    Suffix,
+/// Δitem of the standard node at `buf[0]` laid out by `mask`, read in
+/// place: one 4-byte load cut to `mask.ditem_len` bytes, or a bounded
+/// read when fewer than four bytes follow the mask byte.
+#[inline]
+pub fn std_ditem(buf: &[u8], mask: NodeMask) -> u32 {
+    match buf.get(1..5) {
+        Some(le) => {
+            u32::from_le_bytes(le.try_into().unwrap()) & (u32::MAX >> (32 - 8 * mask.ditem_len))
+        }
+        None => zerosup::read_bytes(&buf[1..], mask.ditem_len),
+    }
 }
 
-/// Byte offset of a pointer field within an encoded standard node, or
-/// `None` when the field is absent.
-pub fn std_ptr_offset(buf: &[u8], field: PtrField) -> Option<usize> {
-    let mask = NodeMask::decode(buf[0]);
-    let (present, before) = match field {
-        PtrField::Left => (mask.has_left, 0),
-        PtrField::Right => (mask.has_right, mask.has_left as usize),
-        PtrField::Suffix => (mask.has_suffix, mask.has_left as usize + mask.has_right as usize),
+/// Byte offset, within a standard node laid out by `mask`, of the
+/// pointer an insertion step follows when the wanted Δitem compares to
+/// the node's as `toward`: `left` when it is smaller, `right` when
+/// larger, `suffix` when equal. `None` when that pointer is absent.
+/// Stored pointers follow Δitem and pcount in the order `left`, `right`,
+/// `suffix`.
+#[inline]
+pub fn std_ptr_offset(mask: NodeMask, toward: Ordering) -> Option<usize> {
+    let (present, before) = match toward {
+        Ordering::Less => (mask.has_left, 0),
+        Ordering::Greater => (mask.has_right, mask.has_left as usize),
+        Ordering::Equal => (mask.has_suffix, mask.has_left as usize + mask.has_right as usize),
     };
     present.then(|| 1 + mask.ditem_len + mask.pcount_len + 5 * before)
 }
@@ -251,6 +258,16 @@ impl ChainNode {
             at += 5;
         }
         (node, at)
+    }
+
+    /// `pcount` and suffix slot value of the chain at `buf[0]`, read
+    /// without copying its entries.
+    pub fn decode_end(buf: &[u8]) -> (u32, u64) {
+        let header = ChainHeader::decode(buf[0]);
+        let at = 1 + header.len;
+        let (pcount, n) = varint::read_u64_unchecked(&buf[at..]);
+        let suffix = if header.has_suffix { read_raw40(&buf[at + n..]) } else { 0 };
+        (pcount as u32, suffix)
     }
 
     /// Byte offset of the suffix pointer within the encoded chain, or
@@ -375,14 +392,54 @@ mod tests {
         let node = StdNode { ditem: 300, pcount: 7, left: 0xAA, right: 0, suffix: 0xBB };
         let mut buf = [0u8; 24];
         node.encode(&mut buf);
-        let l = std_ptr_offset(&buf, PtrField::Left).unwrap();
+        let mask = NodeMask::decode(buf[0]);
+        let l = std_ptr_offset(mask, Ordering::Less).unwrap();
         assert_eq!(read_raw40(&buf[l..]), 0xAA);
-        assert_eq!(std_ptr_offset(&buf, PtrField::Right), None);
-        let s = std_ptr_offset(&buf, PtrField::Suffix).unwrap();
+        assert_eq!(std_ptr_offset(mask, Ordering::Greater), None);
+        let s = std_ptr_offset(mask, Ordering::Equal).unwrap();
         assert_eq!(read_raw40(&buf[s..]), 0xBB);
         // ditem 300 needs 2 bytes, pcount 7 needs 1: left at 1+2+1 = 4.
         assert_eq!(l, 4);
         assert_eq!(s, 9, "suffix follows left when right is absent");
+    }
+
+    #[test]
+    fn in_place_reads_agree_with_decode_up_to_the_last_byte() {
+        use cfp_data::rng::{Rng, StdRng};
+        let mut rng = StdRng::seed_from_u64(0x1EA1);
+        for _ in 0..2000 {
+            let node = StdNode {
+                ditem: (rng.gen::<u32>() >> rng.gen_range(0u32..32)).max(1),
+                pcount: rng.gen::<u32>() >> rng.gen_range(0u32..32),
+                left: rng.gen_range(0u64..3),
+                right: rng.gen_range(0u64..3),
+                suffix: rng.gen_range(0u64..3),
+            };
+            let mut buf = [0xA5u8; 24];
+            let n = node.encode(&mut buf);
+            // Exactly the node's bytes, as when it ends the arena (a 2- or
+            // 3-byte leaf takes the bounded read), and the node followed
+            // by other bytes.
+            for buf in [&buf[..n], &buf[..]] {
+                let mask = NodeMask::decode(buf[0]);
+                assert_eq!(std_ditem(buf, mask), node.ditem, "{node:?}");
+                for (toward, value) in [
+                    (Ordering::Less, node.left),
+                    (Ordering::Greater, node.right),
+                    (Ordering::Equal, node.suffix),
+                ] {
+                    let at = std_ptr_offset(mask, toward);
+                    assert_eq!(at.map(|at| read_raw40(&buf[at..])), (value != 0).then_some(value));
+                }
+            }
+
+            let len = rng.gen_range(2..MAX_CHAIN_LEN + 1);
+            let entries: Vec<u32> = (0..len).map(|_| rng.gen_range(1u32..256)).collect();
+            let chain = ChainNode::from_entries(&entries, node.pcount, node.suffix);
+            let mut buf = [0u8; 32];
+            let n = chain.encode(&mut buf);
+            assert_eq!(ChainNode::decode_end(&buf[..n]), (chain.pcount, chain.suffix));
+        }
     }
 
     #[test]

@@ -13,23 +13,25 @@
 //! - **embedded leaf** → matched in place when possible, otherwise
 //!   *unembedded* into a standard node so a sibling or child can attach,
 //! - **standard node** → binary-search-tree navigation among siblings via
-//!   `left`/`right`, descent via `suffix`; attaching a new pointer or
-//!   growing `pcount` past a byte boundary re-encodes the node through the
-//!   memory manager (grow/shrink in Appendix A),
+//!   `left`/`right`, descent via `suffix`. A step reads the node where it
+//!   lies in the arena: the mask byte, the Δitem, and the offset of the one
+//!   pointer it follows, found from the mask. Only a rewrite decodes the
+//!   whole node: attaching a new pointer or growing `pcount` (a row ending
+//!   here) re-encodes it, through the memory manager when its size changes
+//!   (grow/shrink in Appendix A),
 //! - **chain node** → entries are matched one by one; any structural
 //!   change inside the chain (divergence, mid-chain transaction end)
 //!   splits it into prefix chain / pivot standard node / remainder chain,
 //!   exactly the "chain nodes may be split" behaviour of §4.1.
 
-use crate::node::{
-    self, embed, is_embedded, unembed, ChainNode, PtrField, StdNode, EMBED_MAX_DITEM,
-};
+use crate::node::{self, embed, is_embedded, unembed, ChainNode, StdNode, EMBED_MAX_DITEM};
 use cfp_data::{ItemRecoder, TransactionDb};
-use cfp_encoding::mask::{is_chain, MAX_CHAIN_LEN};
+use cfp_encoding::mask::{is_chain, NodeMask, MAX_CHAIN_LEN};
 use cfp_fault::CfpError;
 use cfp_memman::{AllocError, Arena, ArenaOptions};
 use cfp_metrics::HeapSize;
 use cfp_trace::counters as tc;
+use std::cmp::Ordering;
 
 /// Tuning knobs of the physical representation, mainly for ablation
 /// studies of the paper's design choices (leading-zero suppression and
@@ -418,7 +420,8 @@ impl CfpTree {
 
             // `raw` is an arena offset.
             let off = raw;
-            if is_chain(self.arena.byte(off)) {
+            let buf = self.arena.tail(off);
+            if is_chain(buf[0]) {
                 match self.step_chain(slot, off, items, &mut pos, &mut prev, weight)? {
                     ChainStep::Done => return Ok(()),
                     ChainStep::Descend(next_slot) => {
@@ -428,54 +431,33 @@ impl CfpTree {
                 }
             }
 
-            let (std, size) = StdNode::decode(self.arena.tail(off));
-            match want.cmp(&std.ditem) {
-                std::cmp::Ordering::Equal => {
-                    prev = items[pos] as i64;
-                    pos += 1;
-                    if pos == items.len() {
-                        self.bump_std_pcount(slot, off, std, size, weight)?;
-                        return Ok(());
-                    }
-                    if std.suffix != 0 {
-                        let field =
-                            node::std_ptr_offset(self.arena.bytes(off, size), PtrField::Suffix)
-                                .expect("suffix present");
-                        slot = off + field as u64;
-                        continue;
-                    }
-                    let child = self.make_branch(&items[pos..], prev, weight)?;
-                    let updated = StdNode { suffix: child, ..std };
-                    self.rewrite_std(slot, off, size, updated)?;
-                    return Ok(());
-                }
-                std::cmp::Ordering::Less => {
-                    if std.left != 0 {
-                        let field =
-                            node::std_ptr_offset(self.arena.bytes(off, size), PtrField::Left)
-                                .expect("left present");
-                        slot = off + field as u64;
-                        continue;
-                    }
-                    let child = self.make_branch(&items[pos..], prev, weight)?;
-                    let updated = StdNode { left: child, ..std };
-                    self.rewrite_std(slot, off, size, updated)?;
-                    return Ok(());
-                }
-                std::cmp::Ordering::Greater => {
-                    if std.right != 0 {
-                        let field =
-                            node::std_ptr_offset(self.arena.bytes(off, size), PtrField::Right)
-                                .expect("right present");
-                        slot = off + field as u64;
-                        continue;
-                    }
-                    let child = self.make_branch(&items[pos..], prev, weight)?;
-                    let updated = StdNode { right: child, ..std };
-                    self.rewrite_std(slot, off, size, updated)?;
+            // A standard node: the step reads its mask and Δitem where
+            // they lie and follows one pointer. Only a rewrite decodes it.
+            let mask = NodeMask::decode(buf[0]);
+            let toward = want.cmp(&node::std_ditem(buf, mask));
+            if toward == Ordering::Equal {
+                prev = items[pos] as i64;
+                pos += 1;
+                if pos == items.len() {
+                    let (std, size) = StdNode::decode(buf);
+                    self.bump_std_pcount(slot, off, std, size, weight)?;
                     return Ok(());
                 }
             }
+            if let Some(field) = node::std_ptr_offset(mask, toward) {
+                slot = off + field as u64;
+                continue;
+            }
+            // The pointer to follow is missing: attach the rest there.
+            let (std, size) = StdNode::decode(buf);
+            let child = self.make_branch(&items[pos..], prev, weight)?;
+            let updated = match toward {
+                Ordering::Less => StdNode { left: child, ..std },
+                Ordering::Greater => StdNode { right: child, ..std },
+                Ordering::Equal => StdNode { suffix: child, ..std },
+            };
+            self.rewrite_std(slot, off, size, updated)?;
+            return Ok(());
         }
     }
 

@@ -114,5 +114,16 @@ fn cfp_growth_peak_memory_beats_fp_growth_at_scale() {
     let fp = FpGrowthMiner::new().mine(&db, minsup, &mut sink);
     assert!(cfp.peak_bytes * 3 < fp.peak_bytes, "cfp {} vs fp {}", cfp.peak_bytes, fp.peak_bytes);
     // Conversion is a small fraction of the total runtime (§3.5).
-    assert!(cfp.convert_time < cfp.total_time() / 3);
+    let total = cfp.total_time();
+    assert!(
+        cfp.convert_time < total / 3,
+        "conversion took {:.3} of the run (bound 1/3): convert {:?}, scan {:?}, build {:?}, \
+         mine {:?}, total {:?}",
+        cfp.convert_time.as_secs_f64() / total.as_secs_f64(),
+        cfp.convert_time,
+        cfp.scan_time,
+        cfp.build_time,
+        cfp.mine_time,
+        total
+    );
 }
