@@ -14,7 +14,9 @@
 //! chain's offset, the next entry's index and the entry count, each step
 //! reads one entry's Δitem byte, and the last entry decodes the chain's
 //! `pcount` and suffix. A standard node is decoded once, when its slot is
-//! resolved, since its body and all three pointers are used.
+//! resolved, since its body and all three pointers are used. Empty slots
+//! are never pushed, and a node without a left subtree is entered at
+//! once instead of through a body frame.
 
 use crate::node::{self, ChainNode, StdNode};
 use crate::tree::CfpTree;
@@ -35,7 +37,8 @@ pub enum DfsEvent {
 }
 
 enum Frame {
-    /// Resolve a raw slot value (BST in-order for allocated nodes).
+    /// Resolve a non-empty raw slot value (BST in-order for allocated
+    /// nodes).
     Slot(u64),
     /// Emit the body of a standard node, then its suffix subtree.
     StdBody { ditem: u32, pcount: u32, suffix: u64 },
@@ -55,7 +58,24 @@ pub struct DfsIter<'t> {
 impl<'t> DfsIter<'t> {
     /// Starts a traversal at the root.
     pub fn new(tree: &'t CfpTree) -> Self {
-        DfsIter { tree, stack: vec![Frame::Slot(tree.root_value())] }
+        let mut dfs = DfsIter { tree, stack: Vec::new() };
+        dfs.push_slot(tree.root_value());
+        dfs
+    }
+
+    /// Pushes a slot to resolve; an empty one has nothing to emit.
+    fn push_slot(&mut self, raw: u64) {
+        if raw != 0 {
+            self.stack.push(Frame::Slot(raw));
+        }
+    }
+
+    /// Enters a standard node and schedules its suffix subtree and its
+    /// `Leave`.
+    fn enter_std(&mut self, ditem: u32, pcount: u32, suffix: u64) -> DfsEvent {
+        self.stack.push(Frame::Leave);
+        self.push_slot(suffix);
+        DfsEvent::Enter { ditem, pcount }
     }
 }
 
@@ -66,9 +86,6 @@ impl Iterator for DfsIter<'_> {
         while let Some(frame) = self.stack.pop() {
             match frame {
                 Frame::Slot(raw) => {
-                    if raw == 0 {
-                        continue;
-                    }
                     if node::is_embedded(raw) {
                         let (ditem, pcount) = node::unembed(raw);
                         self.stack.push(Frame::Leave);
@@ -81,7 +98,10 @@ impl Iterator for DfsIter<'_> {
                     } else {
                         let (std, _) = StdNode::decode(buf);
                         // In-order: left subtree, node body, right subtree.
-                        self.stack.push(Frame::Slot(std.right));
+                        self.push_slot(std.right);
+                        if std.left == 0 {
+                            return Some(self.enter_std(std.ditem, std.pcount, std.suffix));
+                        }
                         self.stack.push(Frame::StdBody {
                             ditem: std.ditem,
                             pcount: std.pcount,
@@ -91,9 +111,7 @@ impl Iterator for DfsIter<'_> {
                     }
                 }
                 Frame::StdBody { ditem, pcount, suffix } => {
-                    self.stack.push(Frame::Leave);
-                    self.stack.push(Frame::Slot(suffix));
-                    return Some(DfsEvent::Enter { ditem, pcount });
+                    return Some(self.enter_std(ditem, pcount, suffix));
                 }
                 Frame::ChainEntry { off, idx, len } => {
                     let buf = self.tree.arena().tail(off);
@@ -104,7 +122,7 @@ impl Iterator for DfsIter<'_> {
                         return Some(DfsEvent::Enter { ditem, pcount: 0 });
                     }
                     let (pcount, suffix) = ChainNode::decode_end(buf);
-                    self.stack.push(Frame::Slot(suffix));
+                    self.push_slot(suffix);
                     return Some(DfsEvent::Enter { ditem, pcount });
                 }
                 Frame::Leave => return Some(DfsEvent::Leave),

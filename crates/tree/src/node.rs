@@ -153,10 +153,8 @@ impl StdNode {
 /// read when fewer than four bytes follow the mask byte.
 #[inline]
 pub fn std_ditem(buf: &[u8], mask: NodeMask) -> u32 {
-    match buf.get(1..5) {
-        Some(le) => {
-            u32::from_le_bytes(le.try_into().unwrap()) & (u32::MAX >> (32 - 8 * mask.ditem_len))
-        }
+    match buf[1..].first_chunk::<4>() {
+        Some(le) => u32::from_le_bytes(*le) & (u32::MAX >> (32 - 8 * mask.ditem_len)),
         None => zerosup::read_bytes(&buf[1..], mask.ditem_len),
     }
 }
@@ -417,9 +415,9 @@ mod tests {
             };
             let mut buf = [0xA5u8; 24];
             let n = node.encode(&mut buf);
-            // Exactly the node's bytes, as when it ends the arena (a 2- or
-            // 3-byte leaf takes the bounded read), and the node followed
-            // by other bytes.
+            // Exactly the node's bytes, as when it ends the arena (a node
+            // under five bytes takes the bounded read), and the node
+            // followed by other bytes.
             for buf in [&buf[..n], &buf[..]] {
                 let mask = NodeMask::decode(buf[0]);
                 assert_eq!(std_ditem(buf, mask), node.ditem, "{node:?}");
