@@ -64,7 +64,8 @@
 //!                      events) to DIR/blackbox.json
 //!   --recover POLICY   escalation ladder on failure: off (default),
 //!                      degrade (rerun on one mine-phase worker; needs
-//!                      --threads > 1, else it fails like off),
+//!                      --threads > 1 and a build that fit the budget,
+//!                      else it fails like off),
 //!                      partition (… then item-range partitioned
 //!                      mining), spill (the same partitions, with their
 //!                      arrays round-tripped through crash-safe disk
