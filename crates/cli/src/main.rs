@@ -31,7 +31,6 @@
 //!   --count            print only the number of itemsets
 //!   --rules CONF       print association rules with confidence ≥ CONF
 //!                      (a fraction from 0 to 1)
-//!   --image PATH       also save a reusable mining image (cfp only)
 //!   --stats            print phase times and peak memory to stderr
 //!   --profile PATH     enable tracing and write a cfp-profile/5 JSON
 //!                      run report to PATH: the registry snapshot
@@ -120,8 +119,8 @@
 //! completes the run.
 
 use cfp_core::{
-    CollectSink, CountingSink, ItemsetSink, MineStats, Miner, MiningImage, OutputMode,
-    ParallelCfpGrowthMiner, RecoveryPolicy, RecoveryReport, Schedule, Supervisor, TransactionDb,
+    CollectSink, CountingSink, ItemsetSink, MineStats, Miner, OutputMode, ParallelCfpGrowthMiner,
+    RecoveryPolicy, RecoveryReport, Schedule, Supervisor, TransactionDb,
 };
 use cfp_data::{CfpError, ParsePolicy};
 use cfp_fault::{CancelToken, EXIT_USAGE};
@@ -142,7 +141,6 @@ struct Options {
     output: OutputMode,
     count_only: bool,
     rules: Option<f64>,
-    image: Option<String>,
     stats: bool,
     profile: Option<String>,
     trace_out: Option<String>,
@@ -173,7 +171,7 @@ fn print_usage() {
     eprintln!("  --threads N | --schedule dynamic | --mem-budget BYTES[k|m|g]");
     eprintln!("  --skip-bad-lines");
     eprintln!("  --output all|closed|maximal|topk:N");
-    eprintln!("  --count | --rules CONF | --image PATH | --stats | --profile PATH");
+    eprintln!("  --count | --rules CONF | --stats | --profile PATH");
     eprintln!("  --trace-out PATH | --flame-out PATH | --progress | --mem-report PATH");
     eprintln!("  --metrics-out PATH [--metrics-every DUR] | --blackbox DIR");
     eprintln!("  --recover off|degrade|partition|spill | --spill-dir PATH");
@@ -229,7 +227,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         output: OutputMode::All,
         count_only: false,
         rules: None,
-        image: None,
         stats: false,
         profile: None,
         trace_out: None,
@@ -297,7 +294,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 }
                 opts.rules = Some(conf);
             }
-            "--image" => opts.image = Some(value(arg)?),
             "--stats" => opts.stats = true,
             "--profile" => opts.profile = Some(value(arg)?),
             "--trace-out" => opts.trace_out = Some(value(arg)?),
@@ -367,7 +363,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             ("--output", opts.output != OutputMode::All),
             ("--threads", opts.threads > 1),
             ("--mem-budget", opts.mem_budget.is_some()),
-            ("--image", opts.image.is_some()),
             ("--mem-report", opts.mem_report.is_some()),
             ("--recover", opts.recover != RecoveryPolicy::Off),
             ("--worker-timeout", opts.worker_timeout.is_some()),
@@ -1280,14 +1275,6 @@ fn main() {
         eprintln!("flamegraph stacks written to {path}");
     }
 
-    if let Some(path) = &opts.image {
-        let image = MiningImage::build(&db, min_support);
-        if let Err(e) = image.save(path) {
-            eprintln!("cannot save image {path}: {e}");
-            exit(1);
-        }
-        eprintln!("image saved to {path}");
-    }
     if opts.stats {
         report_stats(&stats, stats.itemsets);
         if profiling {
@@ -1616,6 +1603,14 @@ mod tests {
             .unwrap();
         assert_eq!(o.output, OutputMode::TopK(3));
         assert!(o.count_only);
+
+        // No run saves its CFP-array: `--image` is an unknown argument.
+        for gone in [&["--image", "y.cfpi"][..], &["--image=y.cfpi"][..]] {
+            let mut a = vec!["in.dat", "--support", "2"];
+            a.extend_from_slice(gone);
+            let err = parse_args(&args(&a)).unwrap_err();
+            assert!(err.contains("unknown argument \"--image\""), "{gone:?}: {err}");
+        }
 
         // Checkpointing streams closed/maximal but only on the off rung,
         // and never top-k (no watermark over a heap).

@@ -24,12 +24,12 @@ fn write_sample() -> std::path::PathBuf {
     path
 }
 
-/// The `connect-like` profile's database as a FIMI file.
-fn write_connect_like() -> std::path::PathBuf {
+/// The named profile's database as a FIMI file.
+fn write_profile(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("cfp_cli_tests");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("connect-like.dat");
-    let db = cfp_data::profiles::by_name("connect-like").expect("profile exists").generate();
+    let path = dir.join(format!("{name}.dat"));
+    let db = cfp_data::profiles::by_name(name).expect("profile exists").generate();
     let mut text = Vec::new();
     cfp_data::fimi::write(&db, &mut text).unwrap();
     write_shared(&path, std::str::from_utf8(&text).unwrap());
@@ -169,7 +169,7 @@ fn profile_phases_mean_the_same_at_any_thread_count() {
 fn stats_peak_is_the_profile_peak_at_any_thread_count() {
     use cfp_trace::{json, Json};
 
-    let path = write_connect_like();
+    let path = write_profile("connect-like");
     let dir = path.parent().unwrap();
     for threads in ["1", "2", "4"] {
         let report_path = dir.join(format!("peak-{threads}.json"));
@@ -263,10 +263,7 @@ fn condensed_flags_are_never_silently_dropped() {
 #[test]
 fn cfp_only_flags_on_a_baseline_exit_2_before_any_work() {
     let path = write_sample();
-    let image = std::env::temp_dir().join("cfp_cli_tests").join("baseline.img");
-    let _ = std::fs::remove_file(&image);
     for cell in [
-        &["--image", image.to_str().unwrap()][..],
         &["--recover", "partition"][..],
         &["--threads", "4"][..],
         &["--worker-timeout", "5"][..],
@@ -283,7 +280,6 @@ fn cfp_only_flags_on_a_baseline_exit_2_before_any_work() {
         assert!(stderr.contains(cell[0]), "{cell:?} must name the flag: {stderr}");
         assert!(!stderr.contains("transactions"), "{cell:?} read the input: {stderr}");
     }
-    assert!(!image.exists(), "no image may be written for a baseline");
 }
 
 /// Malformed `--output` values are usage errors: exit 2, a diagnostic
@@ -446,27 +442,6 @@ fn condensed_output_under_spill_recovery_matches_unconstrained() {
             "{mode}: recovery changed the condensed set"
         );
     }
-}
-
-#[test]
-fn image_round_trip_via_cli() {
-    let path = write_sample();
-    let dir = std::env::temp_dir().join("cfp_cli_tests");
-    let image = dir.join("sample.cfpi");
-    let out = Command::new(bin())
-        .args([
-            path.to_str().unwrap(),
-            "--support",
-            "2",
-            "--count",
-            "--image",
-            image.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    assert!(image.exists());
-    std::fs::remove_file(&image).ok();
 }
 
 /// Arming the live-telemetry surfaces must not change a single output
@@ -1021,7 +996,7 @@ fn recover_off_reproduces_the_plain_failure_byte_for_byte() {
 /// paths: the ladder and a checkpointed spill run.
 #[test]
 fn a_failed_partitioned_run_says_where_it_stopped() {
-    let path = write_connect_like();
+    let path = write_profile("connect-like");
     let scratch = ckpt_scratch("failed-rung");
     let (ck, sp) = (scratch.join("ck"), scratch.join("sp"));
     let budget = ["--support", "80%", "--mem-budget", "380966"];
@@ -1130,6 +1105,43 @@ fn partitioned_recovery_matches_unconstrained_output() {
     assert_eq!(last.get("succeeded"), Some(&Json::Bool(true)));
 
     std::fs::remove_file(&report_path).ok();
+}
+
+/// A supervised run counts the database once. On retail-like at 1% on
+/// one thread, a 64000 B budget refuses the first attempt's build, and
+/// rung 2 mines from the first attempt's count: the profile shows that
+/// count and the first range's sizing pass, and one tree for the first
+/// attempt and each partition.
+#[test]
+fn a_supervised_run_counts_the_database_once() {
+    use cfp_trace::{json, Json};
+
+    let path = write_profile("retail-like");
+    let report = path.with_file_name("count-once.json");
+    let out = Command::new(bin())
+        .args([path.to_str().unwrap(), "--support", "1%", "--count"])
+        .args(["--mem-budget", "64000", "--recover=partition"])
+        .args(["--profile", report.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let doc = json::parse(&std::fs::read_to_string(&report).unwrap()).unwrap();
+    let deg = doc.get("degradation").expect("degradation section");
+    let rungs = deg.get("rungs").and_then(Json::as_arr).expect("rungs array");
+    let names: Vec<&str> = rungs.iter().filter_map(|r| r.get("rung")?.as_str()).collect();
+    assert_eq!(names, ["partition"], "the pool refused the build");
+    let partitions = deg.get("final_partitions").and_then(Json::as_u64).unwrap();
+    assert!(partitions >= 2, "expected a real split, got {partitions}");
+    let retries = doc.get("counters").and_then(|c| c.get("core.partition_retries"));
+    assert_eq!(retries.and_then(Json::as_u64), Some(0), "every range was sized");
+    let phases = doc.get("phases").and_then(Json::as_arr).expect("phases");
+    let spans = |name: &str| {
+        let phase = phases.iter().find(|p| p.get("name").and_then(Json::as_str) == Some(name));
+        phase.and_then(|p| p.get("count")).and_then(Json::as_u64).unwrap()
+    };
+    assert_eq!(spans("count"), 2, "{phases:?}");
+    assert_eq!(spans("build"), partitions + 1, "{phases:?}");
+    std::fs::remove_file(&report).ok();
 }
 
 fn write_damaged_sample() -> std::path::PathBuf {

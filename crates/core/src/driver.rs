@@ -2,19 +2,19 @@
 //!
 //! [`CfpGrowthMiner`](crate::CfpGrowthMiner) is this driver with one
 //! mine-phase worker and [`ParallelCfpGrowthMiner`](crate::ParallelCfpGrowthMiner)
-//! with `threads`; [`mine_file`](crate::mine_file),
-//! [`MiningImage::mine`](crate::MiningImage::mine) and every
+//! with `threads`; [`mine_file`](crate::mine_file) and every
 //! [`Supervisor`](crate::Supervisor) rung call the same back half.
 //!
-//! - The **front half** ([`run`], [`convert_and_mine`]) counts item
-//!   supports, builds the initial CFP-tree — charging the run's
+//! - The **front half** ([`count`], [`run`], [`convert_and_mine`]) counts
+//!   item supports, builds the initial CFP-tree — charging the run's
 //!   [`BudgetPool`](cfp_memman::BudgetPool) when there is one — and
 //!   converts it to the CFP-array (§3 of the paper), each phase under its
-//!   own span. [`run`] ranks a whole database by support; a rung-2
-//!   partition and [`mine_file`](crate::mine_file) build their own trees
-//!   and join at [`convert_and_mine`].
-//! - The **back half** ([`mine`]) mines the frequent first-level items
-//!   from the run's first item up (0 unless a rung-2 partition ranks its
+//!   own span. [`count`] ranks a whole database by support, once per run:
+//!   a supervised run's attempts and rungs share its count. [`run`] builds
+//!   from that count; a rung-2 partition and [`mine_file`](crate::mine_file)
+//!   build their own trees and join at [`convert_and_mine`].
+//! - The **back half** ([`mine`]) mines the first-level items from the
+//!   run's first item up (0 unless a rung-2 partition ranks its
 //!   context items first) — one task per item — on `threads.max(1)`
 //!   spawned workers claiming from a [`TaskQueue`]. Each task's itemsets
 //!   travel to the caller's thread in chunks, where the
@@ -65,43 +65,51 @@ pub(crate) struct Plan {
     pub worker_timeout: Option<Duration>,
 }
 
-/// Count, build, convert, mine: one whole run over `db`, every frequent
-/// item ranked by descending support and mined. The sink hears the count
-/// ([`ItemsetSink::counted`]) before the build.
+/// A database's count ([`count`]) and the time it took.
+pub(crate) type Counted = (ItemRecoder, Duration);
+
+/// The first scan: the supports of every item of `db`, ranked by
+/// descending support at `min_support`, under one `count` span.
+pub(crate) fn count(db: &TransactionDb, min_support: u64) -> Counted {
+    let sw = Stopwatch::start();
+    let _s = span(Phase::Count);
+    (ItemRecoder::scan(db, min_support), sw.elapsed())
+}
+
+/// Build, convert, mine: one whole run over `db` from its count, every
+/// frequent item mined. The sink hears the count
+/// ([`ItemsetSink::counted`]) before the build, and the stats' scan time
+/// includes the count's.
 pub(crate) fn run(
     db: &TransactionDb,
-    min_support: u64,
+    (recoder, count_time): &Counted,
     sink: &mut dyn ItemsetSink,
     plan: Plan,
     opts: &MineOpts,
 ) -> Result<MineStats, CfpError> {
     let mut stats = MineStats::default();
     let mut sw = Stopwatch::start();
-    let recoder = {
-        let _s = span(Phase::Count);
-        ItemRecoder::scan(db, min_support)
-    };
-    sink.counted(&recoder)?;
-    stats.scan_time = sw.lap();
+    sink.counted(recoder)?;
+    stats.scan_time = *count_time + sw.lap();
     let tree = {
         let _s = span(Phase::Build);
-        CfpTree::try_from_db_with(db, &recoder, opts.arena_options(Component::BuildTree))?
+        CfpTree::try_from_db_with(db, recoder, opts.arena_options(Component::BuildTree))?
     };
     stats.build_time = sw.lap();
-    convert_and_mine(&recoder, tree, 0, min_support, sink, stats, sw, plan, opts)
+    convert_and_mine(recoder, tree, 0, sink, stats, sw, plan, opts)
 }
 
-/// The rest of a run once the initial tree is built: conversion, then the
-/// back half from item `first` up. The streaming
-/// [`mine_file`](crate::mine_file) pipeline, which builds its tree from
-/// the file, and each rung-2 partition, which builds its tree in the pass
-/// that sizes the next one, join here.
+/// The rest of a run once the initial tree over `recoder`'s items is
+/// built: conversion, then the back half from item `first` up at the
+/// recoder's support. The streaming [`mine_file`](crate::mine_file)
+/// pipeline, which builds its tree from the file, and each rung-2
+/// partition, which builds its tree in the pass that sizes the next one,
+/// join here.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn convert_and_mine(
     recoder: &ItemRecoder,
     tree: CfpTree,
     first: u32,
-    min_support: u64,
     sink: &mut dyn ItemsetSink,
     mut stats: MineStats,
     mut sw: Stopwatch,
@@ -139,39 +147,23 @@ pub(crate) fn convert_and_mine(
 
     let globals: Arc<[Item]> =
         (0..recoder.num_items() as u32).map(|i| recoder.original(i)).collect();
-    let mined = mine(Arc::new(array), globals, first, min_support, sink, plan, opts, &gauge)?;
+    let min_support = recoder.min_support();
+    mine(Arc::new(array), globals, first, min_support, sink, plan, opts, &gauge, &mut stats)?;
     stats.mine_time = sw.lap();
-    mined.record(&mut stats, &gauge);
+    stats.peak_bytes = gauge.peak();
+    stats.avg_bytes = gauge.average();
     Ok(stats)
 }
 
-/// What the back half reports.
-#[derive(Default)]
-pub(crate) struct Mined {
-    itemsets: u64,
-    worker_tasks: Vec<u64>,
-    worker_costs: Vec<u64>,
-}
-
-impl Mined {
-    /// Fills `stats` with this back half's results; `gauge` is the run's
-    /// one memory gauge.
-    pub(crate) fn record(self, stats: &mut MineStats, gauge: &MemGauge) {
-        stats.itemsets = self.itemsets;
-        stats.peak_bytes = gauge.peak();
-        stats.avg_bytes = gauge.average();
-        stats.worker_tasks = self.worker_tasks;
-        stats.worker_costs = self.worker_costs;
-    }
-}
-
 /// The back half: mines the first-level items of `array` from `first` up
-/// (local ids mapped to original items by `globals`) into `sink`. Items
-/// below `first` appear only inside the itemsets of the items above.
+/// (local ids mapped to original items by `globals`) into `sink`, and
+/// records the itemsets and each worker's tasks and costs in `stats`.
+/// Every item of `array` is frequent: it was recoded at `min_support`.
+/// Items below `first` appear only inside the itemsets of the items above.
 /// Every worker charges its conditional structures to `gauge`, the run's
 /// gauge, which already holds `array`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn mine(
+fn mine(
     array: Arc<CfpArray>,
     globals: Arc<[Item]>,
     first: u32,
@@ -180,13 +172,9 @@ pub(crate) fn mine(
     plan: Plan,
     opts: &MineOpts,
     gauge: &MemGauge,
-) -> Result<Mined, CfpError> {
-    // Items are recoded by descending support, so the frequent ones are a
-    // prefix; only an image mined above its build support has a tail.
-    let n = (0..array.num_items() as u32)
-        .take_while(|&item| array.item_support(item) >= min_support)
-        .count() as u32;
-    let first = first.min(n);
+    stats: &mut MineStats,
+) -> Result<(), CfpError> {
+    let n = array.num_items() as u32;
     if cfp_trace::enabled() {
         cfp_trace::counters::CORE_FIRST_LEVEL_ITEMS.record((n - first) as u64);
     }
@@ -196,7 +184,6 @@ pub(crate) fn mine(
         OutputMode::TopK(k) => Some(Arc::new(TopKState::new(k))),
         _ => None,
     };
-    let mut mined = Mined::default();
     let threads = plan.threads.clamp(1, (n - first).max(1) as usize);
     if cfp_trace::enabled() {
         cfp_trace::counters::CORE_WORKERS.record(threads as u64);
@@ -231,7 +218,7 @@ pub(crate) fn mine(
     let mut emitter =
         OrderedEmitter::new(sink, n, first, sched_max, max_item, opts.output, opts.cancel.clone());
     let mut first_error = receive(&rx, &mut emitter, &shared, &handles, plan.worker_timeout);
-    mined.itemsets = emitter.emitted;
+    stats.itemsets = emitter.emitted;
     // The run is finished once its first item is out.
     let unfinished = emitter.next >= first as i64;
     drop(emitter);
@@ -262,8 +249,8 @@ pub(crate) fn mine(
         });
         match joined {
             Ok(report) => {
-                mined.worker_tasks.push(report.tasks);
-                mined.worker_costs.push(report.cost);
+                stats.worker_tasks.push(report.tasks);
+                stats.worker_costs.push(report.cost);
             }
             Err(e) => {
                 first_error.get_or_insert(e);
@@ -280,8 +267,8 @@ pub(crate) fn mine(
     }
     // Top-k emits nothing while mining (workers offer into the shared
     // heap); the winners drain here, sorted, once the set is final.
-    mined.itemsets += topk.as_deref().map_or(0, |t| drain_topk(t, sink));
-    Ok(mined)
+    stats.itemsets += topk.as_deref().map_or(0, |t| drain_topk(t, sink));
+    Ok(())
 }
 
 /// Everything the workers of one run share.
@@ -793,7 +780,7 @@ mod tests {
             let tree = CfpTree::from_db(&db, &recoder);
             let plan = Plan { threads: 1, worker_timeout: None };
             let (stats, sw) = (MineStats::default(), Stopwatch::start());
-            convert_and_mine(&recoder, tree, 3, 2, sink, stats, sw, plan, opts)
+            convert_and_mine(&recoder, tree, 3, sink, stats, sw, plan, opts)
         };
         let mut whole = CollectSink::new();
         from_three(&mut whole, &MineOpts::default()).expect("uncancelled");

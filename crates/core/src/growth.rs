@@ -604,7 +604,7 @@ impl CfpGrowthMiner {
         sink: &mut dyn ItemsetSink,
         opts: &MineOpts,
     ) -> Result<MineStats, CfpError> {
-        crate::driver::run(db, min_support, sink, self.plan(), opts)
+        crate::driver::run(db, &crate::driver::count(db, min_support), sink, self.plan(), opts)
     }
 }
 
@@ -920,7 +920,7 @@ fn conditional(
     // is byte-identical to mining the owned original, whose pair table
     // the view keeps.
     let cond_array = match &ctx.opts.cond_spill {
-        Some(cs) if cond_array.data_bytes() >= cs.threshold() => cs.round_trip(cond_array)?,
+        Some(cs) if cond_array.data_bytes() >= cs.threshold => cs.round_trip(cond_array)?,
         _ => cond_array,
     };
     Ok(Some(Cond { array: cond_array, globals: cond_globals, support_preserved }))

@@ -57,18 +57,8 @@ pub fn mine_file(
     stats.build_time = sw.lap();
 
     let opts = MineOpts::default();
-    crate::driver::convert_and_mine(
-        &recoder,
-        tree,
-        0,
-        min_support,
-        sink,
-        stats,
-        sw,
-        miner.plan(),
-        &opts,
-    )
-    .map_err(io::Error::from)
+    crate::driver::convert_and_mine(&recoder, tree, 0, sink, stats, sw, miner.plan(), &opts)
+        .map_err(io::Error::from)
 }
 
 #[cfg(test)]

@@ -40,7 +40,6 @@
 pub mod ckpt;
 mod driver;
 pub mod growth;
-pub mod image;
 pub mod io;
 pub mod memstat;
 pub mod parallel;
@@ -54,7 +53,6 @@ pub use cfp_data::{Item, ItemRecoder, ItemsetSink, MineStats, Miner, OutputMode,
 pub use cfp_tree::CfpTree;
 pub use ckpt::{CkptProgress, Manifest};
 pub use growth::{build_tree, CfpGrowthMiner, MineOpts};
-pub use image::MiningImage;
 pub use io::mine_file;
 pub use memstat::{collect_memstat, FpBaselineBytes, MemStatRun};
 pub use parallel::ParallelCfpGrowthMiner;

@@ -102,7 +102,7 @@ impl Miner for ParallelCfpGrowthMiner {
             output: self.output,
             ..Default::default()
         };
-        driver::run(db, min_support, sink, plan, &opts)
+        driver::run(db, &driver::count(db, min_support), sink, plan, &opts)
     }
 }
 

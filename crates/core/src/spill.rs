@@ -58,7 +58,8 @@ pub(crate) fn load_spill_array(path: &Path) -> Result<(CfpArray, u64), CfpError>
 #[derive(Clone, Debug)]
 pub struct CondSpill {
     dir: Arc<cfp_data::spill::SpillDir>,
-    threshold: u64,
+    /// The data bytes from which a conditional array spills.
+    pub(crate) threshold: u64,
     seq: Arc<AtomicU64>,
 }
 
@@ -67,11 +68,6 @@ impl CondSpill {
     /// data bytes or more.
     pub fn new(dir: Arc<cfp_data::spill::SpillDir>, threshold: u64) -> Self {
         CondSpill { dir, threshold, seq: Arc::new(AtomicU64::new(0)) }
-    }
-
-    /// The spill threshold in data bytes.
-    pub fn threshold(&self) -> u64 {
-        self.threshold
     }
 
     /// Round-trips `array` through a uniquely-named spill file and

@@ -2,10 +2,12 @@
 //!
 //! [`Supervisor::mine`] wraps a mining run in an escalation ladder that
 //! turns [`CfpError::MemoryExhausted`] (and watchdog timeouts) into
-//! completed, *exact* runs wherever possible. Every attempt runs under a
-//! fresh [`BudgetPool`] of the budget, shared by all of its arenas, and
-//! fails as soon as the pool refuses an allocation. The rungs, in order,
-//! each attempted at most once per run:
+//! completed, *exact* runs wherever possible. The database is counted
+//! once, before the first attempt, and every attempt and rung starts from
+//! that count. Every attempt runs under a fresh [`BudgetPool`] of the
+//! budget, shared by all of its arenas, and fails as soon as the pool
+//! refuses an allocation. The rungs, in order, each attempted at most once
+//! per run:
 //!
 //! 1. **degrade** — downshift to one mine-phase worker (one conditional
 //!    tree live instead of `threads`). Skipped when the run had one
@@ -55,7 +57,7 @@
 //! of exactly one range. The on-disk detour is a checksummed identity
 //! transformation of each array.
 
-use crate::driver::{self, Plan};
+use crate::driver::{self, Counted, Plan};
 use crate::growth::{MineOpts, SubsumeIndex};
 use crate::spill::CondSpill;
 use cfp_data::miner::{CollectSink, TopKSink};
@@ -251,8 +253,10 @@ impl Supervisor {
         let mut report =
             RecoveryReport { policy: self.policy.name().to_string(), ..Default::default() };
 
+        // One count serves the first attempt and every rung.
+        let counted = driver::count(db, min_support);
         // First attempt: the classic run, output buffered.
-        let (first, buf) = self.attempt(db, min_support, self.threads);
+        let (first, buf) = self.attempt(db, &counted, self.threads);
         let mut last_err = match first {
             Ok(stats) => {
                 flush(buf, sink);
@@ -269,7 +273,7 @@ impl Supervisor {
             }
             let _s = span(Phase::Recover);
             rung_started(cfp_trace::Rung::Degrade);
-            let (r, buf) = self.attempt(db, min_support, 1);
+            let (r, buf) = self.attempt(db, &counted, 1);
             report.rungs.push(RungReport {
                 rung: "degrade",
                 succeeded: r.is_ok(),
@@ -295,19 +299,23 @@ impl Supervisor {
         // Rung 2.
         let on_disk = self.policy == RecoveryPolicy::Spill;
         let mut buf = CollectSink::new();
-        let (r, report) = self.partitioned(db, min_support, on_disk, &mut buf, None, report);
+        let (r, report) = {
+            let _s = span(Phase::Recover);
+            self.partitioned(db, &counted, on_disk, &mut buf, None, report)
+        };
         if r.is_ok() {
             flush(buf, sink);
         }
         (r, report)
     }
 
-    /// One in-memory attempt: the whole run on `threads` workers, its
-    /// output buffered, under a fresh pool of the run's budget.
+    /// One in-memory attempt: the whole run from the run's count on
+    /// `threads` workers, its output buffered, under a fresh pool of the
+    /// run's budget.
     fn attempt(
         &self,
         db: &TransactionDb,
-        min_support: u64,
+        counted: &Counted,
         threads: usize,
     ) -> (Result<MineStats, CfpError>, CollectSink) {
         let opts = MineOpts {
@@ -317,7 +325,7 @@ impl Supervisor {
             ..Default::default()
         };
         let mut buf = CollectSink::new();
-        let r = driver::run(db, min_support, &mut buf, self.plan(threads), &opts);
+        let r = driver::run(db, counted, &mut buf, self.plan(threads), &opts);
         (r, buf)
     }
 
@@ -377,22 +385,24 @@ impl Supervisor {
             policy: RecoveryPolicy::Spill.name().to_string(),
             ..Default::default()
         };
-        self.partitioned(db, min_support, true, sink, resume, report)
+        let _s = span(Phase::Recover);
+        let counted = driver::count(db, min_support);
+        self.partitioned(db, &counted, true, sink, resume, report)
     }
 
-    /// Rung 2 (see the module docs), recorded into `report`: the range
-    /// loop, fresh or from a `resume` point, with the arrays on disk when
-    /// `on_disk`.
+    /// Rung 2 (see the module docs) from the run's count, recorded into
+    /// `report`: the range loop, fresh or from a `resume` point, with the
+    /// arrays on disk when `on_disk`. The caller holds the rung's
+    /// [`Phase::Recover`] span.
     fn partitioned(
         &self,
         db: &TransactionDb,
-        min_support: u64,
+        counted: &Counted,
         on_disk: bool,
         sink: &mut dyn ItemsetSink,
         resume: Option<(u64, Vec<(u32, u32)>)>,
         mut report: RecoveryReport,
     ) -> (Result<MineStats, CfpError>, RecoveryReport) {
-        let _s = span(Phase::Recover);
         let (rung, trace_rung) = if on_disk {
             ("spill", cfp_trace::Rung::Spill)
         } else {
@@ -400,7 +410,7 @@ impl Supervisor {
         };
         rung_started(trace_rung);
         let mut tally = Tally::default();
-        let r = self.range_loop(db, min_support, on_disk, sink, resume, &mut tally);
+        let r = self.range_loop(db, counted, on_disk, sink, resume, &mut tally);
         let error = r.as_ref().err().map(|e| match tally.unhalvable {
             Some((lo, hi)) => format!("range [{lo}, {hi}) of one item cannot be halved: {e}"),
             None => e.to_string(),
@@ -419,8 +429,8 @@ impl Supervisor {
         (r, report)
     }
 
-    /// The range loop. After one count of the whole database, which
-    /// `sink` hears ([`ItemsetSink::counted`]), each step pops a range and
+    /// The range loop. From the whole database's count, which `sink`
+    /// hears first ([`ItemsetSink::counted`]), each step pops a range and
     /// makes one pass over `db` ([`build_pass`]) that inserts the range's
     /// projected rows into a tree under a fresh pool of the budget. The
     /// tree then goes through the driver's back half into a buffer of its
@@ -449,20 +459,14 @@ impl Supervisor {
     fn range_loop(
         &self,
         db: &TransactionDb,
-        min_support: u64,
+        (recoder, count_time): &Counted,
         on_disk: bool,
         sink: &mut dyn ItemsetSink,
         resume: Option<(u64, Vec<(u32, u32)>)>,
         tally: &mut Tally,
     ) -> Result<MineStats, CfpError> {
-        let mut stats = MineStats::default();
-        let sw = Stopwatch::start();
-        let recoder = {
-            let _s = span(Phase::Count);
-            ItemRecoder::scan(db, min_support)
-        };
-        stats.scan_time = sw.elapsed();
-        sink.counted(&recoder)?;
+        let mut stats = MineStats { scan_time: *count_time, ..Default::default() };
+        sink.counted(recoder)?;
         let n = recoder.num_items();
         if n == 0 {
             // Nothing frequent: the empty result is exact. (A failure
@@ -507,10 +511,7 @@ impl Supervisor {
             Some((_, remaining)) => (remaining.into(), None),
             None => {
                 let sw = Stopwatch::start();
-                let (ranges, sized) = {
-                    let _s = span(Phase::Count);
-                    self.first_ranges(db, &recoder, walk)
-                };
+                let (ranges, sized) = self.first_ranges(db, recoder, walk);
                 stats.scan_time += sw.elapsed();
                 (ranges.into(), sized)
             }
@@ -532,16 +533,16 @@ impl Supervisor {
                 Some((r, supports)) if r == range => supports,
                 _ => {
                     let _s = span(Phase::Count);
-                    partition::projected_supports(db, &recoder, range)
+                    partition::projected_supports(db, recoder, range)
                 }
             };
-            let (local, to_local) = rank_partition(&recoder, range, supports);
+            let (local, to_local) = rank_partition(recoder, range, supports);
             part_stats.scan_time = sw.lap();
             // When only the uncut rest follows, this partition's pass also
             // sizes the ranges the next partition could cut from it.
             let mut sizer = match queue.front() {
                 Some(&rest) if self.mem_budget.is_some() && queue.len() == 1 => {
-                    (rest.1 - rest.0 > 1).then(|| Sizer::new(&recoder, rest, walk))
+                    (rest.1 - rest.0 > 1).then(|| Sizer::new(recoder, rest, walk))
                 }
                 _ => None,
             };
@@ -556,7 +557,7 @@ impl Supervisor {
             let tree = {
                 let _s = span(Phase::Build);
                 let arena = opts.arena_options(Component::BuildTree);
-                build_pass(db, &recoder, range, &to_local, local.num_items(), sizer.as_mut(), arena)
+                build_pass(db, recoder, range, &to_local, local.num_items(), sizer.as_mut(), arena)
             };
             part_stats.build_time = sw.lap();
             // Every range item is frequent in the projection (its rows
@@ -567,15 +568,7 @@ impl Supervisor {
             let r = tree.and_then(|tree| {
                 let plan = self.plan(1);
                 driver::convert_and_mine(
-                    &local,
-                    tree,
-                    first,
-                    min_support,
-                    &mut part,
-                    part_stats,
-                    sw,
-                    plan,
-                    &opts,
+                    &local, tree, first, &mut part, part_stats, sw, plan, &opts,
                 )
             });
             record_since(&cfp_trace::hist::CORE_SPILL_MINE_NANOS, t0);
@@ -614,9 +607,9 @@ impl Supervisor {
             stats.avg_bytes = stats.avg_bytes.max(s.avg_bytes);
             if let (Some(sizer), Some(budget)) = (sizer, self.mem_budget) {
                 let rest = queue.pop_front().expect("a sized rest is queued");
-                let candidates = sizer.candidates(&recoder);
+                let candidates = sizer.candidates(recoder);
                 let next = fit(&candidates, budget, (peak, s.tree_nodes.max(1)), u64::MAX);
-                sized = sizer.supports(&recoder, next).map(|supports| (next, supports));
+                sized = sizer.supports(recoder, next).map(|supports| (next, supports));
                 queue.extend(cut(rest, next));
             }
 
@@ -661,11 +654,11 @@ impl Supervisor {
 
     /// The ranges a fresh rung-2 run starts from, in mining order, and
     /// the first range's projected supports when a sizer measured it.
-    /// Without a budget nothing is sized: two ranges of equal support
-    /// mass. With one, a first range cut by one sizing pass over the
-    /// database at [`FIRST_BYTES_PER_NODE`] and at most half the support
-    /// mass, so the run still has at least two partitions, then the
-    /// uncut rest.
+    /// Without a budget nothing is sized and nothing is read: two ranges
+    /// of equal support mass. With one, a first range cut by one sizing
+    /// pass over the database, under the `count` span, at
+    /// [`FIRST_BYTES_PER_NODE`] and at most half the support mass, so the
+    /// run still has at least two partitions, then the uncut rest.
     fn first_ranges(
         &self,
         db: &TransactionDb,
@@ -681,7 +674,10 @@ impl Supervisor {
             return (ranges, None);
         };
         let mut sizer = Sizer::new(recoder, (0, n), walk);
-        sizer.scan(db, recoder);
+        {
+            let _s = span(Phase::Count);
+            sizer.scan(db, recoder);
+        }
         let half = recoder.supports().iter().sum::<u64>() / 2;
         let first = fit(&sizer.candidates(recoder), budget, (FIRST_BYTES_PER_NODE, 1), half);
         let supports = sizer.supports(recoder, first).map(|supports| (first, supports));
@@ -1346,8 +1342,9 @@ mod tests {
             || MarkingSink { inner: CollectSink::new(), marks: Vec::new(), cancel_after: None };
         let mut full = marking();
         let mut tally = Tally::default();
+        let counted = driver::count(&db, minsup);
         let stats =
-            sup.range_loop(&db, minsup, true, &mut full, None, &mut tally).expect("sized run");
+            sup.range_loop(&db, &counted, true, &mut full, None, &mut tally).expect("sized run");
         assert!(tally.mined >= 4, "{} partitions under {budget} B", tally.mined);
         assert!(tally.retries <= 1, "{} ranges were halved", tally.retries);
         for (i, peak) in tally.peaks.iter().enumerate() {
@@ -1498,10 +1495,8 @@ mod tests {
             let first = local.num_items() as u32 - (hi - lo);
             let (plan, mut part) = (Plan { threads: 1, worker_timeout: None }, CollectSink::new());
             let (stats, sw) = (MineStats::default(), Stopwatch::start());
-            driver::convert_and_mine(
-                &local, tree, first, minsup, &mut part, stats, sw, plan, &opts,
-            )
-            .expect("the range mines");
+            driver::convert_and_mine(&local, tree, first, &mut part, stats, sw, plan, &opts)
+                .expect("the range mines");
             peaks.push(pool.peak());
             if let Some(index) = &mut index {
                 let closed = output == OutputMode::Closed;
@@ -1528,7 +1523,8 @@ mod tests {
     #[test]
     fn streamed_partitions_equal_the_copied_projection_loop() {
         let (db, minsup, budget) = quest_case();
-        let n = ItemRecoder::scan(&db, minsup).num_items() as u32;
+        let counted = driver::count(&db, minsup);
+        let n = counted.0.num_items() as u32;
         let marking =
             || MarkingSink { inner: CollectSink::new(), marks: Vec::new(), cancel_after: None };
         for output in [OutputMode::All, OutputMode::Closed] {
@@ -1539,7 +1535,7 @@ mod tests {
             };
             let mut full = marking();
             let mut tally = Tally::default();
-            sup.range_loop(&db, minsup, false, &mut full, None, &mut tally).expect("sized run");
+            sup.range_loop(&db, &counted, false, &mut full, None, &mut tally).expect("sized run");
             let ranges = mined_ranges(&[(0, n)], &full.marks);
             assert!(ranges.len() >= 4, "{output}: {ranges:?}");
             if output == OutputMode::Closed {
@@ -1555,7 +1551,7 @@ mod tests {
                 let resume = Some((*done, remaining.clone()));
                 let mut resumed = marking();
                 let mut tally = Tally::default();
-                sup.range_loop(&db, minsup, false, &mut resumed, resume, &mut tally)
+                sup.range_loop(&db, &counted, false, &mut resumed, resume, &mut tally)
                     .expect("resumed run");
                 assert_eq!(mined_ranges(remaining, &resumed.marks), ranges[k + 1..]);
                 assert_eq!(resumed.inner.itemsets, stream[*prefix_len..], "resume at mark {done}");

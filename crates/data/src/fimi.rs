@@ -34,21 +34,8 @@ pub struct ParseStats {
     pub bad_tokens: u64,
 }
 
-/// Parses one FIMI line into items, appending to `out`.
-///
-/// Returns an error on any token that is not a `u32`. Empty lines are valid
-/// empty transactions.
-pub fn parse_line(line: &str, out: &mut Vec<Item>) -> io::Result<()> {
-    for tok in line.split_ascii_whitespace() {
-        let item: Item = tok.parse().map_err(|e| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("bad item {tok:?}: {e}"))
-        })?;
-        out.push(item);
-    }
-    Ok(())
-}
-
 /// Parses one FIMI line under `policy`, appending valid items to `out`.
+/// Empty lines are valid empty transactions.
 ///
 /// Returns `Ok(true)` when the line is a transaction to keep and
 /// `Ok(false)` when [`ParsePolicy::Skip`] discarded it (with `out`
@@ -197,25 +184,33 @@ mod tests {
         }
     }
 
+    /// One line under [`ParsePolicy::Strict`] as line 1.
+    fn parse_strict(line: &str) -> Result<Vec<Item>, CfpError> {
+        let (mut out, mut stats) = (Vec::new(), ParseStats::default());
+        let kept = parse_line_with_policy(line, 1, ParsePolicy::Strict, &mut out, &mut stats)?;
+        assert!(kept, "a strict parse keeps every line it accepts");
+        Ok(out)
+    }
+
     #[test]
     fn parse_basic_line() {
-        let mut out = Vec::new();
-        parse_line("1 25 7\n", &mut out).unwrap();
-        assert_eq!(out, vec![1, 25, 7]);
+        assert_eq!(parse_strict("1 25 7\n").unwrap(), vec![1, 25, 7]);
+        assert_eq!(parse_strict("\n").unwrap(), vec![], "an empty line is an empty row");
     }
 
     #[test]
     fn parse_tolerates_extra_whitespace() {
-        let mut out = Vec::new();
-        parse_line("  3\t 4   5 ", &mut out).unwrap();
-        assert_eq!(out, vec![3, 4, 5]);
+        assert_eq!(parse_strict("  3\t 4   5 ").unwrap(), vec![3, 4, 5]);
     }
 
     #[test]
     fn parse_rejects_garbage() {
-        let mut out = Vec::new();
-        assert!(parse_line("1 x 3", &mut out).is_err());
-        assert!(parse_line("-4", &mut out).is_err());
+        for bad in ["1 x 3", "-4"] {
+            match parse_strict(bad) {
+                Err(CfpError::Parse { line: 1, .. }) => {}
+                other => panic!("{bad:?} parsed as {other:?}"),
+            }
+        }
     }
 
     #[test]

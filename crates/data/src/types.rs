@@ -39,12 +39,6 @@ impl TransactionDb {
         self.offsets.push(self.items.len());
     }
 
-    /// Appends one transaction from an iterator.
-    pub fn push_iter(&mut self, transaction: impl IntoIterator<Item = Item>) {
-        self.items.extend(transaction);
-        self.offsets.push(self.items.len());
-    }
-
     /// Removes all transactions but keeps the allocated capacity, so the
     /// database can be reused as an I/O buffer.
     pub fn clear(&mut self) {

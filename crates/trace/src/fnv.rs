@@ -1,7 +1,7 @@
 //! FNV-1a, the checksum of every persisted format in the workspace: the
-//! `CFPA` v2 array files, `CFPI` v2 mining images, `cfp-ckpt/1`
-//! manifests and `cfp-blackbox/4` post-mortems. It sits here, at the
-//! bottom of the crate graph, so all of them share one copy.
+//! `CFPA` v2 array files, `cfp-ckpt/1` manifests and `cfp-blackbox/4`
+//! post-mortems. It sits here, at the bottom of the crate graph, so all
+//! of them share one copy.
 //!
 //! The two JSON formats share one envelope too: [`seal`] appends a
 //! `checksum` member, `"fnv1a:"` and 16 hex digits of FNV-1a over the

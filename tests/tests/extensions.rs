@@ -1,11 +1,10 @@
-//! Integration tests of the extension layers: parallel mining, mining
-//! images, streaming file mining, and rule generation — all cross-checked
-//! against the sequential in-memory pipeline on realistic profiles.
+//! Integration tests of the extension layers: parallel mining, streaming
+//! file mining, and rule generation — all cross-checked against the
+//! sequential in-memory pipeline on realistic profiles.
 
 use cfp_baselines::oracle::{closed_itemsets, maximal_itemsets};
 use cfp_core::{
-    mine_file, CfpGrowthMiner, CollectSink, CountingSink, Miner, MiningImage,
-    ParallelCfpGrowthMiner,
+    mine_file, CfpGrowthMiner, CollectSink, CountingSink, Miner, ParallelCfpGrowthMiner,
 };
 use cfp_data::{fimi, profiles};
 use cfp_integration::fingerprint;
@@ -23,26 +22,6 @@ fn parallel_equals_sequential_on_profiles() {
             assert_eq!(par, seq, "{name} with {threads} threads");
         }
     }
-}
-
-#[test]
-fn image_round_trip_on_a_profile() {
-    let p = profiles::by_name("retail-like").unwrap();
-    let db = p.generate();
-    let minsup = p.absolute_support(&db, 1);
-
-    let image = MiningImage::build(&db, minsup);
-    let mut bytes = Vec::new();
-    image.write_to(&mut bytes).unwrap();
-    let loaded = MiningImage::read_from(bytes.as_slice()).unwrap();
-
-    let mut from_image = CountingSink::new();
-    loaded.mine(minsup, &mut from_image);
-    let direct = fingerprint(&CfpGrowthMiner::new(), &db, minsup);
-    assert_eq!((from_image.count, from_image.support_sum, from_image.item_sum), direct);
-
-    // The serialized image is small: well under 8 bytes per node.
-    assert!((bytes.len() as u64) < 8 * loaded.array().num_nodes());
 }
 
 #[test]
